@@ -155,6 +155,10 @@ def cmd_build_corpus(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    if args.batch_size < 1:
+        raise ConfigError(f"--batch-size must be positive, got {args.batch_size}")
+    if args.steps < 0:
+        raise ConfigError(f"--steps must be >= 0, got {args.steps}")
     vocab = load_vocab(_resource_path(args.vocab))
     examples = [example_from_json(line, lineno)
                 for lineno, line in enumerate(_read_lines(args.infile), start=1)

@@ -10,8 +10,16 @@ Architecture (post-layernorm, BERT-style):
 
     h0 = LN(tok_emb[ids] + pos_emb)
     per layer: h = LN(h + SelfAttention(h)); h = LN(h + FFN(h))
-    MLM head: logits = LN(gelu(h W_d + b_d)) E^T + b_v   (E = tied token embedding)
+    MLM head: logits = LN(gelu(h W_d + b_d))[rows] E^T + b_v   (E = tied token embedding)
     RWD head: logits = h[marker positions] W_r + b_r
+
+The MLM head's vocabulary projection runs on a set of (example, position)
+rows: every position by default, giving (B, L, V) logits, or, with
+``forward(..., labelled_only=True)``, only the MLM-labelled positions,
+giving (M, V) logits. Training uses the labelled rows, so vocabulary
+logits, their softmax and their gradient are computed only where a label
+exists; the dense default serves inference and the finite-difference
+oracle.
 
 The detection loss and the masked-LM loss are means over their included
 positions and are summed unweighted into the total.
@@ -97,14 +105,18 @@ class StepMetrics:
 class ForwardOutput:
     """Logits plus (optionally) captured attention probabilities.
 
-    ``rwd_logits[i]`` has one row per marker of example ``i``, in
-    ascending marker-position order. ``_cache`` holds the activations
+    ``mlm_logits`` is (B, L, V) when the MLM head ran on every position
+    and (M, V) when it ran on the M labelled positions only. ``forward``
+    records the flattened (example, position) index arrays of those rows
+    in ``mlm_rows``, the labelled ones sorted by example, then position. ``rwd_logits[i]`` has one row per marker of example ``i``,
+    in ascending marker-position order. ``_cache`` holds the activations
     needed for the backward pass.
     """
 
     mlm_logits: np.ndarray
     rwd_logits: list[np.ndarray]
     attentions: list[np.ndarray] | None = None
+    mlm_rows: tuple[np.ndarray, np.ndarray] | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
 
@@ -155,9 +167,22 @@ def _matmul_grads(dy, x):
     return x2.T @ dy2, dy2.sum(axis=0)
 
 
-def log_softmax(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+def _cross_entropy(logits, labels):
+    """Mean cross-entropy of ``labels`` under the row-wise softmax of
+    ``logits`` (rows, classes), and its gradient with respect to
+    ``logits``. No rows: zero loss and an empty gradient."""
+    m = len(labels)
+    if not m:
+        return 0.0, np.zeros_like(logits)
+    rows = np.arange(m)
+    grad = logits - logits.max(axis=-1, keepdims=True)
+    picked = grad[rows, labels]
+    np.exp(grad, out=grad)
+    total = grad.sum(axis=-1)
+    loss = float(np.mean(np.log(total) - picked))
+    grad *= (1.0 / (total * m))[:, None]
+    grad[rows, labels] -= 1.0 / m
+    return loss, grad
 
 
 class MarkBert:
@@ -247,7 +272,11 @@ class MarkBert:
         return x * mask
 
     def forward(self, batch: Sequence[PretrainingExample], *,
-                capture_attention: bool = False, train: bool = False) -> ForwardOutput:
+                capture_attention: bool = False, train: bool = False,
+                labelled_only: bool = False) -> ForwardOutput:
+        """Run the encoder and both heads. With ``labelled_only`` the MLM
+        head projects onto the vocabulary only at the MLM-labelled
+        positions (see :class:`ForwardOutput`)."""
         cfg = self.cfg
         ids, valid = self._batchify(batch)
         B, L = ids.shape
@@ -256,14 +285,18 @@ class MarkBert:
         if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
             raise InputError("token id out of range for vocab_size="
                              f"{cfg.vocab_size}: [{ids.min()}, {ids.max()}]")
-        markers = [ex.marker_positions for ex in batch]
-        cache: dict = {"ids": ids, "valid": valid, "markers": markers,
+        if labelled_only:
+            mlm_rows = _mlm_targets(batch)[:2]
+        else:
+            mlm_rows = np.divmod(np.arange(B * L), L)
+        cache: dict = {"ids": ids, "valid": valid, "markers": _marker_rows(batch),
                        "train": train, "layers": []}
         if L == 0:
-            out = ForwardOutput(mlm_logits=np.zeros((B, 0, cfg.vocab_size)),
+            out = ForwardOutput(mlm_logits=np.zeros((0, cfg.vocab_size) if labelled_only
+                                                    else (B, 0, cfg.vocab_size)),
                                 rwd_logits=[np.zeros((0, cfg.rwd_classes)) for _ in batch],
                                 attentions=[] if capture_attention else None,
-                                _cache=cache)
+                                mlm_rows=mlm_rows, _cache=cache)
             return out
 
         H = cfg.hidden_dim
@@ -314,17 +347,19 @@ class MarkBert:
         t2 = _gelu_fwd(t1)
         t3, cache["mlm_ln"] = _layernorm_fwd(t2, self._p("mlm.ln.gamma"),
                                              self._p("mlm.ln.beta"))
-        mlm_logits = t3 @ self._p("token_embedding").T + self._p("mlm.bias")
+        mlm_logits = t3[mlm_rows] @ self._p("token_embedding").T
+        mlm_logits += self._p("mlm.bias")
+        if not labelled_only:
+            mlm_logits = mlm_logits.reshape(B, L, cfg.vocab_size)
         cache.update(t1=t1, t3=t3)
 
-        rwd_logits = []
-        for i, positions in enumerate(markers):
-            rows = h[i, positions] if positions else np.zeros((0, H))
-            rwd_logits.append(rows @ self._p("rwd.w") + self._p("rwd.b"))
+        markers = cache["markers"]
+        rwd = h[markers] @ self._p("rwd.w") + self._p("rwd.b")
+        rwd_logits = np.split(rwd, np.searchsorted(markers[0], np.arange(1, B)))
 
         return ForwardOutput(mlm_logits=mlm_logits, rwd_logits=rwd_logits,
                              attentions=attentions if capture_attention else None,
-                             _cache=cache)
+                             mlm_rows=mlm_rows, _cache=cache)
 
     # -- backward ----------------------------------------------------------
 
@@ -345,12 +380,13 @@ class MarkBert:
         dh = H // nh
         scale = dh ** -0.5
 
-        # MLM head
+        # MLM head: only the rows that have logits receive a gradient
         t3 = cache["t3"]
-        dt3 = dmlm_logits @ self._p("token_embedding")
-        self._g("token_embedding")[...] += (
-            dmlm_logits.reshape(-1, cfg.vocab_size).T @ t3.reshape(-1, H))
-        self._g("mlm.bias")[...] += dmlm_logits.reshape(-1, cfg.vocab_size).sum(axis=0)
+        g = dmlm_logits.reshape(-1, cfg.vocab_size)
+        dt3 = np.zeros_like(t3)
+        dt3[out.mlm_rows] = g @ self._p("token_embedding")
+        self._g("token_embedding")[...] += g.T @ t3[out.mlm_rows]
+        self._g("mlm.bias")[...] += g.sum(axis=0)
         dt2, dg, db = _layernorm_bwd(dt3, cache["mlm_ln"], self._p("mlm.ln.gamma"))
         self._g("mlm.ln.gamma")[...] += dg
         self._g("mlm.ln.beta")[...] += db
@@ -361,16 +397,11 @@ class MarkBert:
         dh_mlm = dt1 @ self._p("mlm.dense_w").T
 
         # RWD head
+        d = np.concatenate(drwd_logits).astype(np.float64, copy=False)
+        self._g("rwd.w")[...] += cache["hidden"][markers].T @ d
+        self._g("rwd.b")[...] += d.sum(axis=0)
         dh_rwd = np.zeros_like(dh_mlm)
-        hidden = cache["hidden"]
-        for i, positions in enumerate(markers):
-            if not positions:
-                continue
-            d = np.asarray(drwd_logits[i], dtype=np.float64)
-            rows = hidden[i, positions]
-            self._g("rwd.w")[...] += rows.T @ d
-            self._g("rwd.b")[...] += d.sum(axis=0)
-            dh_rwd[i, positions] += d @ self._p("rwd.w").T
+        dh_rwd[markers] = d @ self._p("rwd.w").T
         cache["dh_mlm"] = dh_mlm
         cache["dh_rwd"] = dh_rwd
 
@@ -438,55 +469,72 @@ def init_model(cfg: ModelConfig) -> MarkBert:
 
 # --- losses -------------------------------------------------------------------
 
-def _rwd_class(label: RwdLabel, rwd_classes: int) -> int:
+def _mlm_targets(batch: Sequence[PretrainingExample]):
+    """(example, position, label) index arrays of the MLM-labelled
+    positions, sorted by example, then position: the row order of a
+    labelled-only MLM head."""
+    rows = [(i, pos, label) for i, ex in enumerate(batch)
+            for pos, label in sorted(ex.mlm_labels.items())]
+    return tuple(np.array(rows, dtype=np.intp).reshape(-1, 3).T)
+
+
+def _marker_rows(batch: Sequence[PretrainingExample]):
+    """(example, position) index arrays of every marker, example by
+    example in ascending position order: the rows of the concatenated
+    ``rwd_logits``."""
+    rows = [(i, pos) for i, ex in enumerate(batch) for pos in ex.marker_positions]
+    return tuple(np.array(rows, dtype=np.intp).reshape(-1, 2).T)
+
+
+def _rwd_targets(batch: Sequence[PretrainingExample], rwd_classes: int):
+    """Rows of the concatenated ``rwd_logits`` that carry detection loss,
+    and their class ids. With two classes every confusion kind is 1."""
+    marked = [(ex.rwd_loss_mask.get(pos, False), ex.rwd_labels[pos])
+              for ex in batch for pos in ex.marker_positions]
+    loss_on, labels = np.array(marked, dtype=np.intp).reshape(-1, 2).T
+    rows = np.flatnonzero(loss_on)
+    classes = labels[rows]
     if rwd_classes == 2:
-        return 0 if label == RwdLabel.NORMAL else 1
-    return int(label)
+        classes = (classes != RwdLabel.NORMAL).astype(np.intp)
+    return rows, classes
+
+
+def _labelled_mlm_logits(out: ForwardOutput, batch: Sequence[PretrainingExample]):
+    """MLM logits at the labelled positions, (M, V), their labels and
+    their (example, position) index arrays."""
+    idx_i, idx_p, labels = _mlm_targets(batch)
+    logits = out.mlm_logits
+    if logits.ndim == 3:
+        logits = logits[idx_i, idx_p]
+    elif len(logits) != len(labels):
+        raise InputError(f"{len(logits)} MLM logit rows for {len(labels)} labelled positions")
+    return logits, labels, (idx_i, idx_p)
 
 
 def loss_and_gradients(out: ForwardOutput, batch: Sequence[PretrainingExample],
                        rwd_classes: int = 3):
     """Cross-entropy losses plus the gradients of the total loss with
-    respect to both logit tensors.
+    respect to both logit tensors, each in the shape of its logits.
 
     Each loss is a mean over its included positions; an empty set
     contributes zero loss and zero gradient. Gradients at unlabeled /
     excluded positions are exactly zero.
     """
-    B = len(batch)
-    V = out.mlm_logits.shape[-1]
-    dmlm = np.zeros_like(out.mlm_logits)
-    mlm_rows = [(i, pos, label) for i, ex in enumerate(batch)
-                for pos, label in sorted(ex.mlm_labels.items())]
-    mlm_loss = 0.0
-    if mlm_rows:
-        idx_i = np.array([r[0] for r in mlm_rows])
-        idx_p = np.array([r[1] for r in mlm_rows])
-        labels = np.array([r[2] for r in mlm_rows])
-        logits = out.mlm_logits[idx_i, idx_p]
-        logp = log_softmax(logits)
-        m = len(mlm_rows)
-        mlm_loss = float(-logp[np.arange(m), labels].mean())
-        grad = np.exp(logp)
-        grad[np.arange(m), labels] -= 1.0
-        np.add.at(dmlm, (idx_i, idx_p), grad / m)
+    logits, labels, mlm_rows = _labelled_mlm_logits(out, batch)
+    mlm_loss, dmlm = _cross_entropy(logits, labels)
+    if out.mlm_logits.ndim == 3:
+        dense = np.zeros_like(out.mlm_logits)
+        dense[mlm_rows] = dmlm
+        dmlm = dense
 
     drwd = [np.zeros_like(r) for r in out.rwd_logits]
-    included: list[tuple[int, int, int]] = []  # (example, row, class)
-    for i, ex in enumerate(batch):
-        for row, pos in enumerate(ex.marker_positions):
-            if ex.rwd_loss_mask.get(pos, False):
-                included.append((i, row, _rwd_class(ex.rwd_labels[pos], rwd_classes)))
+    rows, classes = _rwd_targets(batch, rwd_classes)
     rwd_loss = 0.0
-    if included:
-        r = len(included)
-        for i, row, cls in included:
-            logp = log_softmax(out.rwd_logits[i][row])
-            rwd_loss += float(-logp[cls])
-            g = np.exp(logp)
-            g[cls] -= 1.0
-            drwd[i][row] += g / r
-        rwd_loss /= r
+    if len(rows):
+        rwd_loss, g = _cross_entropy(np.concatenate(out.rwd_logits)[rows], classes)
+        flat = np.concatenate(drwd)
+        flat[rows] = g
+        drwd = np.split(flat, np.cumsum([len(d) for d in drwd])[:-1])
 
     return LossBreakdown(mlm_loss=mlm_loss, rwd_loss=rwd_loss), dmlm, drwd
 
@@ -499,19 +547,14 @@ def compute_loss(out: ForwardOutput, batch: Sequence[PretrainingExample],
 
 def _accuracies(out: ForwardOutput, batch: Sequence[PretrainingExample],
                 rwd_classes: int) -> tuple[float | None, float | None]:
-    mlm_hits = mlm_total = 0
-    rwd_hits = rwd_total = 0
-    for i, ex in enumerate(batch):
-        for pos, label in ex.mlm_labels.items():
-            mlm_total += 1
-            mlm_hits += int(int(np.argmax(out.mlm_logits[i, pos])) == label)
-        for row, pos in enumerate(ex.marker_positions):
-            if ex.rwd_loss_mask.get(pos, False):
-                rwd_total += 1
-                want = _rwd_class(ex.rwd_labels[pos], rwd_classes)
-                rwd_hits += int(int(np.argmax(out.rwd_logits[i][row])) == want)
-    return (mlm_hits / mlm_total if mlm_total else None,
-            rwd_hits / rwd_total if rwd_total else None)
+    logits, labels, _ = _labelled_mlm_logits(out, batch)
+    rows, classes = _rwd_targets(batch, rwd_classes)
+    mlm_acc = float(np.mean(logits.argmax(axis=-1) == labels)) if len(labels) else None
+    rwd_acc = None
+    if len(rows):
+        predicted = np.concatenate(out.rwd_logits)[rows].argmax(axis=-1)
+        rwd_acc = float(np.mean(predicted == classes))
+    return mlm_acc, rwd_acc
 
 
 def train_step(model: MarkBert, batch: Sequence[PretrainingExample],
@@ -524,7 +567,7 @@ def train_step(model: MarkBert, batch: Sequence[PretrainingExample],
     if lr < 0:
         raise ConfigError(f"learning rate must be >= 0, got {lr}")
     model.zero_grads()
-    out = model.forward(batch, train=model.cfg.dropout > 0.0)
+    out = model.forward(batch, train=model.cfg.dropout > 0.0, labelled_only=True)
     loss, dmlm, drwd = loss_and_gradients(out, batch, model.cfg.rwd_classes)
     if not np.isfinite(loss.total):
         raise TrainingError(
@@ -570,7 +613,7 @@ def finite_difference_grads(model: MarkBert, batch: Sequence[PretrainingExample]
 
 def analytic_grads(model: MarkBert, batch: Sequence[PretrainingExample]) -> dict[str, np.ndarray]:
     model.zero_grads()
-    out = model.forward(batch)
+    out = model.forward(batch, labelled_only=True)
     _, dmlm, drwd = loss_and_gradients(out, batch, model.cfg.rwd_classes)
     model.backward(out, dmlm, drwd)
     return {name: p.grad.copy() for name, p in model.params.items()}

@@ -418,12 +418,12 @@ def example_from_json(line: str, lineno: int | None = None) -> PretrainingExampl
     try:
         record = json.loads(line)
         meta = record["meta"]
+        loss_on = set(record["rwd_loss_mask"])
         return PretrainingExample(
             input_ids=tuple(record["input_ids"]),
             mlm_labels={int(p): int(t) for p, t in record["mlm_labels"]},
             rwd_labels={int(p): RwdLabel[name] for p, name in record["rwd_labels"]},
-            rwd_loss_mask={int(p): (p in set(record["rwd_loss_mask"]))
-                           for p, _ in record["rwd_labels"]},
+            rwd_loss_mask={int(p): p in loss_on for p, _ in record["rwd_labels"]},
             meta=ExampleMeta(doc_id=meta["doc_id"], seq_index=meta["seq_index"],
                              seed=meta["seed"], no_marker=meta["no_marker"],
                              wwm=meta["wwm"], n_chars=meta["n_chars"],
@@ -601,5 +601,19 @@ def generate_examples(packed: Sequence[PackedSegment], vocab: Vocab,
     from multiprocessing import Pool
 
     chunk = max(1, len(packed) // (workers * 8))
-    with Pool(workers) as pool:
-        return pool.map(build, packed, chunksize=chunk)
+    # the build callable (with the resources) reaches each worker once, at
+    # start-up, instead of being pickled into every task
+    with Pool(workers, initializer=_set_worker_build, initargs=(build,)) as pool:
+        return pool.map(_worker_build_example, packed, chunksize=chunk)
+
+
+_worker_build = None
+
+
+def _set_worker_build(build) -> None:
+    global _worker_build
+    _worker_build = build
+
+
+def _worker_build_example(packed: PackedSegment) -> PretrainingExample:
+    return _worker_build(packed)

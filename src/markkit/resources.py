@@ -96,8 +96,9 @@ def load_lexicon(path: str | Path) -> Lexicon:
 class WordEmbeddings:
     """Word vectors with a precomputed unit-norm matrix for cosine lookups.
 
-    Vectors are float64 and guaranteed non-zero; entries with a wrong
-    dimensionality or zero norm are rejected at load time.
+    Vectors are float64 with a finite, non-zero norm; entries with a
+    wrong dimensionality or a zero or non-finite norm are rejected at
+    load time.
     """
 
     def __init__(self, dim: int, vectors: dict[str, np.ndarray],
@@ -109,13 +110,16 @@ class WordEmbeddings:
         for w, v in self.vectors.items():
             if v.shape != (dim,):
                 raise ValueError(f"vector for {w!r} has shape {v.shape}, expected ({dim},)")
-            if not np.linalg.norm(v) > 0.0:
-                raise ValueError(f"vector for {w!r} has zero norm")
         self.words: tuple[str, ...] = tuple(self.vectors)
         self._index = {w: i for i, w in enumerate(self.words)}
         if self.words:
             matrix = np.stack([self.vectors[w] for w in self.words])
-            self._unit = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+            norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+            bad = ~((norms[:, 0] > 0.0) & (norms[:, 0] < np.inf))
+            if bad.any():
+                raise ValueError(f"vector for {self.words[int(bad.argmax())]!r} "
+                                 "has a zero or non-finite norm")
+            self._unit = matrix / norms
         else:
             self._unit = np.zeros((0, dim))
         # row indices bucketed by word length, for same-length cosine scans
@@ -155,9 +159,9 @@ def load_embeddings(path: str | Path) -> WordEmbeddings:
     """Parse word2vec-style text embeddings.
 
     The header count must match the number of data lines. Rows whose
-    vector length differs from the header dim, or whose norm is zero,
-    are rejected (counted, not fatal). Duplicate words keep the first
-    occurrence.
+    vector length differs from the header dim, or whose norm is zero or
+    not finite (an inf component, or an overflowing norm), are rejected
+    (counted, not fatal). Duplicate words keep the first occurrence.
     """
     lines = _read_text(path).splitlines()
     if not lines:
@@ -188,7 +192,7 @@ def load_embeddings(path: str | Path) -> WordEmbeddings:
             rejected += 1
             continue
         vec = np.asarray(values, dtype=np.float64)
-        if not np.linalg.norm(vec) > 0.0:
+        if not 0.0 < np.linalg.norm(vec) < np.inf:
             rejected += 1
             continue
         if word in vectors:

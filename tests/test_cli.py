@@ -236,6 +236,23 @@ class TestErrorHandling:
                      "--in", str(root / "corpus.txt")])  # no lexicon, not pretokenized
         assert code == 5
 
+    @pytest.mark.parametrize("flag,value", [("--batch-size", "0"), ("--batch-size", "-3"),
+                                            ("--steps", "-1")])
+    def test_bad_pretrain_flag_exit_5(self, env, tmp_path, capsys, flag, value):
+        root, _ = env
+        examples = tmp_path / "ex.jsonl"
+        run_build(root, examples)
+        capsys.readouterr()
+        code = main(["pretrain", "--vocab", str(root / "res/vocab.txt"),
+                     "--in", str(examples), "--out", str(tmp_path / "m.ckpt"),
+                     "--log-every", "0", flag, value])
+        assert code == 5
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "config" and flag in err["message"]
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_resources_env_prefix(self, env, tmp_path, capsys, monkeypatch):
         root, _ = env
         monkeypatch.setenv("MARKKIT_RESOURCES", str(root / "res"))

@@ -214,6 +214,61 @@ class TestGradients:
                     assert np.all(dmlm[i, pos] == 0.0)
 
 
+class TestLabelledOnlyHead:
+    def grads(self, model, out, batch):
+        model.zero_grads()
+        _, dmlm, drwd = loss_and_gradients(out, batch, model.cfg.rwd_classes)
+        model.backward(out, dmlm, drwd)
+        return {name: p.grad.copy() for name, p in model.params.items()}
+
+    def test_agrees_with_dense_head(self, toy_world, toy_resources):
+        batch = toy_batch(toy_world, toy_resources, n=3, seed=17)
+        model = MarkBert(tiny_cfg(vocab_size=len(toy_world.vocab), max_positions=32))
+        dense = model.forward(batch)
+        gathered = model.forward(batch, labelled_only=True)
+        m = sum(len(ex.mlm_labels) for ex in batch)
+        assert m > 0
+        assert gathered.mlm_logits.shape == (m, len(toy_world.vocab))
+
+        loss_d = compute_loss(dense, batch)
+        loss_g = compute_loss(gathered, batch)
+        assert abs(loss_d.mlm_loss - loss_g.mlm_loss) < 1e-12
+        assert abs(loss_d.rwd_loss - loss_g.rwd_loss) < 1e-12
+
+        grads_d = self.grads(model, dense, batch)
+        grads_g = self.grads(model, gathered, batch)
+        for name, g in grads_d.items():
+            denom = max(np.linalg.norm(g), 1e-300)
+            assert np.linalg.norm(grads_g[name] - g) / denom < 1e-10, name
+
+        mlm_hits = [int(np.argmax(dense.mlm_logits[i, pos])) == label
+                    for i, ex in enumerate(batch) for pos, label in ex.mlm_labels.items()]
+        rwd_hits = [int(np.argmax(dense.rwd_logits[i][row])) == int(ex.rwd_labels[pos])
+                    for i, ex in enumerate(batch)
+                    for row, pos in enumerate(ex.marker_positions) if ex.rwd_loss_mask[pos]]
+        metrics = train_step(model, batch, lr=0.0)
+        assert metrics.mlm_accuracy == sum(mlm_hits) / len(mlm_hits)
+        assert metrics.rwd_accuracy == sum(rwd_hits) / len(rwd_hits)
+
+    def test_batch_without_mlm_labels(self):
+        batch = [example([2, 6, 5, 7, 5, 3],
+                         markers={2: RwdLabel.NORMAL, 4: RwdLabel.SYNONYM_CONFUSION},
+                         loss_on=[2, 4]),
+                 example([2, 8, 5, 3], markers={2: RwdLabel.PINYIN_CONFUSION}, loss_on=[2])]
+        model = MarkBert(tiny_cfg())
+        out = model.forward(batch, labelled_only=True)
+        assert out.mlm_logits.shape == (0, 12)
+        loss, dmlm, _ = loss_and_gradients(out, batch)
+        assert loss.mlm_loss == 0.0 and loss.rwd_loss > 0.0
+        assert dmlm.shape == (0, 12)
+        grads = self.grads(model, out, batch)
+        for name in ("mlm.bias", "mlm.dense_w", "mlm.dense_b", "mlm.ln.gamma", "mlm.ln.beta"):
+            assert not np.any(grads[name]), name
+        assert np.all(out._cache["dh_mlm"] == 0.0)
+        metrics = train_step(model, batch, lr=0.1)
+        assert metrics.mlm_accuracy is None and metrics.rwd_accuracy is not None
+
+
 class TestTraining:
     def test_lr_zero_leaves_parameters_unchanged(self, toy_world, toy_resources):
         batch = toy_batch(toy_world, toy_resources, n=2, seed=8)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from markkit.confusion import synonym_candidates
 from markkit.errors import ParseError, ResourceError
-from markkit.resources import (load_embeddings, load_lexicon, load_pinyin_table,
+from markkit.resources import (WordEmbeddings, load_embeddings, load_lexicon, load_pinyin_table,
                                strip_tone)
 
 
@@ -75,6 +76,24 @@ class TestLoadEmbeddings:
         emb = load_embeddings(write(tmp_path, "e.txt", "1 2\n好 0 0\n"))
         assert len(emb) == 0
         assert emb.rejected == 1
+
+    def test_non_finite_norm_rejected(self, tmp_path):
+        emb = load_embeddings(write(tmp_path, "e.txt",
+                                    "4 2\n好 1 0\n佳 inf 0\n美 0.9 0.1\n妙 0.8 0.3\n"))
+        assert emb.rejected == 1
+        assert "佳" not in emb
+        for word in ("好", "美", "妙"):
+            choices = synonym_candidates(word, emb, 3)
+            assert len(choices) == 2
+            assert all(c.replacement != "佳" and np.isfinite(c.score) for c in choices)
+
+    def test_overflowing_norm_rejected(self, tmp_path):
+        emb = load_embeddings(write(tmp_path, "e.txt", "2 2\n好 1 0\n佳 1e200 1e200\n"))
+        assert emb.rejected == 1 and len(emb) == 1
+
+    def test_constructor_rejects_non_finite_vector(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            WordEmbeddings(2, {"好": np.array([1.0, 0.0]), "佳": np.array([np.inf, 0.0])})
 
     def test_header_row_count_mismatch(self, tmp_path):
         with pytest.raises(ParseError):
