@@ -15,7 +15,7 @@ from .marker_encoder import (MarkedSequence, Vocab, build_vocab, encode_marked,
                              load_vocab, save_vocab, strip_markers)
 from .model import (ForwardOutput, LossBreakdown, MarkBert, ModelConfig,
                     StepMetrics, compute_loss, export_attention,
-                    finite_difference_grads, init_model, load_checkpoint,
+                    finite_difference_grads, load_checkpoint,
                     loss_and_gradients, save_checkpoint, train_step)
 from .ner import (EntitySpan, NerExample, SpanF1Counter, align_labels_with_markers,
                   bio_to_bmeso, extract_spans, read_conll, span_f1,

@@ -21,6 +21,11 @@ logits, their softmax and their gradient are computed only where a label
 exists; the dense default serves inference and the finite-difference
 oracle.
 
+One helper walks the batch once and builds every (example, position)
+index array both objectives gather: ``forward`` takes its MLM and marker
+rows from it, and ``loss_and_gradients`` its losses, logit gradients and
+accuracies (:class:`StepMetrics`).
+
 The detection loss and the masked-LM loss are means over their included
 positions and are summed unweighted into the total.
 """
@@ -31,7 +36,7 @@ import json
 import struct
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -108,9 +113,10 @@ class ForwardOutput:
     ``mlm_logits`` is (B, L, V) when the MLM head ran on every position
     and (M, V) when it ran on the M labelled positions only. ``forward``
     records the flattened (example, position) index arrays of those rows
-    in ``mlm_rows``, the labelled ones sorted by example, then position. ``rwd_logits[i]`` has one row per marker of example ``i``,
-    in ascending marker-position order. ``_cache`` holds the activations
-    needed for the backward pass.
+    in ``mlm_rows``, the labelled ones sorted by example, then position.
+    ``rwd_logits[i]`` has one row per marker of example ``i``, in
+    ascending marker-position order. ``_cache`` holds the activations
+    needed for the backward pass, among them the marker rows.
     """
 
     mlm_logits: np.ndarray
@@ -285,11 +291,9 @@ class MarkBert:
         if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
             raise InputError("token id out of range for vocab_size="
                              f"{cfg.vocab_size}: [{ids.min()}, {ids.max()}]")
-        if labelled_only:
-            mlm_rows = _mlm_targets(batch)[:2]
-        else:
-            mlm_rows = np.divmod(np.arange(B * L), L)
-        cache: dict = {"ids": ids, "valid": valid, "markers": _marker_rows(batch),
+        rows = _batch_rows(batch, cfg.rwd_classes)
+        mlm_rows = rows.mlm if labelled_only else np.divmod(np.arange(B * L), L)
+        cache: dict = {"ids": ids, "valid": valid, "markers": rows.markers,
                        "train": train, "layers": []}
         if L == 0:
             out = ForwardOutput(mlm_logits=np.zeros((0, cfg.vocab_size) if labelled_only
@@ -462,99 +466,82 @@ class MarkBert:
         self._g("position_embedding")[:L] += demb.sum(axis=0)
 
 
-def init_model(cfg: ModelConfig) -> MarkBert:
-    """Fresh model with deterministic, width-scaled random initialization."""
-    return MarkBert(cfg)
-
-
 # --- losses -------------------------------------------------------------------
 
-def _mlm_targets(batch: Sequence[PretrainingExample]):
-    """(example, position, label) index arrays of the MLM-labelled
-    positions, sorted by example, then position: the row order of a
-    labelled-only MLM head."""
-    rows = [(i, pos, label) for i, ex in enumerate(batch)
-            for pos, label in sorted(ex.mlm_labels.items())]
-    return tuple(np.array(rows, dtype=np.intp).reshape(-1, 3).T)
+class _BatchRows(NamedTuple):
+    """The (example, position) rows both objectives gather from a batch."""
+
+    mlm: tuple[np.ndarray, np.ndarray]      # MLM-labelled, by example then position
+    mlm_labels: np.ndarray
+    markers: tuple[np.ndarray, np.ndarray]  # every marker: the concatenated rwd_logits
+    rwd: np.ndarray                         # marker rows that carry detection loss
+    rwd_labels: np.ndarray                  # their class ids (confusion = 1 of 2 classes)
 
 
-def _marker_rows(batch: Sequence[PretrainingExample]):
-    """(example, position) index arrays of every marker, example by
-    example in ascending position order: the rows of the concatenated
-    ``rwd_logits``."""
-    rows = [(i, pos) for i, ex in enumerate(batch) for pos in ex.marker_positions]
-    return tuple(np.array(rows, dtype=np.intp).reshape(-1, 2).T)
-
-
-def _rwd_targets(batch: Sequence[PretrainingExample], rwd_classes: int):
-    """Rows of the concatenated ``rwd_logits`` that carry detection loss,
-    and their class ids. With two classes every confusion kind is 1."""
-    marked = [(ex.rwd_loss_mask.get(pos, False), ex.rwd_labels[pos])
-              for ex in batch for pos in ex.marker_positions]
-    loss_on, labels = np.array(marked, dtype=np.intp).reshape(-1, 2).T
-    rows = np.flatnonzero(loss_on)
-    classes = labels[rows]
+def _batch_rows(batch: Sequence[PretrainingExample], rwd_classes: int) -> _BatchRows:
+    mlm: list[tuple[int, int, int]] = []
+    markers: list[tuple[int, int]] = []
+    rwd: list[tuple[int, int]] = []
+    for i, ex in enumerate(batch):
+        mlm.extend((i, pos, label) for pos, label in sorted(ex.mlm_labels.items()))
+        for pos in ex.marker_positions:
+            if ex.rwd_loss_mask.get(pos, False):
+                rwd.append((len(markers), ex.rwd_labels[pos]))
+            markers.append((i, pos))
+    mlm_i, mlm_p, mlm_labels = np.array(mlm, dtype=np.intp).reshape(-1, 3).T
+    marker_i, marker_p = np.array(markers, dtype=np.intp).reshape(-1, 2).T
+    rwd_rows, rwd_labels = np.array(rwd, dtype=np.intp).reshape(-1, 2).T
     if rwd_classes == 2:
-        classes = (classes != RwdLabel.NORMAL).astype(np.intp)
-    return rows, classes
+        rwd_labels = (rwd_labels != RwdLabel.NORMAL).astype(np.intp)
+    return _BatchRows((mlm_i, mlm_p), mlm_labels, (marker_i, marker_p), rwd_rows, rwd_labels)
 
 
-def _labelled_mlm_logits(out: ForwardOutput, batch: Sequence[PretrainingExample]):
-    """MLM logits at the labelled positions, (M, V), their labels and
-    their (example, position) index arrays."""
-    idx_i, idx_p, labels = _mlm_targets(batch)
-    logits = out.mlm_logits
-    if logits.ndim == 3:
-        logits = logits[idx_i, idx_p]
-    elif len(logits) != len(labels):
-        raise InputError(f"{len(logits)} MLM logit rows for {len(labels)} labelled positions")
-    return logits, labels, (idx_i, idx_p)
+def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float | None:
+    return float(np.mean(logits.argmax(axis=-1) == labels)) if len(labels) else None
 
 
 def loss_and_gradients(out: ForwardOutput, batch: Sequence[PretrainingExample],
                        rwd_classes: int = 3):
-    """Cross-entropy losses plus the gradients of the total loss with
-    respect to both logit tensors, each in the shape of its logits.
+    """Losses and accuracies (:class:`StepMetrics`) plus the gradients of
+    the total loss with respect to both logit tensors, each in the shape
+    of its logits.
 
     Each loss is a mean over its included positions; an empty set
-    contributes zero loss and zero gradient. Gradients at unlabeled /
-    excluded positions are exactly zero.
+    contributes zero loss and zero gradient and has no accuracy.
+    Gradients at unlabeled / excluded positions are exactly zero.
     """
-    logits, labels, mlm_rows = _labelled_mlm_logits(out, batch)
-    mlm_loss, dmlm = _cross_entropy(logits, labels)
+    rows = _batch_rows(batch, rwd_classes)
+    logits = out.mlm_logits
+    if logits.ndim == 3:
+        logits = logits[rows.mlm]
+    elif len(logits) != len(rows.mlm_labels):
+        raise InputError(f"{len(logits)} MLM logit rows for "
+                         f"{len(rows.mlm_labels)} labelled positions")
+    mlm_loss, dmlm = _cross_entropy(logits, rows.mlm_labels)
     if out.mlm_logits.ndim == 3:
         dense = np.zeros_like(out.mlm_logits)
-        dense[mlm_rows] = dmlm
+        dense[rows.mlm] = dmlm
         dmlm = dense
 
     drwd = [np.zeros_like(r) for r in out.rwd_logits]
-    rows, classes = _rwd_targets(batch, rwd_classes)
-    rwd_loss = 0.0
-    if len(rows):
-        rwd_loss, g = _cross_entropy(np.concatenate(out.rwd_logits)[rows], classes)
+    rwd_loss, rwd_acc = 0.0, None
+    if len(rows.rwd):
+        rwd_logits = np.concatenate(out.rwd_logits)[rows.rwd]
+        rwd_loss, g = _cross_entropy(rwd_logits, rows.rwd_labels)
+        rwd_acc = _accuracy(rwd_logits, rows.rwd_labels)
         flat = np.concatenate(drwd)
-        flat[rows] = g
+        flat[rows.rwd] = g
         drwd = np.split(flat, np.cumsum([len(d) for d in drwd])[:-1])
 
-    return LossBreakdown(mlm_loss=mlm_loss, rwd_loss=rwd_loss), dmlm, drwd
+    metrics = StepMetrics(loss=LossBreakdown(mlm_loss=mlm_loss, rwd_loss=rwd_loss),
+                          mlm_accuracy=_accuracy(logits, rows.mlm_labels),
+                          rwd_accuracy=rwd_acc)
+    return metrics, dmlm, drwd
 
 
 def compute_loss(out: ForwardOutput, batch: Sequence[PretrainingExample],
                  rwd_classes: int = 3) -> LossBreakdown:
-    loss, _, _ = loss_and_gradients(out, batch, rwd_classes)
-    return loss
-
-
-def _accuracies(out: ForwardOutput, batch: Sequence[PretrainingExample],
-                rwd_classes: int) -> tuple[float | None, float | None]:
-    logits, labels, _ = _labelled_mlm_logits(out, batch)
-    rows, classes = _rwd_targets(batch, rwd_classes)
-    mlm_acc = float(np.mean(logits.argmax(axis=-1) == labels)) if len(labels) else None
-    rwd_acc = None
-    if len(rows):
-        predicted = np.concatenate(out.rwd_logits)[rows].argmax(axis=-1)
-        rwd_acc = float(np.mean(predicted == classes))
-    return mlm_acc, rwd_acc
+    return loss_and_gradients(out, batch, rwd_classes)[0].loss
 
 
 def train_step(model: MarkBert, batch: Sequence[PretrainingExample],
@@ -568,7 +555,8 @@ def train_step(model: MarkBert, batch: Sequence[PretrainingExample],
         raise ConfigError(f"learning rate must be >= 0, got {lr}")
     model.zero_grads()
     out = model.forward(batch, train=model.cfg.dropout > 0.0, labelled_only=True)
-    loss, dmlm, drwd = loss_and_gradients(out, batch, model.cfg.rwd_classes)
+    metrics, dmlm, drwd = loss_and_gradients(out, batch, model.cfg.rwd_classes)
+    loss = metrics.loss
     if not np.isfinite(loss.total):
         raise TrainingError(
             f"non-finite loss: mlm={loss.mlm_loss!r} rwd={loss.rwd_loss!r}; "
@@ -577,8 +565,7 @@ def train_step(model: MarkBert, batch: Sequence[PretrainingExample],
     if lr:
         for p in model.params.values():
             p.value -= lr * p.grad
-    mlm_acc, rwd_acc = _accuracies(out, batch, model.cfg.rwd_classes)
-    return StepMetrics(loss=loss, mlm_accuracy=mlm_acc, rwd_accuracy=rwd_acc)
+    return metrics
 
 
 # --- verification helpers ------------------------------------------------------

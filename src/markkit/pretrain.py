@@ -122,15 +122,6 @@ class PretrainingExample:
     def marker_positions(self) -> list[int]:
         return sorted(self.rwd_labels)
 
-    def char_positions(self) -> list[int]:
-        """Character-token positions: everything except markers and the
-        CLS/SEP frame."""
-        skip = set(self.rwd_labels)
-        if self.meta.framed and self.input_ids:
-            skip.add(0)
-            skip.add(len(self.input_ids) - 1)
-        return [i for i in range(len(self.input_ids)) if i not in skip]
-
     def replaced_positions(self) -> set[int]:
         """Positions belonging to confusion-replaced words. Each word's
         characters sit between the previous marker (or the frame start)
@@ -266,6 +257,7 @@ def build_example(seg: Segmentation, vocab: Vocab, resources: Resources,
 
     # token positions per included word, in word order
     word_positions: list[list[int]] = []
+    replaced_words: set[int] = set()
     if no_marker:
         # reconstruct word groups from the segmentation spans; truncation
         # is word-aligned, so groups are either complete or absent
@@ -275,32 +267,23 @@ def build_example(seg: Segmentation, vocab: Vocab, resources: Resources,
             if len(group) < len(span):
                 break
             word_positions.append(group)
-    else:
-        markers_sorted = sorted(marked.word_of_marker)
-        cursor = 1 if marked.has_cls_sep else 0
-        for marker_pos in markers_sorted:
-            word_positions.append(list(range(cursor, marker_pos)))
-            cursor = marker_pos + 1
-
-    replaced_words: set[int] = set()
-    if not no_marker:
-        markers_sorted = sorted(marked.word_of_marker)
-        for w, marker_pos in enumerate(markers_sorted):
-            span = marked.word_of_marker[marker_pos]
-            rwd_labels[marker_pos] = RwdLabel.NORMAL
-            if rng.random() >= cfg.p_replace_word:
-                continue
-            word = seg.text[span.start:span.end]
-            choice = sample_confusion(word, resources.embeddings, resources.pinyin,
-                                      rng, policy)
-            if choice is None:
-                continue
-            positions = word_positions[w]
-            for offset, pos in enumerate(positions):
-                mlm_labels[pos] = ids[pos]  # correction target: original character
-                ids[pos] = vocab.id_of(choice.replacement[offset])
-            rwd_labels[marker_pos] = _KIND_TO_LABEL[choice.kind]
-            replaced_words.add(w)
+    cursor = 1 if marked.has_cls_sep else 0
+    for w, marker_pos in enumerate(marked.marker_positions):
+        word_positions.append(list(range(cursor, marker_pos)))
+        cursor = marker_pos + 1
+        rwd_labels[marker_pos] = RwdLabel.NORMAL
+        if rng.random() >= cfg.p_replace_word:
+            continue
+        span = marked.word_of_marker[marker_pos]
+        choice = sample_confusion(seg.text[span.start:span.end], resources.embeddings,
+                                  resources.pinyin, rng, policy)
+        if choice is None:
+            continue
+        for offset, pos in enumerate(word_positions[w]):
+            mlm_labels[pos] = ids[pos]  # correction target: original character
+            ids[pos] = vocab.id_of(choice.replacement[offset])
+        rwd_labels[marker_pos] = _KIND_TO_LABEL[choice.kind]
+        replaced_words.add(w)
 
     # mask selection: budget counts characters only
     n_chars = marked.char_count
@@ -332,7 +315,7 @@ def build_example(seg: Segmentation, vocab: Vocab, resources: Resources,
     else:
         pool = sorted(p for w in selectable_words for p in word_positions[w])
         selected.extend(rng.sample(pool, min(target, len(pool))))
-        for marker_pos in sorted(rwd_labels):
+        for marker_pos in marked.marker_positions:
             if rng.random() < cfg.mask_ratio:
                 selected.append(marker_pos)
 
@@ -347,7 +330,7 @@ def build_example(seg: Segmentation, vocab: Vocab, resources: Resources,
         else:
             ids[pos] = char_pool[rng.randrange(len(char_pool))]
 
-    for marker_pos in sorted(rwd_labels):
+    for marker_pos in marked.marker_positions:
         if rwd_labels[marker_pos] == RwdLabel.NORMAL:
             rwd_loss_mask[marker_pos] = rng.random() < cfg.p_normal_marker_loss
         else:
@@ -415,15 +398,20 @@ def example_to_json(ex: PretrainingExample) -> str:
 
 
 def example_from_json(line: str, lineno: int | None = None) -> PretrainingExample:
+    """Parse one JSONL record. Every MLM-label and marker position must
+    index into ``input_ids``."""
     try:
         record = json.loads(line)
         meta = record["meta"]
+        input_ids = tuple(record["input_ids"])
+        mlm_labels = {int(p): int(t) for p, t in record["mlm_labels"]}
+        rwd_labels = {int(p): RwdLabel[name] for p, name in record["rwd_labels"]}
         loss_on = set(record["rwd_loss_mask"])
-        return PretrainingExample(
-            input_ids=tuple(record["input_ids"]),
-            mlm_labels={int(p): int(t) for p, t in record["mlm_labels"]},
-            rwd_labels={int(p): RwdLabel[name] for p, name in record["rwd_labels"]},
-            rwd_loss_mask={int(p): p in loss_on for p, _ in record["rwd_labels"]},
+        example = PretrainingExample(
+            input_ids=input_ids,
+            mlm_labels=mlm_labels,
+            rwd_labels=rwd_labels,
+            rwd_loss_mask={p: p in loss_on for p in rwd_labels},
             meta=ExampleMeta(doc_id=meta["doc_id"], seq_index=meta["seq_index"],
                              seed=meta["seed"], no_marker=meta["no_marker"],
                              wwm=meta["wwm"], n_chars=meta["n_chars"],
@@ -431,6 +419,12 @@ def example_from_json(line: str, lineno: int | None = None) -> PretrainingExampl
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"bad example record: {exc}", lineno) from exc
+    for kind, positions in (("MLM label", mlm_labels), ("marker", rwd_labels)):
+        outside = [p for p in positions if not 0 <= p < len(input_ids)]
+        if outside:
+            raise ParseError(f"{kind} position {outside[0]} is outside input_ids "
+                             f"of length {len(input_ids)}", lineno)
+    return example
 
 
 # --- Corpus statistics -------------------------------------------------------

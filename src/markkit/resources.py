@@ -17,6 +17,7 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
@@ -93,42 +94,57 @@ def load_lexicon(path: str | Path) -> Lexicon:
     return Lexicon(entries=entries, max_word_len=max_len, duplicates_skipped=duplicates)
 
 
-class WordEmbeddings:
-    """Word vectors with a precomputed unit-norm matrix for cosine lookups.
+def _normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Divide each row of ``rows`` by its norm in place where that norm is
+    finite and non-zero (an overflowing norm counts as infinite); return
+    the mask of those rows."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(rows, axis=1, keepdims=True)
+    usable = (norms > 0.0) & (norms < np.inf)
+    np.divide(rows, norms, out=rows, where=usable)
+    return usable[:, 0]
 
-    Vectors are float64 with a finite, non-zero norm; entries with a
-    wrong dimensionality or a zero or non-finite norm are rejected at
-    load time.
+
+class WordEmbeddings:
+    """Word vectors held as one float64 matrix of unit-norm rows, the form
+    cosine lookups need.
+
+    Only directions are kept: ``vector`` returns the word's unit-norm row.
+    Vectors must have a finite, non-zero norm; entries with a wrong
+    dimensionality or a zero or non-finite norm are rejected at load time.
     """
 
-    def __init__(self, dim: int, vectors: dict[str, np.ndarray],
+    def __init__(self, dim: int, vectors: Mapping[str, np.ndarray],
                  rejected: int = 0, duplicates_skipped: int = 0):
-        self.dim = dim
-        self.vectors = {w: np.asarray(v, dtype=np.float64) for w, v in vectors.items()}
+        rows = np.zeros((len(vectors), dim))
+        for i, (w, v) in enumerate(vectors.items()):
+            if np.shape(v) != (dim,):
+                raise ValueError(f"vector for {w!r} has shape {np.shape(v)}, expected ({dim},)")
+            rows[i] = v
+        bad = ~_normalize_rows(rows)
+        if bad.any():
+            raise ValueError(f"vector for {list(vectors)[int(bad.argmax())]!r} "
+                             "has a zero or non-finite norm")
+        self._set_rows(tuple(vectors), rows, rejected, duplicates_skipped)
+
+    @classmethod
+    def _from_unit_rows(cls, words: tuple[str, ...], unit: np.ndarray,
+                        rejected: int, duplicates_skipped: int) -> WordEmbeddings:
+        emb = cls.__new__(cls)
+        emb._set_rows(words, unit, rejected, duplicates_skipped)
+        return emb
+
+    def _set_rows(self, words, unit, rejected, duplicates_skipped) -> None:
+        self.dim = unit.shape[1]
+        self.words: tuple[str, ...] = words
         self.rejected = rejected
         self.duplicates_skipped = duplicates_skipped
-        for w, v in self.vectors.items():
-            if v.shape != (dim,):
-                raise ValueError(f"vector for {w!r} has shape {v.shape}, expected ({dim},)")
-        self.words: tuple[str, ...] = tuple(self.vectors)
-        self._index = {w: i for i, w in enumerate(self.words)}
-        if self.words:
-            matrix = np.stack([self.vectors[w] for w in self.words])
-            norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-            bad = ~((norms[:, 0] > 0.0) & (norms[:, 0] < np.inf))
-            if bad.any():
-                raise ValueError(f"vector for {self.words[int(bad.argmax())]!r} "
-                                 "has a zero or non-finite norm")
-            self._unit = matrix / norms
-        else:
-            self._unit = np.zeros((0, dim))
+        self._unit = unit
+        unit.flags.writeable = False  # ``vector`` hands out views of its rows
+        self._index = {w: i for i, w in enumerate(words)}
         # row indices bucketed by word length, for same-length cosine scans
-        self._by_length: dict[int, np.ndarray] = {}
-        lengths: dict[int, list[int]] = {}
-        for i, w in enumerate(self.words):
-            lengths.setdefault(len(w), []).append(i)
-        for n, idx in lengths.items():
-            self._by_length[n] = np.asarray(idx, dtype=np.intp)
+        lengths = np.array([len(w) for w in words], dtype=np.intp)
+        self._by_length = {n: np.flatnonzero(lengths == n) for n in set(lengths.tolist())}
 
     def __contains__(self, word: str) -> bool:
         return word in self._index
@@ -140,10 +156,10 @@ class WordEmbeddings:
         if not isinstance(other, WordEmbeddings):
             return NotImplemented
         return (self.dim == other.dim and self.words == other.words
-                and all(np.array_equal(self.vectors[w], other.vectors[w]) for w in self.words))
+                and np.array_equal(self._unit, other._unit))
 
     def vector(self, word: str) -> np.ndarray:
-        return self.vectors[word]
+        return self._unit[self._index[word]]
 
     def unit_rows(self) -> np.ndarray:
         return self._unit
@@ -161,7 +177,8 @@ def load_embeddings(path: str | Path) -> WordEmbeddings:
     The header count must match the number of data lines. Rows whose
     vector length differs from the header dim, or whose norm is zero or
     not finite (an inf component, or an overflowing norm), are rejected
-    (counted, not fatal). Duplicate words keep the first occurrence.
+    (counted, not fatal). Duplicate words keep their first accepted
+    occurrence.
     """
     lines = _read_text(path).splitlines()
     if not lines:
@@ -175,15 +192,14 @@ def load_embeddings(path: str | Path) -> WordEmbeddings:
         raise ParseError(f"header must be two integers, got {lines[0]!r}", 1) from None
     if count < 0 or dim <= 0:
         raise ParseError(f"invalid header values: count={count} dim={dim}", 1)
-    rows = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
-    if len(rows) != count:
-        raise ParseError(f"header declares {count} entries but file has {len(rows)} rows")
-    vectors: dict[str, np.ndarray] = {}
+    data = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    if len(data) != count:
+        raise ParseError(f"header declares {count} entries but file has {len(data)} rows")
+    words: list[str] = []
+    rows = np.empty((count, dim))
     rejected = 0
-    duplicates = 0
-    for lineno, line in rows:
+    for lineno, line in data:
         parts = line.split()
-        word = parts[0]
         try:
             values = [float(x) for x in parts[1:]]
         except ValueError:
@@ -191,16 +207,17 @@ def load_embeddings(path: str | Path) -> WordEmbeddings:
         if len(values) != dim:
             rejected += 1
             continue
-        vec = np.asarray(values, dtype=np.float64)
-        if not 0.0 < np.linalg.norm(vec) < np.inf:
-            rejected += 1
-            continue
-        if word in vectors:
-            duplicates += 1
-            continue
-        vectors[word] = vec
-    return WordEmbeddings(dim=dim, vectors=vectors, rejected=rejected,
-                          duplicates_skipped=duplicates)
+        rows[len(words)] = values
+        words.append(parts[0])
+    rows = rows[:len(words)]
+    usable = _normalize_rows(rows)
+    rejected += len(words) - int(usable.sum())
+    first: dict[str, int] = {}
+    for i in np.flatnonzero(usable):
+        first.setdefault(words[i], int(i))
+    duplicates = int(usable.sum()) - len(first)
+    return WordEmbeddings._from_unit_rows(tuple(first), rows[list(first.values())],
+                                          rejected, duplicates)
 
 
 @dataclass(frozen=True)

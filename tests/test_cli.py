@@ -1,10 +1,12 @@
+import hashlib
 import json
 
 import pytest
 
 from markkit.cli import main, print_stats
 from markkit.ner import NerExample, write_conll
-from markkit.pretrain import MaskingStats, corpus_stats, example_from_json
+from markkit.pretrain import (MaskingStats, PretrainingExample, corpus_stats,
+                              example_from_json, example_to_json)
 from markkit.toy import write_toy_corpus, write_toy_resources
 
 
@@ -94,6 +96,17 @@ class TestBuildCorpusCommand:
                     for line in out.read_text(encoding="utf-8").splitlines()]
         assert examples
         assert all(ex.attention_len <= 48 for ex in examples)
+
+    @pytest.mark.parametrize("extra,digest", [
+        ([], "c7701184b34d837783f1a90f1b8eba2dfb786d5df9ad7f44747ff627dcb133d8"),
+        (["--pos-markers"], "dfc6ee5fb09db4f91528c9825a601012eeba1f7f65c2c259e3118b557354fb91"),
+    ])
+    def test_golden_digest(self, env, tmp_path, extra, digest):
+        """Output bytes are pinned: a refactor of `build_example`, the confusion
+        lookups or the resource loaders must leave them unchanged."""
+        out = tmp_path / "ex.jsonl"
+        assert run_build(env[0], out, extra=extra) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_pretokenized_input(self, env, tmp_path):
         root, _ = env
@@ -251,6 +264,27 @@ class TestErrorHandling:
         assert len(lines) == 1
         err = json.loads(lines[0])
         assert err["error"] == "config" and flag in err["message"]
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_label_past_input_ids_exit_4(self, env, tmp_path, capsys, batched):
+        root, _ = env
+        short = PretrainingExample(input_ids=(2, 6, 3), mlm_labels={5: 6},
+                                   rwd_labels={}, rwd_loss_mask={})
+        longer = PretrainingExample(input_ids=(2, 6, 7, 8, 9, 6, 7, 3), mlm_labels={2: 7},
+                                    rwd_labels={}, rwd_loss_mask={})
+        lines = [longer, short] if batched else [short]
+        examples = tmp_path / "ex.jsonl"
+        examples.write_text("".join(example_to_json(ex) + "\n" for ex in lines))
+        code = main(["pretrain", "--vocab", str(root / "res/vocab.txt"),
+                     "--in", str(examples), "--out", str(tmp_path / "m.ckpt"),
+                     "--steps", "1", "--log-every", "0"])
+        assert code == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        record = json.loads(err[0])
+        assert record["error"] == "input"
+        assert f"line {len(lines)}: MLM label position 5" in record["message"]
         assert not (tmp_path / "m.ckpt").exists()
 
     def test_resources_env_prefix(self, env, tmp_path, capsys, monkeypatch):

@@ -8,7 +8,7 @@ from markkit.errors import ConfigError, InputError, ParseError, TrainingError
 from markkit.marker_encoder import encode_marked
 from markkit.model import (ForwardOutput, MarkBert, ModelConfig, analytic_grads,
                            compute_loss, export_attention, finite_difference_grads,
-                           init_model, load_checkpoint, loss_and_gradients,
+                           load_checkpoint, loss_and_gradients,
                            save_checkpoint, train_step)
 from markkit.pretrain import (ExampleMeta, MaskingConfig, PretrainingExample,
                               RwdLabel, build_example, derive_seed, plain_example)
@@ -258,8 +258,8 @@ class TestLabelledOnlyHead:
         model = MarkBert(tiny_cfg())
         out = model.forward(batch, labelled_only=True)
         assert out.mlm_logits.shape == (0, 12)
-        loss, dmlm, _ = loss_and_gradients(out, batch)
-        assert loss.mlm_loss == 0.0 and loss.rwd_loss > 0.0
+        metrics, dmlm, _ = loss_and_gradients(out, batch)
+        assert metrics.loss.mlm_loss == 0.0 and metrics.loss.rwd_loss > 0.0
         assert dmlm.shape == (0, 12)
         grads = self.grads(model, out, batch)
         for name in ("mlm.bias", "mlm.dense_w", "mlm.dense_b", "mlm.ln.gamma", "mlm.ln.beta"):
@@ -397,7 +397,3 @@ class TestCheckpoint:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(ParseError):
             load_checkpoint(path)
-
-    def test_init_model_alias(self):
-        model = init_model(tiny_cfg())
-        assert isinstance(model, MarkBert)

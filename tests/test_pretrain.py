@@ -3,9 +3,10 @@ import random
 import pytest
 
 from markkit.confusion import ConfusionKind, ConfusionPolicy, sample_confusion
-from markkit.errors import ConfigError
+from markkit.errors import ConfigError, ParseError
 from markkit.marker_encoder import encode_marked
-from markkit.pretrain import (ExampleMeta, MaskingConfig, PackedSegment, RwdLabel,
+from markkit.pretrain import (ExampleMeta, MaskingConfig, PackedSegment,
+                              PretrainingExample, RwdLabel,
                               build_example, build_packed_example, corpus_stats,
                               derive_seed, example_from_json, example_to_json,
                               generate_examples, pack_corpus, pack_documents,
@@ -281,6 +282,23 @@ class TestJsonInterchange:
     def test_bad_record(self):
         with pytest.raises(Exception):
             example_from_json('{"input_ids": "nope"}', lineno=4)
+
+    @pytest.mark.parametrize("mlm,markers", [
+        ({5: 7}, {}),     # MLM label past the end
+        ({-1: 7}, {}),    # negative position: would wrap around onto SEP
+        ({}, {3: RwdLabel.NORMAL}),  # marker past the end
+    ])
+    def test_label_position_outside_input_ids(self, mlm, markers):
+        line = example_to_json(PretrainingExample(
+            input_ids=(2, 6, 3), mlm_labels=mlm, rwd_labels=markers,
+            rwd_loss_mask={p: True for p in markers}))
+        with pytest.raises(ParseError, match="line 4: .*outside input_ids of length 3"):
+            example_from_json(line, lineno=4)
+
+    def test_label_positions_at_both_ends_accepted(self):
+        ex = PretrainingExample(input_ids=(2, 6, 5, 3), mlm_labels={0: 2, 3: 3},
+                                rwd_labels={2: RwdLabel.NORMAL}, rwd_loss_mask={2: False})
+        assert example_from_json(example_to_json(ex)) == ex
 
 
 class TestGenerateExamples:

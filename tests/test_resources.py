@@ -87,6 +87,7 @@ class TestLoadEmbeddings:
             assert len(choices) == 2
             assert all(c.replacement != "佳" and np.isfinite(c.score) for c in choices)
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_norm_rejected(self, tmp_path):
         emb = load_embeddings(write(tmp_path, "e.txt", "2 2\n好 1 0\n佳 1e200 1e200\n"))
         assert emb.rejected == 1 and len(emb) == 1
@@ -111,6 +112,21 @@ class TestLoadEmbeddings:
         emb = load_embeddings(write(tmp_path, "e.txt", "2 2\n好 1 0\n好 0 1\n"))
         assert emb.duplicates_skipped == 1
         assert np.array_equal(emb.vector("好"), [1.0, 0.0])
+
+    def test_rejected_first_occurrence_then_valid_duplicate(self, tmp_path):
+        emb = load_embeddings(write(tmp_path, "e.txt",
+                                    "5 2\n好 0 0\n好 3 4\n佳 1\n佳 1 1\n好 1 0\n"))
+        assert emb.words == ("好", "佳")
+        assert emb.rejected == 2 and emb.duplicates_skipped == 1
+        assert np.array_equal(emb.vector("好"), np.array([3.0, 4.0]) / 5.0)
+
+    def test_unit_rows_match_row_wise_normalization(self, toy_world):
+        raw = [line.split() for line in
+               toy_world.paths["embeddings"].read_text(encoding="utf-8").splitlines()[1:]]
+        matrix = np.array([[float(x) for x in parts[1:]] for parts in raw])
+        expected = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+        assert toy_world.embeddings.words == tuple(parts[0] for parts in raw)
+        assert np.array_equal(toy_world.embeddings.unit_rows(), expected)
 
     def test_all_norms_positive(self, toy_world):
         for word in toy_world.embeddings.words:
