@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -36,7 +37,8 @@ from .ner import SpanF1Counter, extract_spans, read_conll
 from .pretrain import (MaskingConfig, MaskingStats, corpus_stats, example_from_json,
                        example_to_json, generate_examples, pack_corpus, plain_example,
                        read_documents)
-from .resources import (Resources, load_embeddings, load_lexicon, load_pinyin_table)
+from .resources import (Resources, load_embeddings, load_lexicon, load_pinyin_table,
+                        read_text)
 from .segmenter import (Segmenter, make_lexicon_segmenter, parse_pretokenized,
                         render_spaced)
 
@@ -56,10 +58,15 @@ def _resource_path(path: str | None) -> Path | None:
 def _read_lines(path: str) -> list[str]:
     if path == "-":
         return sys.stdin.read().splitlines()
-    try:
-        return Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise ResourceError(f"cannot read {path}: {exc}") from exc
+    return read_text(path).splitlines()
+
+
+def clamp_workers(requested: int, cpus: int | None) -> int:
+    """The worker count for ``--workers``: at least 1 (a smaller request is a
+    ConfigError) and at most ``cpus``, the machine's CPU count when known."""
+    if requested < 1:
+        raise ConfigError(f"--workers must be positive, got {requested}")
+    return min(requested, cpus) if cpus else requested
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -138,6 +145,7 @@ def cmd_confusions(args) -> int:
 
 
 def cmd_build_corpus(args) -> int:
+    workers = clamp_workers(args.workers, os.cpu_count())
     vocab = load_vocab(_resource_path(args.vocab))
     resources = Resources(embeddings=load_embeddings(_resource_path(args.embeddings)),
                           pinyin=load_pinyin_table(_resource_path(args.pinyin)))
@@ -147,7 +155,7 @@ def cmd_build_corpus(args) -> int:
     documents = read_documents(_read_lines(args.infile), seg_fn)
     packed = pack_corpus(documents, cfg)
     examples = generate_examples(packed, vocab, resources, cfg, args.seed,
-                                 workers=args.workers, policy=policy,
+                                 workers=workers, policy=policy,
                                  pos_markers=args.pos_markers)
     _write_text(args.out, "\n".join(example_to_json(ex) for ex in examples)
                 + ("\n" if examples else ""))
@@ -159,6 +167,10 @@ def cmd_pretrain(args) -> int:
         raise ConfigError(f"--batch-size must be positive, got {args.batch_size}")
     if args.steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {args.steps}")
+    if not (math.isfinite(args.lr) and args.lr >= 0):
+        raise ConfigError(f"--lr must be finite and >= 0, got {args.lr}")
+    if args.log_every < 0:
+        raise ConfigError(f"--log-every must be >= 0, got {args.log_every}")
     vocab = load_vocab(_resource_path(args.vocab))
     examples = [example_from_json(line, lineno)
                 for lineno, line in enumerate(_read_lines(args.infile), start=1)

@@ -11,6 +11,8 @@ import enum
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError
 from .resources import PinyinTable, WordEmbeddings
 
@@ -56,11 +58,17 @@ def synonym_candidates(word: str, emb: WordEmbeddings, k: int) -> list[Confusion
         return []
     row = emb.row_index(word)
     unit = emb.unit_rows()
-    bucket = emb.same_length_rows(len(word))
-    sims = unit[bucket] @ unit[row]
-    scored = [(float(min(max(sims[j], -1.0), 1.0)), emb.words[i])
-              for j, i in enumerate(bucket) if i != row]
-    scored.sort(key=lambda t: (-t[0], t[1]))
+    span = emb.length_slice(len(word))
+    sims = np.clip(unit[span] @ unit[row], -1.0, 1.0)
+    sims[row - span.start] = -np.inf
+    n = min(k, len(sims) - 1)
+    if n < 1:
+        return []
+    # every row tied with the n-th best score is kept, so the word order
+    # below breaks those ties exactly as a sort of the whole bucket would
+    kth = np.partition(sims, len(sims) - n)[len(sims) - n]
+    scored = sorted(((float(sims[j]), emb.words[span.start + j])
+                     for j in np.flatnonzero(sims >= kth)), key=lambda t: (-t[0], t[1]))
     return [ConfusionChoice(original=word, replacement=w, kind=ConfusionKind.SYNONYM, score=s)
             for s, w in scored[:k]]
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, ResourceError
+from .errors import ConfigError
+from .resources import read_text
 from .segmenter import Segmentation, WordSpan
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
@@ -117,11 +118,7 @@ def load_vocab(path: str | Path) -> Vocab:
     """One token per line; id = zero-based line number (bit-exact
     interchange contract). Duplicates and missing required tokens raise
     ConfigError."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ResourceError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     for i, tok in enumerate(lines):
         if not tok:
             raise ConfigError(f"empty token line {i + 1} in {path}")

@@ -551,8 +551,8 @@ def train_step(model: MarkBert, batch: Sequence[PretrainingExample],
     The model is updated in place. Metrics (loss and accuracies) are
     computed from the pre-update forward pass.
     """
-    if lr < 0:
-        raise ConfigError(f"learning rate must be >= 0, got {lr}")
+    if not (np.isfinite(lr) and lr >= 0):
+        raise ConfigError(f"learning rate must be finite and >= 0, got {lr}")
     model.zero_grads()
     out = model.forward(batch, train=model.cfg.dropout > 0.0, labelled_only=True)
     metrics, dmlm, drwd = loss_and_gradients(out, batch, model.cfg.rwd_classes)
@@ -626,10 +626,11 @@ def export_attention(out: ForwardOutput, batch: Sequence[PretrainingExample],
     examples = []
     for i, ex in enumerate(batch):
         n = ex.attention_len
+        markers = ex.marker_positions
         rows = []
         for layer, probs in enumerate(out.attentions):
             for head in range(probs.shape[1]):
-                for pos in ex.marker_positions:
+                for pos in markers:
                     rows.append({
                         "layer": layer,
                         "head": head,
@@ -638,7 +639,7 @@ def export_attention(out: ForwardOutput, batch: Sequence[PretrainingExample],
                     })
         examples.append({
             "tokens": [label(t) for t in ex.input_ids],
-            "marker_positions": list(ex.marker_positions),
+            "marker_positions": markers,
             "rows": rows,
         })
     return {

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import InputError, ParseError, ResourceError
+from .errors import InputError, ParseError
 from .marker_encoder import MarkedSequence
+from .resources import read_text
 from .segmenter import Segmentation
 
 OUTSIDE = "O"
@@ -218,10 +219,7 @@ class SpanF1Counter:
 def read_conll(path: str | Path) -> list[NerExample]:
     """CoNLL-style TSV: ``char<TAB>tag`` per line, blank line between
     sentences."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ResourceError(f"cannot read {path}: {exc}") from exc
+    text = read_text(path)
     examples: list[NerExample] = []
     chars: list[str] = []
     labels: list[str] = []

@@ -399,7 +399,8 @@ def example_to_json(ex: PretrainingExample) -> str:
 
 def example_from_json(line: str, lineno: int | None = None) -> PretrainingExample:
     """Parse one JSONL record. Every MLM-label and marker position must
-    index into ``input_ids``."""
+    index into ``input_ids`` and be listed once; every ``rwd_loss_mask``
+    position must be a marker."""
     try:
         record = json.loads(line)
         meta = record["meta"]
@@ -419,11 +420,19 @@ def example_from_json(line: str, lineno: int | None = None) -> PretrainingExampl
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"bad example record: {exc}", lineno) from exc
-    for kind, positions in (("MLM label", mlm_labels), ("marker", rwd_labels)):
+    for kind, positions, pairs in (("MLM label", mlm_labels, record["mlm_labels"]),
+                                   ("marker", rwd_labels, record["rwd_labels"])):
         outside = [p for p in positions if not 0 <= p < len(input_ids)]
         if outside:
             raise ParseError(f"{kind} position {outside[0]} is outside input_ids "
                              f"of length {len(input_ids)}", lineno)
+        if len(positions) < len(pairs):
+            listed = [int(p) for p, _ in pairs]
+            twice = next(p for i, p in enumerate(listed) if p in listed[:i])
+            raise ParseError(f"{kind} position {twice} is listed twice", lineno)
+    if not loss_on.issubset(rwd_labels):
+        stray = next(p for p in record["rwd_loss_mask"] if p not in rwd_labels)
+        raise ParseError(f"rwd_loss_mask position {stray!r} is not a marker position", lineno)
     return example
 
 

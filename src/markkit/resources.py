@@ -26,11 +26,19 @@ from .errors import ParseError, ResourceError
 _TONE_DIGITS = "012345"
 
 
-def _read_text(path: str | Path) -> str:
+def read_text(path: str | Path) -> str:
+    """The contents of a UTF-8 text file: the one reader behind every input
+    file. A file that cannot be read raises ResourceError; bytes that are
+    not UTF-8 raise ParseError with the line they sit on."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ResourceError(f"cannot read {path}: {exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid UTF-8: {exc.reason} at byte {exc.start}",
+                         data.count(b"\n", 0, exc.start) + 1) from None
 
 
 @dataclass(frozen=True)
@@ -68,7 +76,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
     Blank lines are ignored."""
     entries: dict[str, LexiconEntry] = {}
     duplicates = 0
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -109,6 +117,10 @@ class WordEmbeddings:
     """Word vectors held as one float64 matrix of unit-norm rows, the form
     cosine lookups need.
 
+    Rows, and ``words``, are grouped by word length (in input order within
+    a length), so the words of one length are the contiguous row slice
+    ``length_slice(n)``.
+
     Only directions are kept: ``vector`` returns the word's unit-norm row.
     Vectors must have a finite, non-zero norm; entries with a wrong
     dimensionality or a zero or non-finite norm are rejected at load time.
@@ -125,26 +137,31 @@ class WordEmbeddings:
         if bad.any():
             raise ValueError(f"vector for {list(vectors)[int(bad.argmax())]!r} "
                              "has a zero or non-finite norm")
-        self._set_rows(tuple(vectors), rows, rejected, duplicates_skipped)
+        self._set_rows(tuple(vectors), rows, np.arange(len(vectors)),
+                       rejected, duplicates_skipped)
 
     @classmethod
-    def _from_unit_rows(cls, words: tuple[str, ...], unit: np.ndarray,
-                        rejected: int, duplicates_skipped: int) -> WordEmbeddings:
+    def _from_rows(cls, words: tuple[str, ...], rows: np.ndarray, picks: np.ndarray,
+                   rejected: int, duplicates_skipped: int) -> WordEmbeddings:
         emb = cls.__new__(cls)
-        emb._set_rows(words, unit, rejected, duplicates_skipped)
+        emb._set_rows(words, rows, picks, rejected, duplicates_skipped)
         return emb
 
-    def _set_rows(self, words, unit, rejected, duplicates_skipped) -> None:
-        self.dim = unit.shape[1]
-        self.words: tuple[str, ...] = words
+    def _set_rows(self, words, rows, picks, rejected, duplicates_skipped) -> None:
+        """Keep the unit rows ``rows[picks]`` (``words[i]`` is the word of
+        ``rows[picks[i]]``), reordered by word length in one fancy index."""
+        lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+        order = np.argsort(lengths, kind="stable")
+        self.dim = rows.shape[1]
+        self.words: tuple[str, ...] = tuple(words[i] for i in order)
         self.rejected = rejected
         self.duplicates_skipped = duplicates_skipped
-        self._unit = unit
-        unit.flags.writeable = False  # ``vector`` hands out views of its rows
-        self._index = {w: i for i, w in enumerate(words)}
-        # row indices bucketed by word length, for same-length cosine scans
-        lengths = np.array([len(w) for w in words], dtype=np.intp)
-        self._by_length = {n: np.flatnonzero(lengths == n) for n in set(lengths.tolist())}
+        self._unit = rows[picks[order]]
+        self._unit.flags.writeable = False  # ``vector`` hands out views of its rows
+        self._index = {w: i for i, w in enumerate(self.words)}
+        sizes, starts = np.unique(lengths[order], return_index=True)
+        stops = np.append(starts[1:], len(words))
+        self._slices = {int(n): slice(int(a), int(b)) for n, a, b in zip(sizes, starts, stops)}
 
     def __contains__(self, word: str) -> bool:
         return word in self._index
@@ -167,8 +184,13 @@ class WordEmbeddings:
     def row_index(self, word: str) -> int:
         return self._index[word]
 
+    def length_slice(self, length: int) -> slice:
+        """The rows (and ``words``) of the words with ``length`` characters."""
+        return self._slices.get(length, slice(0, 0))
+
     def same_length_rows(self, length: int) -> np.ndarray:
-        return self._by_length.get(length, np.empty(0, dtype=np.intp))
+        s = self.length_slice(length)
+        return np.arange(s.start, s.stop)
 
 
 def load_embeddings(path: str | Path) -> WordEmbeddings:
@@ -180,7 +202,7 @@ def load_embeddings(path: str | Path) -> WordEmbeddings:
     (counted, not fatal). Duplicate words keep their first accepted
     occurrence.
     """
-    lines = _read_text(path).splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise ParseError("missing header line", 1)
     header = lines[0].split()
@@ -216,8 +238,8 @@ def load_embeddings(path: str | Path) -> WordEmbeddings:
     for i in np.flatnonzero(usable):
         first.setdefault(words[i], int(i))
     duplicates = int(usable.sum()) - len(first)
-    return WordEmbeddings._from_unit_rows(tuple(first), rows[list(first.values())],
-                                          rejected, duplicates)
+    picks = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    return WordEmbeddings._from_rows(tuple(first), rows, picks, rejected, duplicates)
 
 
 @dataclass(frozen=True)
@@ -257,7 +279,7 @@ def load_pinyin_table(path: str | Path) -> PinyinTable:
     by_word: dict[str, str] = {}
     rejected = 0
     duplicates = 0
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         if "\t" not in line:

@@ -1,4 +1,5 @@
-"""Shared generators and oracles for the NER tests and the acceptance suite."""
+"""Shared generators and oracles for the confusion, CLI and NER tests and the
+acceptance suite."""
 
 import random
 
@@ -66,3 +67,17 @@ def random_span_set(rng: random.Random, length: int, count: int) -> set[EntitySp
         if end > start:
             spans.add(EntitySpan(start, end, rng.choice(ENTITY_TYPES)))
     return spans
+
+
+def reference_synonyms(word, emb, k):
+    """Reference: score the word's whole same-length bucket, clip, and sort
+    every other word by (descending score, word)."""
+    if word not in emb:
+        return []
+    row = emb.row_index(word)
+    bucket = [i for i, w in enumerate(emb.words) if len(w) == len(word)]
+    sims = emb.unit_rows()[bucket] @ emb.unit_rows()[row]
+    scored = [(float(min(max(sims[j], -1.0), 1.0)), emb.words[i])
+              for j, i in enumerate(bucket) if i != row]
+    scored.sort(key=lambda t: (-t[0], t[1]))
+    return scored[:k]

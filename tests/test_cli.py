@@ -3,7 +3,9 @@ import json
 
 import pytest
 
-from markkit.cli import main, print_stats
+from helpers import reference_synonyms
+from markkit.cli import clamp_workers, main, print_stats
+from markkit.errors import ConfigError
 from markkit.ner import NerExample, write_conll
 from markkit.pretrain import (MaskingStats, PretrainingExample, corpus_stats,
                               example_from_json, example_to_json)
@@ -178,6 +180,22 @@ class TestConfusionsCommand:
             assert len(replacement) == len(word)
             assert 0.0 <= abs(float(score)) <= 1.0
 
+    def test_k_larger_than_bucket_lists_whole_bucket(self, env, tmp_path, capsys):
+        root, world = env
+        emb = world.embeddings
+        words = tmp_path / "words.txt"
+        words.write_text("\n".join(world.words[:5]) + "\n", encoding="utf-8")
+        code = main(["confusions", "--embeddings", str(root / "res/embeddings.txt"),
+                     "--pinyin", str(root / "res/pinyin.tsv"),
+                     "--in", str(words), "--k", str(len(emb) + 3)])
+        assert code == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        for word in world.words[:5]:
+            expected = reference_synonyms(word, emb, len(emb) + 3)
+            assert len(expected) == sum(len(w) == len(word) for w in emb.words) - 1
+            assert [(r[2], r[3]) for r in rows if r[0] == word and r[1] == "SYNONYM"] == \
+                [(w, f"{score:.6f}") for score, w in expected]
+
 
 class TestEvalNerCommand:
     def test_identical_files_score_one(self, env, tmp_path, capsys):
@@ -224,6 +242,16 @@ class TestStatsCommand:
         assert json.loads(json.dumps(block)) == block
 
 
+def test_clamp_workers():
+    assert clamp_workers(4, 2) == 2
+    assert clamp_workers(1, 64) == 1
+    assert clamp_workers(3, 3) == 3
+    assert clamp_workers(5, None) == 5
+    for requested in (0, -3):
+        with pytest.raises(ConfigError, match="--workers must be positive"):
+            clamp_workers(requested, 2)
+
+
 class TestErrorHandling:
     def test_missing_resource_exit_3(self, tmp_path, capsys):
         code = main(["segment", "--lexicon", str(tmp_path / "nope.tsv"),
@@ -265,6 +293,68 @@ class TestErrorHandling:
         err = json.loads(lines[0])
         assert err["error"] == "config" and flag in err["message"]
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("pretrain", "--lr", "nan"), ("pretrain", "--lr", "inf"),
+        ("pretrain", "--log-every", "-1"),
+        ("build-corpus", "--workers", "0"), ("build-corpus", "--workers", "-3"),
+    ])
+    def test_bad_numeric_flag_exit_5(self, env, tmp_path, capsys, command, flag, value):
+        root, _ = env
+        if command == "pretrain":
+            examples = tmp_path / "ex.jsonl"
+            run_build(root, examples)
+            argv = ["pretrain", "--vocab", str(root / "res/vocab.txt"), "--in", str(examples),
+                    "--steps", "2", "--log-every", "0"]
+        else:
+            argv = ["build-corpus", *res_args(root), "--in", str(root / "corpus.txt")]
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out), flag, value]) == 5
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "config" and flag in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rwd_labels,loss_mask", [
+        ([[2, "NORMAL"]], [1, 2, 9]),
+        ([[2, "NORMAL"], [2, "PINYIN_CONFUSION"]], []),
+    ])
+    def test_malformed_rwd_labels_exit_4(self, env, tmp_path, capsys, rwd_labels, loss_mask):
+        root, _ = env
+        record = json.loads(example_to_json(PretrainingExample(
+            input_ids=(2, 6, 5, 3), mlm_labels={1: 6}, rwd_labels={}, rwd_loss_mask={})))
+        record.update(rwd_labels=rwd_labels, rwd_loss_mask=loss_mask)
+        examples = tmp_path / "ex.jsonl"
+        examples.write_text(json.dumps(record) + "\n")
+        code = main(["pretrain", "--vocab", str(root / "res/vocab.txt"),
+                     "--in", str(examples), "--out", str(tmp_path / "m.ckpt"),
+                     "--steps", "1", "--log-every", "0"])
+        assert code == 4
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert json.loads(err[0])["message"].startswith("line 1: ")
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("kind", ["lexicon", "vocab", "in", "conll"])
+    def test_non_utf8_file_exit_4(self, env, tmp_path, capsys, kind):
+        root, _ = env
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes("好\n".encode("utf-8") + b"\xff\n")
+        argv = {
+            "lexicon": ["segment", "--lexicon", str(bad), "--in", str(root / "corpus.txt")],
+            "vocab": ["encode", "--vocab", str(bad), "--pretokenized",
+                      "--in", str(root / "corpus_tok.txt")],
+            "in": ["segment", "--lexicon", str(root / "res/lexicon.tsv"), "--in", str(bad)],
+            "conll": ["eval-ner", "--pred", str(bad), "--gold", str(bad)],
+        }[kind]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 4
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "input"
+        assert err["message"].startswith(f"line 2: {bad} is not valid UTF-8")
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_label_past_input_ids_exit_4(self, env, tmp_path, capsys, batched):

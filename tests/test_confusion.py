@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from helpers import reference_synonyms
 from markkit.confusion import (ConfusionKind, ConfusionPolicy, pinyin_candidates,
                                sample_confusion, synonym_candidates)
 from markkit.resources import PinyinTable, WordEmbeddings
@@ -78,6 +79,37 @@ class TestSynonymCandidates:
                 assert abs(r.score - cos) < 1e-6
                 assert len(r.replacement) == len(word)
                 assert r.replacement != word
+
+
+    def test_matches_reference_on_every_toy_word(self, toy_world):
+        emb = toy_world.embeddings
+        for word in emb.words:
+            bucket = sum(len(w) == len(word) for w in emb.words)
+            for k in sorted({1, 5, max(1, bucket - 1), bucket + 3}):
+                got = [(c.score, c.replacement) for c in synonym_candidates(word, emb, k)]
+                assert got == reference_synonyms(word, emb, k), (word, k)
+
+    def test_ties_across_kth_place_break_by_word(self):
+        tied = (0.6, 0.8)
+        emb = embeddings_of(q=(1, 0), x=(1, 0.1), d=tied, b=tied, e=tied, c=tied, z=(0, 1))
+        result = synonym_candidates("q", emb, 3)
+        assert [r.replacement for r in result] == ["x", "b", "c"]
+        assert result[1].score == result[2].score
+        assert [r.replacement for r in synonym_candidates("q", emb, 5)] == \
+            ["x", "b", "c", "d", "e"]
+
+    def test_cosine_rounding_above_one_is_clipped(self):
+        v = np.array([0.75, 0.57, 0.38])
+        emb = embeddings_of(a=v, b=3.0 * v, c=(-1, 0, 0))
+        assert (emb.unit_rows() @ emb.vector("a")).max() > 1.0
+        result = synonym_candidates("a", emb, 2)
+        assert [(r.replacement, r.score) for r in result] == \
+            [("b", 1.0), ("c", reference_synonyms("a", emb, 2)[1][0])]
+
+    def test_word_alone_in_its_length_bucket(self):
+        emb = embeddings_of(a=(1, 0), b=(0, 1), 好人=(1, 1))
+        assert synonym_candidates("好人", emb, 5) == []
+        assert [r.replacement for r in synonym_candidates("a", emb, 5)] == ["b"]
 
 
 class TestPinyinCandidates:

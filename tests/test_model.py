@@ -278,6 +278,16 @@ class TestTraining:
         for name, p in model.params.items():
             assert np.array_equal(before[name], p.value)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), -0.1])
+    def test_bad_learning_rate_rejected(self, toy_world, toy_resources, lr):
+        batch = toy_batch(toy_world, toy_resources, n=2, seed=8)
+        model = MarkBert(tiny_cfg(vocab_size=len(toy_world.vocab), max_positions=32))
+        before = {n: p.value.copy() for n, p in model.params.items()}
+        with pytest.raises(ConfigError, match="finite and >= 0"):
+            train_step(model, batch, lr=lr)
+        for name, p in model.params.items():
+            assert np.array_equal(before[name], p.value)
+
     def test_loss_non_increasing_after_warmup(self, toy_world, toy_resources):
         batch = toy_batch(toy_world, toy_resources, n=4, seed=9)
         model = MarkBert(ModelConfig(vocab_size=len(toy_world.vocab), hidden_dim=32,

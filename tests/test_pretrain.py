@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -294,6 +295,17 @@ class TestJsonInterchange:
             rwd_loss_mask={p: True for p in markers}))
         with pytest.raises(ParseError, match="line 4: .*outside input_ids of length 3"):
             example_from_json(line, lineno=4)
+
+    @pytest.mark.parametrize("rwd_labels,loss_mask,message", [
+        ([[2, "NORMAL"]], [1, 2, 9], "rwd_loss_mask position 1 is not a marker"),
+        ([[2, "NORMAL"], [2, "PINYIN_CONFUSION"]], [], "marker position 2 is listed twice"),
+    ])
+    def test_malformed_rwd_labels_rejected(self, rwd_labels, loss_mask, message):
+        record = json.loads(example_to_json(PretrainingExample(
+            input_ids=(2, 6, 5, 3), mlm_labels={1: 6}, rwd_labels={}, rwd_loss_mask={})))
+        record.update(rwd_labels=rwd_labels, rwd_loss_mask=loss_mask)
+        with pytest.raises(ParseError, match=f"line 4: {message}"):
+            example_from_json(json.dumps(record), lineno=4)
 
     def test_label_positions_at_both_ends_accepted(self):
         ex = PretrainingExample(input_ids=(2, 6, 5, 3), mlm_labels={0: 2, 3: 3},

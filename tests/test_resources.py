@@ -125,8 +125,9 @@ class TestLoadEmbeddings:
                toy_world.paths["embeddings"].read_text(encoding="utf-8").splitlines()[1:]]
         matrix = np.array([[float(x) for x in parts[1:]] for parts in raw])
         expected = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
-        assert toy_world.embeddings.words == tuple(parts[0] for parts in raw)
-        assert np.array_equal(toy_world.embeddings.unit_rows(), expected)
+        by_length = sorted(range(len(raw)), key=lambda i: len(raw[i][0]))  # stable
+        assert toy_world.embeddings.words == tuple(raw[i][0] for i in by_length)
+        assert np.array_equal(toy_world.embeddings.unit_rows(), expected[by_length])
 
     def test_all_norms_positive(self, toy_world):
         for word in toy_world.embeddings.words:
