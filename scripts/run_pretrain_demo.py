@@ -32,8 +32,7 @@ def main() -> None:
     workdir = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="markkit-"))
     workdir.mkdir(parents=True, exist_ok=True)
     world = write_toy_resources(workdir / "res", seed=args.seed)
-    resources = Resources(lexicon=world.lexicon, embeddings=world.embeddings,
-                          pinyin=world.pinyin)
+    resources = Resources(embeddings=world.embeddings, pinyin=world.pinyin)
 
     cfg = MaskingConfig(max_len=48)
     lines = toy_corpus_lines(world.words, args.sentences, seed=args.seed + 1)

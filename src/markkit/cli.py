@@ -37,8 +37,8 @@ from .ner import SpanF1Counter, extract_spans, read_conll
 from .pretrain import (MaskingConfig, MaskingStats, corpus_stats, example_from_json,
                        example_to_json, generate_examples, pack_corpus, plain_example,
                        read_documents)
-from .resources import (Resources, load_embeddings, load_lexicon, load_pinyin_table,
-                        read_text)
+from .resources import (Resources, decode_text, load_embeddings, load_lexicon,
+                        load_pinyin_table, read_text)
 from .segmenter import (Segmenter, make_lexicon_segmenter, parse_pretokenized,
                         render_spaced)
 
@@ -57,7 +57,7 @@ def _resource_path(path: str | None) -> Path | None:
 
 def _read_lines(path: str) -> list[str]:
     if path == "-":
-        return sys.stdin.read().splitlines()
+        return decode_text(sys.stdin.buffer.read(), "standard input").splitlines()
     return read_text(path).splitlines()
 
 

@@ -148,12 +148,6 @@ class MarkedSequence:
     def char_count(self) -> int:
         return len(self.char_alignment)
 
-    def special_positions(self) -> tuple[int, ...]:
-        """Positions holding CLS/SEP framing tokens."""
-        markers = set(self.marker_positions)
-        return tuple(i for i in range(len(self.ids))
-                     if i not in markers and i not in self.char_alignment)
-
     def char_token_positions(self) -> list[int]:
         """Character-token positions in sequence order."""
         return sorted(self.char_alignment)

@@ -10,16 +10,13 @@ Architecture (post-layernorm, BERT-style):
 
     h0 = LN(tok_emb[ids] + pos_emb)
     per layer: h = LN(h + SelfAttention(h)); h = LN(h + FFN(h))
-    MLM head: logits = LN(gelu(h W_d + b_d))[rows] E^T + b_v   (E = tied token embedding)
+    MLM head: logits = LN(gelu(h W_d + b_d))[labelled] E^T + b_v   (E = tied token embedding)
     RWD head: logits = h[marker positions] W_r + b_r
 
-The MLM head's vocabulary projection runs on a set of (example, position)
-rows: every position by default, giving (B, L, V) logits, or, with
-``forward(..., labelled_only=True)``, only the MLM-labelled positions,
-giving (M, V) logits. Training uses the labelled rows, so vocabulary
-logits, their softmax and their gradient are computed only where a label
-exists; the dense default serves inference and the finite-difference
-oracle.
+The MLM objective is defined only at MLM-labelled positions, so the
+head's vocabulary projection runs only there: (M, V) logits for the M
+labelled (example, position) rows of a batch. Vocabulary logits, their
+softmax and their gradient are never computed where no label exists.
 
 One helper walks the batch once and builds every (example, position)
 index array both objectives gather: ``forward`` takes its MLM and marker
@@ -34,7 +31,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -110,10 +107,9 @@ class StepMetrics:
 class ForwardOutput:
     """Logits plus (optionally) captured attention probabilities.
 
-    ``mlm_logits`` is (B, L, V) when the MLM head ran on every position
-    and (M, V) when it ran on the M labelled positions only. ``forward``
-    records the flattened (example, position) index arrays of those rows
-    in ``mlm_rows``, the labelled ones sorted by example, then position.
+    ``mlm_logits`` is (M, V): one row per MLM-labelled position, sorted by
+    example, then position. ``forward`` records the (example, position)
+    index arrays of those rows in ``mlm_rows``.
     ``rwd_logits[i]`` has one row per marker of example ``i``, in
     ascending marker-position order. ``_cache`` holds the activations
     needed for the backward pass, among them the marker rows.
@@ -241,9 +237,6 @@ class MarkBert:
 
     # -- bookkeeping -----------------------------------------------------
 
-    def parameter_count(self) -> int:
-        return sum(p.value.size for p in self.params.values())
-
     def zero_grads(self) -> None:
         for p in self.params.values():
             p.zero_grad()
@@ -278,11 +271,8 @@ class MarkBert:
         return x * mask
 
     def forward(self, batch: Sequence[PretrainingExample], *,
-                capture_attention: bool = False, train: bool = False,
-                labelled_only: bool = False) -> ForwardOutput:
-        """Run the encoder and both heads. With ``labelled_only`` the MLM
-        head projects onto the vocabulary only at the MLM-labelled
-        positions (see :class:`ForwardOutput`)."""
+                capture_attention: bool = False, train: bool = False) -> ForwardOutput:
+        """Run the encoder and both heads (see :class:`ForwardOutput`)."""
         cfg = self.cfg
         ids, valid = self._batchify(batch)
         B, L = ids.shape
@@ -292,16 +282,13 @@ class MarkBert:
             raise InputError("token id out of range for vocab_size="
                              f"{cfg.vocab_size}: [{ids.min()}, {ids.max()}]")
         rows = _batch_rows(batch, cfg.rwd_classes)
-        mlm_rows = rows.mlm if labelled_only else np.divmod(np.arange(B * L), L)
         cache: dict = {"ids": ids, "valid": valid, "markers": rows.markers,
                        "train": train, "layers": []}
         if L == 0:
-            out = ForwardOutput(mlm_logits=np.zeros((0, cfg.vocab_size) if labelled_only
-                                                    else (B, 0, cfg.vocab_size)),
-                                rwd_logits=[np.zeros((0, cfg.rwd_classes)) for _ in batch],
-                                attentions=[] if capture_attention else None,
-                                mlm_rows=mlm_rows, _cache=cache)
-            return out
+            return ForwardOutput(mlm_logits=np.zeros((0, cfg.vocab_size)),
+                                 rwd_logits=[np.zeros((0, cfg.rwd_classes)) for _ in batch],
+                                 attentions=[] if capture_attention else None,
+                                 mlm_rows=rows.mlm, _cache=cache)
 
         H = cfg.hidden_dim
         nh = cfg.num_heads
@@ -351,10 +338,8 @@ class MarkBert:
         t2 = _gelu_fwd(t1)
         t3, cache["mlm_ln"] = _layernorm_fwd(t2, self._p("mlm.ln.gamma"),
                                              self._p("mlm.ln.beta"))
-        mlm_logits = t3[mlm_rows] @ self._p("token_embedding").T
+        mlm_logits = t3[rows.mlm] @ self._p("token_embedding").T
         mlm_logits += self._p("mlm.bias")
-        if not labelled_only:
-            mlm_logits = mlm_logits.reshape(B, L, cfg.vocab_size)
         cache.update(t1=t1, t3=t3)
 
         markers = cache["markers"]
@@ -363,7 +348,7 @@ class MarkBert:
 
         return ForwardOutput(mlm_logits=mlm_logits, rwd_logits=rwd_logits,
                              attentions=attentions if capture_attention else None,
-                             mlm_rows=mlm_rows, _cache=cache)
+                             mlm_rows=rows.mlm, _cache=cache)
 
     # -- backward ----------------------------------------------------------
 
@@ -384,13 +369,12 @@ class MarkBert:
         dh = H // nh
         scale = dh ** -0.5
 
-        # MLM head: only the rows that have logits receive a gradient
+        # MLM head: only the labelled rows have logits and receive a gradient
         t3 = cache["t3"]
-        g = dmlm_logits.reshape(-1, cfg.vocab_size)
         dt3 = np.zeros_like(t3)
-        dt3[out.mlm_rows] = g @ self._p("token_embedding")
-        self._g("token_embedding")[...] += g.T @ t3[out.mlm_rows]
-        self._g("mlm.bias")[...] += g.sum(axis=0)
+        dt3[out.mlm_rows] = dmlm_logits @ self._p("token_embedding")
+        self._g("token_embedding")[...] += dmlm_logits.T @ t3[out.mlm_rows]
+        self._g("mlm.bias")[...] += dmlm_logits.sum(axis=0)
         dt2, dg, db = _layernorm_bwd(dt3, cache["mlm_ln"], self._p("mlm.ln.gamma"))
         self._g("mlm.ln.gamma")[...] += dg
         self._g("mlm.ln.beta")[...] += db
@@ -512,16 +496,10 @@ def loss_and_gradients(out: ForwardOutput, batch: Sequence[PretrainingExample],
     """
     rows = _batch_rows(batch, rwd_classes)
     logits = out.mlm_logits
-    if logits.ndim == 3:
-        logits = logits[rows.mlm]
-    elif len(logits) != len(rows.mlm_labels):
+    if len(logits) != len(rows.mlm_labels):
         raise InputError(f"{len(logits)} MLM logit rows for "
                          f"{len(rows.mlm_labels)} labelled positions")
     mlm_loss, dmlm = _cross_entropy(logits, rows.mlm_labels)
-    if out.mlm_logits.ndim == 3:
-        dense = np.zeros_like(out.mlm_logits)
-        dense[rows.mlm] = dmlm
-        dmlm = dense
 
     drwd = [np.zeros_like(r) for r in out.rwd_logits]
     rwd_loss, rwd_acc = 0.0, None
@@ -554,7 +532,7 @@ def train_step(model: MarkBert, batch: Sequence[PretrainingExample],
     if not (np.isfinite(lr) and lr >= 0):
         raise ConfigError(f"learning rate must be finite and >= 0, got {lr}")
     model.zero_grads()
-    out = model.forward(batch, train=model.cfg.dropout > 0.0, labelled_only=True)
+    out = model.forward(batch, train=model.cfg.dropout > 0.0)
     metrics, dmlm, drwd = loss_and_gradients(out, batch, model.cfg.rwd_classes)
     loss = metrics.loss
     if not np.isfinite(loss.total):
@@ -600,7 +578,7 @@ def finite_difference_grads(model: MarkBert, batch: Sequence[PretrainingExample]
 
 def analytic_grads(model: MarkBert, batch: Sequence[PretrainingExample]) -> dict[str, np.ndarray]:
     model.zero_grads()
-    out = model.forward(batch, labelled_only=True)
+    out = model.forward(batch)
     _, dmlm, drwd = loss_and_gradients(out, batch, model.cfg.rwd_classes)
     model.backward(out, dmlm, drwd)
     return {name: p.grad.copy() for name, p in model.params.items()}
@@ -674,34 +652,63 @@ def save_checkpoint(model: MarkBert, path: str | Path) -> None:
         fh.write(bytes(payload))
 
 
+def _checkpoint_config(config) -> ModelConfig:
+    if not isinstance(config, dict):
+        raise ParseError("checkpoint config is not a JSON object")
+    kinds = {f.name: f.type for f in fields(ModelConfig)}  # "int" or "float"
+    for key, value in config.items():
+        if key not in kinds:
+            raise ParseError(f"unknown checkpoint config key {key!r}")
+        if type(value).__name__ not in {kinds[key], "int"}:
+            raise ParseError(f"checkpoint config {key!r} must be {kinds[key]}, got {value!r}")
+    try:
+        return ModelConfig(**config)
+    except (TypeError, ConfigError) as exc:
+        raise ParseError(f"invalid checkpoint config: {exc}") from None
+
+
 def load_checkpoint(path: str | Path) -> MarkBert:
+    """Read a checkpoint, validating its whole layout: a malformed file of
+    any kind raises ParseError, an unreadable one ResourceError."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
         raise ResourceError(f"cannot read checkpoint {path}: {exc}") from exc
     if blob[:8] != _MAGIC:
         raise ParseError(f"{path} is not a markkit checkpoint (bad magic)")
+    if len(blob) < 16:
+        raise ParseError(f"checkpoint {path} is truncated: {len(blob)} bytes")
     (header_len,) = struct.unpack("<Q", blob[8:16])
     try:
         header = json.loads(blob[16:16 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"corrupt checkpoint header: {exc}") from exc
-    if header.get("format") != "markkit-checkpoint" or header.get("version") != 1:
+    if (not isinstance(header, dict) or header.get("format") != "markkit-checkpoint"
+            or header.get("version") != 1):
         raise ParseError(f"unsupported checkpoint format/version in {path}")
-    cfg = ModelConfig(**header["config"])
-    model = MarkBert(cfg)
+    model = MarkBert(_checkpoint_config(header.get("config")))
+    tensors = header.get("tensors")
+    if not isinstance(tensors, list) or not all(isinstance(t, dict) for t in tensors):
+        raise ParseError("checkpoint tensors must be a list of objects")
     payload = blob[16 + header_len:]
     seen = set()
-    for t in header["tensors"]:
-        name, shape = t["name"], tuple(t["shape"])
-        if name not in model.params:
-            raise ParseError(f"unknown tensor {name!r} in checkpoint")
+    for t in tensors:
+        name = t.get("name")
+        if name not in model.params or name in seen:
+            raise ParseError(f"unknown or repeated tensor {name!r} in checkpoint")
         param = model.params[name]
-        if param.value.shape != shape:
-            raise ParseError(f"tensor {name!r} has shape {shape}, "
-                             f"expected {param.value.shape}")
-        raw = payload[t["offset"]:t["offset"] + t["nbytes"]]
-        param.value = np.frombuffer(raw, dtype=t["dtype"]).reshape(shape).astype(np.float64)
+        shape = param.value.shape
+        if t.get("shape") != list(shape):
+            raise ParseError(f"tensor {name!r} has shape {t.get('shape')}, expected {shape}")
+        if t.get("dtype") != "<f8":
+            raise ParseError(f"tensor {name!r} has dtype {t.get('dtype')!r}, expected '<f8'")
+        offset, nbytes = t.get("offset"), t.get("nbytes")
+        if not (type(offset) is int and type(nbytes) is int and nbytes == param.value.nbytes
+                and 0 <= offset <= len(payload) - nbytes):
+            raise ParseError(f"tensor {name!r} at offset {offset!r} with {nbytes!r} bytes does "
+                             f"not fit shape {shape} in a {len(payload)}-byte payload")
+        raw = payload[offset:offset + nbytes]
+        param.value = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
         param.grad = np.zeros_like(param.value)
         seen.add(name)
     missing = set(model.params) - seen

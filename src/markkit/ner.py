@@ -163,22 +163,14 @@ def extract_spans(tags: Sequence[str], scheme: str = "auto") -> set[EntitySpan]:
     return spans
 
 
-def span_f1(pred: set[EntitySpan], gold: set[EntitySpan]) -> tuple[float, float, float]:
-    """Exact span-and-type precision/recall/F1.
-
-    An empty side scores 1.0 against an empty counterpart and 0.0
-    otherwise; F1 is 0 when precision + recall is 0.
-    """
-    tp = len(pred & gold)
-    precision = tp / len(pred) if pred else (1.0 if not gold else 0.0)
-    recall = tp / len(gold) if gold else (1.0 if not pred else 0.0)
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
-
-
 @dataclass
 class SpanF1Counter:
-    """Corpus-level aggregation over sentences: counts, not averages."""
+    """Corpus-level aggregation over sentences: counts, not averages.
+
+    Exact span-and-type matching. An empty side scores 1.0 against an
+    empty counterpart and 0.0 otherwise; F1 is 0 when precision + recall
+    is 0.
+    """
 
     tp: int = 0
     n_pred: int = 0
@@ -214,6 +206,13 @@ class SpanF1Counter:
     @property
     def token_accuracy(self) -> float | None:
         return self.token_hits / self.tokens if self.tokens else None
+
+
+def span_f1(pred: set[EntitySpan], gold: set[EntitySpan]) -> tuple[float, float, float]:
+    """Precision/recall/F1 of one sentence's spans (see :class:`SpanF1Counter`)."""
+    counter = SpanF1Counter()
+    counter.add(pred, gold)
+    return counter.precision, counter.recall, counter.f1
 
 
 def read_conll(path: str | Path) -> list[NerExample]:

@@ -438,6 +438,26 @@ def example_from_json(line: str, lineno: int | None = None) -> PretrainingExampl
 
 # --- Corpus statistics -------------------------------------------------------
 
+# report name -> attribute, in report order
+_COUNTS = {"examples": "n_examples", "no_marker_examples": "n_no_marker",
+           "marked_examples": "n_marked", "wwm_marked_examples": "n_wwm_marked",
+           **{name: "n_" + name for name in (
+               "chars", "masked_chars", "masked_markers", "markers", "normal_markers",
+               "pinyin_markers", "synonym_markers", "normal_loss_on", "confusion_loss_on")}}
+
+# rate name -> (numerator, denominator) attributes, in report order
+_RATES = {
+    "masked_char_fraction": ("n_masked_chars", "n_chars"),
+    "no_marker_fraction": ("n_no_marker", "n_examples"),
+    "wwm_fraction": ("n_wwm_marked", "n_marked"),
+    "replaced_word_rate": ("n_confusion_markers", "n_markers"),
+    "pinyin_share": ("n_pinyin_markers", "n_confusion_markers"),
+    "synonym_share": ("n_synonym_markers", "n_confusion_markers"),
+    "normal_marker_loss_rate": ("n_normal_loss_on", "n_normal_markers"),
+    "confusion_marker_loss_rate": ("n_confusion_loss_on", "n_confusion_markers"),
+}
+
+
 @dataclass
 class MaskingStats:
     """Streaming counts over generated examples, with empirical rates."""
@@ -482,10 +502,6 @@ class MaskingStats:
                 else:
                     self.n_synonym_markers += 1
 
-    @staticmethod
-    def _rate(num: int, den: int) -> float | None:
-        return num / den if den else None
-
     @property
     def n_marked(self) -> int:
         return self.n_examples - self.n_no_marker
@@ -494,58 +510,37 @@ class MaskingStats:
     def n_confusion_markers(self) -> int:
         return self.n_pinyin_markers + self.n_synonym_markers
 
+    def _rate(self, name: str) -> float | None:
+        num, den = (getattr(self, attr) for attr in _RATES[name])
+        return num / den if den else None
+
     def masked_char_fraction(self) -> float | None:
-        return self._rate(self.n_masked_chars, self.n_chars)
+        return self._rate("masked_char_fraction")
 
     def no_marker_fraction(self) -> float | None:
-        return self._rate(self.n_no_marker, self.n_examples)
+        return self._rate("no_marker_fraction")
 
     def wwm_fraction(self) -> float | None:
-        return self._rate(self.n_wwm_marked, self.n_marked)
+        return self._rate("wwm_fraction")
 
     def replaced_word_rate(self) -> float | None:
-        return self._rate(self.n_confusion_markers, self.n_markers)
+        return self._rate("replaced_word_rate")
 
     def pinyin_share(self) -> float | None:
-        return self._rate(self.n_pinyin_markers, self.n_confusion_markers)
+        return self._rate("pinyin_share")
 
     def synonym_share(self) -> float | None:
-        return self._rate(self.n_synonym_markers, self.n_confusion_markers)
+        return self._rate("synonym_share")
 
     def normal_marker_loss_rate(self) -> float | None:
-        return self._rate(self.n_normal_loss_on, self.n_normal_markers)
+        return self._rate("normal_marker_loss_rate")
 
     def confusion_marker_loss_rate(self) -> float | None:
-        return self._rate(self.n_confusion_loss_on, self.n_confusion_markers)
+        return self._rate("confusion_marker_loss_rate")
 
     def to_dict(self) -> dict:
-        return {
-            "counts": {
-                "examples": self.n_examples,
-                "no_marker_examples": self.n_no_marker,
-                "marked_examples": self.n_marked,
-                "wwm_marked_examples": self.n_wwm_marked,
-                "chars": self.n_chars,
-                "masked_chars": self.n_masked_chars,
-                "masked_markers": self.n_masked_markers,
-                "markers": self.n_markers,
-                "normal_markers": self.n_normal_markers,
-                "pinyin_markers": self.n_pinyin_markers,
-                "synonym_markers": self.n_synonym_markers,
-                "normal_loss_on": self.n_normal_loss_on,
-                "confusion_loss_on": self.n_confusion_loss_on,
-            },
-            "rates": {
-                "masked_char_fraction": self.masked_char_fraction(),
-                "no_marker_fraction": self.no_marker_fraction(),
-                "wwm_fraction": self.wwm_fraction(),
-                "replaced_word_rate": self.replaced_word_rate(),
-                "pinyin_share": self.pinyin_share(),
-                "synonym_share": self.synonym_share(),
-                "normal_marker_loss_rate": self.normal_marker_loss_rate(),
-                "confusion_marker_loss_rate": self.confusion_marker_loss_rate(),
-            },
-        }
+        return {"counts": {name: getattr(self, attr) for name, attr in _COUNTS.items()},
+                "rates": {name: self._rate(name) for name in _RATES}}
 
 
 def corpus_stats(examples: Iterable[PretrainingExample]) -> MaskingStats:

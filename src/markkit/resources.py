@@ -17,7 +17,6 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
@@ -29,15 +28,22 @@ _TONE_DIGITS = "012345"
 def read_text(path: str | Path) -> str:
     """The contents of a UTF-8 text file: the one reader behind every input
     file. A file that cannot be read raises ResourceError; bytes that are
-    not UTF-8 raise ParseError with the line they sit on."""
+    not UTF-8 raise ParseError (see :func:`decode_text`)."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise ResourceError(f"cannot read {path}: {exc}") from exc
+    return decode_text(data, path)
+
+
+def decode_text(data: bytes, source: str | Path) -> str:
+    """``data`` decoded as UTF-8, the one decode step behind every input;
+    bytes that are not UTF-8 raise ParseError naming ``source`` and the
+    line they sit on."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not valid UTF-8: {exc.reason} at byte {exc.start}",
+        raise ParseError(f"{source} is not valid UTF-8: {exc.reason} at byte {exc.start}",
                          data.count(b"\n", 0, exc.start) + 1) from None
 
 
@@ -126,28 +132,8 @@ class WordEmbeddings:
     dimensionality or a zero or non-finite norm are rejected at load time.
     """
 
-    def __init__(self, dim: int, vectors: Mapping[str, np.ndarray],
-                 rejected: int = 0, duplicates_skipped: int = 0):
-        rows = np.zeros((len(vectors), dim))
-        for i, (w, v) in enumerate(vectors.items()):
-            if np.shape(v) != (dim,):
-                raise ValueError(f"vector for {w!r} has shape {np.shape(v)}, expected ({dim},)")
-            rows[i] = v
-        bad = ~_normalize_rows(rows)
-        if bad.any():
-            raise ValueError(f"vector for {list(vectors)[int(bad.argmax())]!r} "
-                             "has a zero or non-finite norm")
-        self._set_rows(tuple(vectors), rows, np.arange(len(vectors)),
-                       rejected, duplicates_skipped)
-
-    @classmethod
-    def _from_rows(cls, words: tuple[str, ...], rows: np.ndarray, picks: np.ndarray,
-                   rejected: int, duplicates_skipped: int) -> WordEmbeddings:
-        emb = cls.__new__(cls)
-        emb._set_rows(words, rows, picks, rejected, duplicates_skipped)
-        return emb
-
-    def _set_rows(self, words, rows, picks, rejected, duplicates_skipped) -> None:
+    def __init__(self, words: tuple[str, ...], rows: np.ndarray, picks: np.ndarray,
+                 rejected: int, duplicates_skipped: int):
         """Keep the unit rows ``rows[picks]`` (``words[i]`` is the word of
         ``rows[picks[i]]``), reordered by word length in one fancy index."""
         lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
@@ -239,7 +225,7 @@ def load_embeddings(path: str | Path) -> WordEmbeddings:
         first.setdefault(words[i], int(i))
     duplicates = int(usable.sum()) - len(first)
     picks = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-    return WordEmbeddings._from_rows(tuple(first), rows, picks, rejected, duplicates)
+    return WordEmbeddings(tuple(first), rows, picks, rejected, duplicates)
 
 
 @dataclass(frozen=True)
@@ -310,6 +296,5 @@ class Resources:
     """Bundle of the loaded knowledge sources threaded through the
     pretraining pipeline."""
 
-    lexicon: Lexicon | None = None
     embeddings: WordEmbeddings | None = None
     pinyin: PinyinTable | None = None

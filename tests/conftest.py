@@ -12,8 +12,7 @@ def toy_world(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def toy_resources(toy_world) -> Resources:
-    return Resources(lexicon=toy_world.lexicon, embeddings=toy_world.embeddings,
-                     pinyin=toy_world.pinyin)
+    return Resources(embeddings=toy_world.embeddings, pinyin=toy_world.pinyin)
 
 
 @pytest.fixture(scope="session")

@@ -2,8 +2,13 @@
 acceptance suite."""
 
 import random
+import tempfile
+from pathlib import Path
+
+import numpy as np
 
 from markkit.ner import EntitySpan
+from markkit.resources import load_embeddings
 from markkit.segmenter import Segmentation, WordSpan
 
 ENTITY_TYPES = ("LOC", "ORG", "PER")
@@ -81,3 +86,22 @@ def reference_synonyms(word, emb, k):
               for j, i in enumerate(bucket) if i != row]
     scored.sort(key=lambda t: (-t[0], t[1]))
     return scored[:k]
+
+
+def dense_mlm_logits(model, out):
+    """Reference: the MLM head's vocabulary logits at every position of the
+    batch, (B, L, V), from the head's hidden states in ``out``."""
+    return out._cache["t3"] @ model.params["token_embedding"].value.T \
+        + model.params["mlm.bias"].value
+
+
+def embeddings_of(**vectors):
+    """Embeddings holding the given word vectors, written as a word2vec text
+    file (floats in round-trip form) and read back through load_embeddings."""
+    rows = [" ".join([w, *map(repr, np.asarray(v, dtype=float).tolist())])
+            for w, v in vectors.items()]
+    dim = len(rows[0].split()) - 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "embeddings.txt"
+        path.write_text("\n".join([f"{len(rows)} {dim}", *rows]) + "\n", encoding="utf-8")
+        return load_embeddings(path)

@@ -104,7 +104,7 @@ def test_criterion_4_loss_correctness():
     ex = PretrainingExample(input_ids=(2, 6, 5, 3), mlm_labels={},
                             rwd_labels={2: RwdLabel.NORMAL}, rwd_loss_mask={2: True},
                             meta=ExampleMeta())
-    out = ForwardOutput(mlm_logits=np.zeros((1, 4, 8)), rwd_logits=[np.zeros((1, 2))])
+    out = ForwardOutput(mlm_logits=np.zeros((0, 8)), rwd_logits=[np.zeros((1, 2))])
     loss = compute_loss(out, [ex], rwd_classes=2)
     assert abs(loss.rwd_loss - math.log(2)) < 1e-6
 
@@ -113,9 +113,9 @@ def test_criterion_4_loss_correctness():
         exps = [math.exp(v) for v in row]
         return -math.log(exps[label] / sum(exps))
 
-    mlm_logits = np.zeros((1, 3, 4))
-    mlm_logits[0, 0] = [0.3, -1.2, 2.0, 0.0]
-    mlm_logits[0, 2] = [1.0, 1.0, -0.5, 0.25]
+    mlm_logits = np.zeros((2, 4))  # one row per labelled position: 0, then 2
+    mlm_logits[0] = [0.3, -1.2, 2.0, 0.0]
+    mlm_logits[1] = [1.0, 1.0, -0.5, 0.25]
     rwd_row = [0.7, -0.3, 1.1]
     ex = PretrainingExample(input_ids=(6, 5, 7), mlm_labels={0: 2, 2: 1},
                             rwd_labels={1: RwdLabel.SYNONYM_CONFUSION},
@@ -123,7 +123,7 @@ def test_criterion_4_loss_correctness():
                             meta=ExampleMeta(framed=False))
     out = ForwardOutput(mlm_logits=mlm_logits, rwd_logits=[np.array([rwd_row])])
     loss = compute_loss(out, [ex], rwd_classes=3)
-    expected_mlm = (ce(list(mlm_logits[0, 0]), 2) + ce(list(mlm_logits[0, 2]), 1)) / 2
+    expected_mlm = (ce(list(mlm_logits[0]), 2) + ce(list(mlm_logits[1]), 1)) / 2
     expected_rwd = ce(rwd_row, int(RwdLabel.SYNONYM_CONFUSION))
     assert abs(loss.mlm_loss - expected_mlm) < 1e-6
     assert abs(loss.rwd_loss - expected_rwd) < 1e-6
@@ -166,7 +166,8 @@ def test_criterion_5_gradient_oracle():
         worst = max(worst, rel)
     elapsed = time.monotonic() - start
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
-    report(5, f"gradient oracle over {model.parameter_count()} parameters, "
+    n_params = sum(p.value.size for p in model.params.values())
+    report(5, f"gradient oracle over {n_params} parameters, "
               f"worst rel err {worst:.1e}, {elapsed:.0f}s")
 
 

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import markkit
 from helpers import reference_synonyms
 from markkit.cli import clamp_workers, main, print_stats
 from markkit.errors import ConfigError
@@ -233,6 +238,17 @@ class TestStatsCommand:
             shown = "-" if value is None else f"{value:.4f}"
             assert f"{key:<26} {shown}" in out
 
+    def test_golden_digest(self, env, tmp_path):
+        """`stats` bytes (table and JSON block) are pinned, like `build-corpus`'s."""
+        root, _ = env
+        examples, out = tmp_path / "ex.jsonl", tmp_path / "stats.txt"
+        assert run_build(root, examples) == 0
+        assert main(["stats", "--in", str(examples), "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "9b64e5003481e99e7bd8759184bf067bf57807f4512d93a589078b75737e8e14"
+        assert hashlib.sha256(print_stats(MaskingStats()).encode()).hexdigest() == \
+            "49708dc81d08afff21b50e9529890851416d10b349c3076c35250e5705b716ce"
+
     def test_empty_stats_table(self):
         text = print_stats(MaskingStats())
         block = json.loads(text.split("\n\n")[-1])
@@ -355,6 +371,22 @@ class TestErrorHandling:
         err = json.loads(lines[0])
         assert err["error"] == "input"
         assert err["message"].startswith(f"line 2: {bad} is not valid UTF-8")
+
+    def test_non_utf8_stdin_exit_4(self, env):
+        """`--in -` goes through the same decoder as files, whatever the locale."""
+        root, _ = env
+        src = str(Path(markkit.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "markkit.cli", "segment",
+             "--lexicon", str(root / "res/lexicon.tsv"), "--in", "-"],
+            input="好\n".encode("utf-8") + b"\xff\n", capture_output=True,
+            env={**os.environ, "LC_ALL": "C.UTF-8", "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 4 and proc.stdout == b""
+        lines = proc.stderr.decode("utf-8").strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "input"
+        assert err["message"].startswith("line 2: standard input is not valid UTF-8")
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_label_past_input_ids_exit_4(self, env, tmp_path, capsys, batched):

@@ -3,16 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from helpers import reference_synonyms
+from helpers import embeddings_of, reference_synonyms
 from markkit.confusion import (ConfusionKind, ConfusionPolicy, pinyin_candidates,
                                sample_confusion, synonym_candidates)
-from markkit.resources import PinyinTable, WordEmbeddings
-
-
-def embeddings_of(**vectors):
-    arrays = {w: np.asarray(v, dtype=float) for w, v in vectors.items()}
-    dim = len(next(iter(arrays.values())))
-    return WordEmbeddings(dim=dim, vectors=arrays)
+from markkit.resources import PinyinTable
 
 
 def table_of(**by_word):

@@ -30,7 +30,8 @@ class TestEncodeMarked:
     def test_no_cls_sep(self, tiny_vocab):
         marked = encode_marked(SEG, tiny_vocab, add_cls_sep=False)
         assert list(marked.ids) == [6, 7, 5, 8, 5, 9, 5]
-        assert marked.special_positions() == ()
+        assert not marked.has_cls_sep
+        assert set(marked.char_alignment) | set(marked.marker_positions) == set(range(7))
 
     def test_no_marker_after_last(self, tiny_vocab):
         marked = encode_marked(SEG, tiny_vocab, marker_after_last=False)
@@ -113,7 +114,9 @@ def test_position_budget(tiny_vocab, seg, max_len):
 def test_alignment_totality(tiny_vocab, seg):
     marked = encode_marked(seg, tiny_vocab)
     markers = set(marked.marker_positions)
-    specials = set(marked.special_positions())
+    specials = {0, len(marked.ids) - 1} if marked.has_cls_sep else set()
+    assert [marked.ids[i] for i in sorted(specials)] == \
+        ([tiny_vocab.cls_id, tiny_vocab.sep_id] if specials else [])
     for i in range(len(marked.ids)):
         if i in markers:
             assert i not in marked.char_alignment

@@ -1,9 +1,13 @@
+import json
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
 
+from helpers import dense_mlm_logits
+from markkit.cli import main
 from markkit.errors import ConfigError, InputError, ParseError, TrainingError
 from markkit.marker_encoder import encode_marked
 from markkit.model import (ForwardOutput, MarkBert, ModelConfig, analytic_grads,
@@ -75,7 +79,7 @@ class TestInit:
                     + L * per_layer
                     + (H * H + H) + 2 * H + V        # MLM transform + LN + bias
                     + (H * C + C))                   # RWD head
-        assert model.parameter_count() == expected
+        assert sum(p.value.size for p in model.params.values()) == expected
 
 
 class TestForward:
@@ -85,18 +89,20 @@ class TestForward:
         ex = plain_example(marked)
         model = MarkBert(tiny_cfg(vocab_size=len(tiny_vocab)))
         out = model.forward([ex])
-        assert out.mlm_logits.shape == (1, 9, len(tiny_vocab))
+        assert out.mlm_logits.shape == (0, len(tiny_vocab))  # no MLM labels
         assert out.rwd_logits[0].shape == (3, 3)
-        assert np.all(np.isfinite(out.mlm_logits))
+        dense = dense_mlm_logits(model, out)
+        assert dense.shape == (1, 9, len(tiny_vocab))
+        assert np.all(np.isfinite(dense))
 
     def test_empty_batch_and_empty_example(self):
         model = MarkBert(tiny_cfg())
         out = model.forward([])
-        assert out.mlm_logits.shape == (0, 0, 12)
+        assert out.mlm_logits.shape == (0, 12)
         ex = PretrainingExample(input_ids=(), mlm_labels={}, rwd_labels={},
                                 rwd_loss_mask={}, meta=ExampleMeta(framed=False))
         out = model.forward([ex])
-        assert out.mlm_logits.shape == (1, 0, 12)
+        assert out.mlm_logits.shape == (0, 12)
         assert out.rwd_logits[0].shape == (0, 3)
         assert compute_loss(out, [ex]).total == 0.0
 
@@ -127,7 +133,7 @@ class TestForward:
 class TestLoss:
     def test_uniform_binary_equals_ln2(self):
         ex = example([2, 6, 5, 3], markers={2: RwdLabel.NORMAL}, loss_on=[2])
-        out = ForwardOutput(mlm_logits=np.zeros((1, 4, 12)),
+        out = ForwardOutput(mlm_logits=np.zeros((0, 12)),
                             rwd_logits=[np.zeros((1, 2))])
         loss = compute_loss(out, [ex], rwd_classes=2)
         assert loss.rwd_loss == pytest.approx(math.log(2), abs=1e-6)
@@ -136,16 +142,16 @@ class TestLoss:
 
     def test_empty_sets_give_zero(self):
         ex = example([2, 6, 3])
-        out = ForwardOutput(mlm_logits=np.zeros((1, 3, 12)), rwd_logits=[np.zeros((0, 3))])
+        out = ForwardOutput(mlm_logits=np.zeros((0, 12)), rwd_logits=[np.zeros((0, 3))])
         loss = compute_loss(out, [ex])
         assert loss.mlm_loss == 0.0 and loss.rwd_loss == 0.0 and loss.total == 0.0
 
     def test_hand_computed_cross_entropy(self):
         # two labeled positions with known logits; oracle computed from the
         # explicit softmax definition
-        logits = np.zeros((1, 2, 3))
-        logits[0, 0] = [1.0, 2.0, 0.5]
-        logits[0, 1] = [0.0, -1.0, 3.0]
+        logits = np.zeros((2, 3))
+        logits[0] = [1.0, 2.0, 0.5]
+        logits[1] = [0.0, -1.0, 3.0]
         ex = example([6, 7], mlm={0: 1, 1: 2}, framed=False)
         out = ForwardOutput(mlm_logits=logits, rwd_logits=[np.zeros((0, 3))])
 
@@ -161,14 +167,14 @@ class TestLoss:
                      markers={2: RwdLabel.NORMAL, 4: RwdLabel.PINYIN_CONFUSION},
                      loss_on=[4])
         rwd = np.array([[3.0, -1.0, 0.5], [0.2, 0.9, -0.3]])
-        out = ForwardOutput(mlm_logits=np.zeros((1, 6, 12)), rwd_logits=[rwd])
+        out = ForwardOutput(mlm_logits=np.zeros((0, 12)), rwd_logits=[rwd])
         exp = [math.exp(v) for v in rwd[1]]
         expected = -math.log(exp[1] / sum(exp))
         assert compute_loss(out, [ex]).rwd_loss == pytest.approx(expected, abs=1e-9)
 
     def test_binary_mode_collapses_confusion_kinds(self):
         ex = example([2, 6, 5, 3], markers={2: RwdLabel.SYNONYM_CONFUSION}, loss_on=[2])
-        out = ForwardOutput(mlm_logits=np.zeros((1, 4, 12)),
+        out = ForwardOutput(mlm_logits=np.zeros((0, 12)),
                             rwd_logits=[np.array([[0.0, 2.0]])])
         exp = [1.0, math.exp(2.0)]
         expected = -math.log(exp[1] / sum(exp))
@@ -207,11 +213,19 @@ class TestGradients:
         model = MarkBert(tiny_cfg(vocab_size=len(toy_world.vocab), max_positions=32))
         out = model.forward(batch)
         _, dmlm, _ = loss_and_gradients(out, batch, 3)
+        # logits, hence gradients, exist only at the labelled rows
+        labelled = [(i, pos) for i, ex in enumerate(batch) for pos in sorted(ex.mlm_labels)]
+        assert labelled
+        assert list(zip(*map(list, out.mlm_rows))) == labelled
+        assert dmlm.shape == (len(labelled), len(toy_world.vocab))
+        model.zero_grads()
+        model.backward(out, dmlm, [np.zeros_like(r) for r in out.rwd_logits])
+        dh = out._cache["dh_mlm"]
+        # the head's transform runs at every position; only labelled ones feed back
         for i, ex in enumerate(batch):
-            labeled = set(ex.mlm_labels)
             for pos in range(ex.attention_len):
-                if pos not in labeled:
-                    assert np.all(dmlm[i, pos] == 0.0)
+                if pos not in ex.mlm_labels:
+                    assert np.all(dh[i, pos] == 0.0)
 
 
 class TestLabelledOnlyHead:
@@ -224,26 +238,24 @@ class TestLabelledOnlyHead:
     def test_agrees_with_dense_head(self, toy_world, toy_resources):
         batch = toy_batch(toy_world, toy_resources, n=3, seed=17)
         model = MarkBert(tiny_cfg(vocab_size=len(toy_world.vocab), max_positions=32))
-        dense = model.forward(batch)
-        gathered = model.forward(batch, labelled_only=True)
-        m = sum(len(ex.mlm_labels) for ex in batch)
-        assert m > 0
-        assert gathered.mlm_logits.shape == (m, len(toy_world.vocab))
+        out = model.forward(batch)
+        dense = dense_mlm_logits(model, out)
+        labelled = [(i, pos, label) for i, ex in enumerate(batch)
+                    for pos, label in sorted(ex.mlm_labels.items())]
+        assert labelled
+        assert out.mlm_logits.shape == (len(labelled), len(toy_world.vocab))
+        expected = np.array([dense[i, pos] for i, pos, _ in labelled])
+        np.testing.assert_allclose(out.mlm_logits, expected, rtol=1e-12, atol=1e-12)
 
-        loss_d = compute_loss(dense, batch)
-        loss_g = compute_loss(gathered, batch)
-        assert abs(loss_d.mlm_loss - loss_g.mlm_loss) < 1e-12
-        assert abs(loss_d.rwd_loss - loss_g.rwd_loss) < 1e-12
+        def ce(row, label):
+            shifted = row - row.max()
+            return np.log(np.exp(shifted).sum()) - shifted[label]
 
-        grads_d = self.grads(model, dense, batch)
-        grads_g = self.grads(model, gathered, batch)
-        for name, g in grads_d.items():
-            denom = max(np.linalg.norm(g), 1e-300)
-            assert np.linalg.norm(grads_g[name] - g) / denom < 1e-10, name
+        mlm_loss = np.mean([ce(dense[i, pos], label) for i, pos, label in labelled])
+        assert abs(compute_loss(out, batch).mlm_loss - mlm_loss) < 1e-12
 
-        mlm_hits = [int(np.argmax(dense.mlm_logits[i, pos])) == label
-                    for i, ex in enumerate(batch) for pos, label in ex.mlm_labels.items()]
-        rwd_hits = [int(np.argmax(dense.rwd_logits[i][row])) == int(ex.rwd_labels[pos])
+        mlm_hits = [int(np.argmax(dense[i, pos])) == label for i, pos, label in labelled]
+        rwd_hits = [int(np.argmax(out.rwd_logits[i][row])) == int(ex.rwd_labels[pos])
                     for i, ex in enumerate(batch)
                     for row, pos in enumerate(ex.marker_positions) if ex.rwd_loss_mask[pos]]
         metrics = train_step(model, batch, lr=0.0)
@@ -256,7 +268,7 @@ class TestLabelledOnlyHead:
                          loss_on=[2, 4]),
                  example([2, 8, 5, 3], markers={2: RwdLabel.PINYIN_CONFUSION}, loss_on=[2])]
         model = MarkBert(tiny_cfg())
-        out = model.forward(batch, labelled_only=True)
+        out = model.forward(batch)
         assert out.mlm_logits.shape == (0, 12)
         metrics, dmlm, _ = loss_and_gradients(out, batch)
         assert metrics.loss.mlm_loss == 0.0 and metrics.loss.rwd_loss > 0.0
@@ -407,3 +419,39 @@ class TestCheckpoint:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(ParseError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("case", [
+        "short", "truncated_payload", "dtype_f4", "dtype_big_endian", "unknown_config_key",
+        "config_wrong_type", "nbytes_disagrees", "offset_past_payload"])
+    def test_malformed_checkpoint_exit_4(self, tmp_path, toy_world, capsys, case):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(MarkBert(tiny_cfg(vocab_size=len(toy_world.vocab))), path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + header_len])
+        payload = blob[16 + header_len:]
+        first, last = header["tensors"][0], header["tensors"][-1]
+        edit = {
+            "dtype_f4": lambda: first.update(dtype="<f4"),
+            "dtype_big_endian": lambda: first.update(dtype=">f8"),
+            "unknown_config_key": lambda: header["config"].update(colour=1),
+            "config_wrong_type": lambda: header["config"].update(hidden_dim="8"),
+            "nbytes_disagrees": lambda: first.update(nbytes=first["nbytes"] - 8),
+            "offset_past_payload": lambda: last.update(offset=last["offset"] + 8),
+        }.get(case)
+        if edit is not None:
+            edit()
+            raw = json.dumps(header).encode("utf-8")
+            blob = blob[:8] + struct.pack("<Q", len(raw)) + raw + payload
+        elif case == "short":
+            blob = blob[:12]
+        else:
+            blob = blob[:-8]
+        path.write_bytes(blob)
+        with pytest.raises(ParseError):
+            load_checkpoint(path)
+        code = main(["attn-dump", "--ckpt", str(path), "--vocab", str(toy_world.paths["vocab"]),
+                     "--pretokenized", "--in", str(tmp_path / "unread.txt")])
+        assert code == 4
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and json.loads(lines[0])["error"] == "input"

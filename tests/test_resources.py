@@ -4,8 +4,7 @@ from hypothesis import given, strategies as st
 
 from markkit.confusion import synonym_candidates
 from markkit.errors import ParseError, ResourceError
-from markkit.resources import (WordEmbeddings, load_embeddings, load_lexicon, load_pinyin_table,
-                               strip_tone)
+from markkit.resources import load_embeddings, load_lexicon, load_pinyin_table, strip_tone
 
 
 def write(tmp_path, name, text):
@@ -91,10 +90,6 @@ class TestLoadEmbeddings:
     def test_overflowing_norm_rejected(self, tmp_path):
         emb = load_embeddings(write(tmp_path, "e.txt", "2 2\n好 1 0\n佳 1e200 1e200\n"))
         assert emb.rejected == 1 and len(emb) == 1
-
-    def test_constructor_rejects_non_finite_vector(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            WordEmbeddings(2, {"好": np.array([1.0, 0.0]), "佳": np.array([np.inf, 0.0])})
 
     def test_header_row_count_mismatch(self, tmp_path):
         with pytest.raises(ParseError):
