@@ -4,9 +4,10 @@ Subcommands: ``segment``, ``encode``, ``confusions``, ``build-corpus``,
 ``pretrain``, ``eval-ner``, ``attn-dump``, ``stats``.
 
 Exit codes: 0 success, 2 usage error (argparse, unknown subcommand),
-3 missing/unreadable resource, 4 malformed input, 5 bad configuration,
-1 any other toolkit error. Failures print one machine-parseable JSON
-line to stderr: ``{"error": <category>, "exit_code": n, "message": ...}``.
+3 missing/unreadable resource or unwritable output, 4 malformed input,
+5 bad configuration, 1 any other toolkit error. Failures print one
+machine-parseable JSON line to stderr:
+``{"error": <category>, "exit_code": n, "message": ...}``.
 
 If the ``MARKKIT_RESOURCES`` environment variable is set, relative
 ``--lexicon/--embeddings/--pinyin/--vocab`` paths are resolved under it.
@@ -75,7 +76,10 @@ def _write_text(path: str | None, text: str) -> None:
         if text and not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        Path(path).write_text(text, encoding="utf-8")
+        try:
+            Path(path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ResourceError(f"cannot write {path}: {exc}") from exc
 
 
 def _segmenter_from_args(args) -> Segmenter:
@@ -194,7 +198,10 @@ def cmd_pretrain(args) -> int:
                   f"rwd_loss={metrics.loss.rwd_loss:.4f} "
                   f"mlm_acc={_fmt(metrics.mlm_accuracy)} "
                   f"rwd_acc={_fmt(metrics.rwd_accuracy)}")
-    save_checkpoint(model, args.out)
+    try:
+        save_checkpoint(model, args.out)
+    except OSError as exc:
+        raise ResourceError(f"cannot write {args.out}: {exc}") from exc
     if metrics is not None:
         print(json.dumps({"steps": args.steps,
                           "mlm_loss": metrics.loss.mlm_loss,

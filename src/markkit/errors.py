@@ -11,7 +11,8 @@ class MarkkitError(Exception):
 
 
 class ResourceError(MarkkitError):
-    """A resource file is missing or unreadable."""
+    """A resource file is missing or unreadable, or an output file cannot be
+    written."""
 
 
 class ParseError(MarkkitError):

@@ -278,10 +278,9 @@ class MarkBert:
         B, L = ids.shape
         if L > cfg.max_positions:
             raise InputError(f"sequence length {L} exceeds max_positions={cfg.max_positions}")
-        if ids.size and (ids.min() < 0 or ids.max() >= cfg.vocab_size):
-            raise InputError("token id out of range for vocab_size="
-                             f"{cfg.vocab_size}: [{ids.min()}, {ids.max()}]")
+        _check_token_ids("token id", ids, cfg.vocab_size)
         rows = _batch_rows(batch, cfg.rwd_classes)
+        _check_token_ids("MLM label token id", rows.mlm_labels, cfg.vocab_size)
         cache: dict = {"ids": ids, "valid": valid, "markers": rows.markers,
                        "train": train, "layers": []}
         if L == 0:
@@ -460,6 +459,12 @@ class _BatchRows(NamedTuple):
     markers: tuple[np.ndarray, np.ndarray]  # every marker: the concatenated rwd_logits
     rwd: np.ndarray                         # marker rows that carry detection loss
     rwd_labels: np.ndarray                  # their class ids (confusion = 1 of 2 classes)
+
+
+def _check_token_ids(kind: str, ids: np.ndarray, vocab_size: int) -> None:
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+        raise InputError(f"{kind} out of range for vocab_size={vocab_size}: "
+                         f"[{ids.min()}, {ids.max()}]")
 
 
 def _batch_rows(batch: Sequence[PretrainingExample], rwd_classes: int) -> _BatchRows:

@@ -181,12 +181,13 @@ class SpanF1Counter:
     def add(self, pred: set[EntitySpan], gold: set[EntitySpan],
             pred_tags: Sequence[str] | None = None,
             gold_tags: Sequence[str] | None = None) -> None:
+        tagged = pred_tags is not None and gold_tags is not None
+        if tagged and len(pred_tags) != len(gold_tags):
+            raise InputError("token accuracy needs equal-length tag sequences")
         self.tp += len(pred & gold)
         self.n_pred += len(pred)
         self.n_gold += len(gold)
-        if pred_tags is not None and gold_tags is not None:
-            if len(pred_tags) != len(gold_tags):
-                raise InputError("token accuracy needs equal-length tag sequences")
+        if tagged:
             self.tokens += len(gold_tags)
             self.token_hits += sum(p == g for p, g in zip(pred_tags, gold_tags))
 

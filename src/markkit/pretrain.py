@@ -398,15 +398,16 @@ def example_to_json(ex: PretrainingExample) -> str:
 
 
 def example_from_json(line: str, lineno: int | None = None) -> PretrainingExample:
-    """Parse one JSONL record. Every MLM-label and marker position must
-    index into ``input_ids`` and be listed once; every ``rwd_loss_mask``
-    position must be a marker."""
+    """Parse one JSONL record. Token ids and label positions must be JSON
+    integers; every MLM-label and marker position must index into
+    ``input_ids`` and be listed once; every ``rwd_loss_mask`` position must
+    be a marker."""
     try:
         record = json.loads(line)
         meta = record["meta"]
         input_ids = tuple(record["input_ids"])
-        mlm_labels = {int(p): int(t) for p, t in record["mlm_labels"]}
-        rwd_labels = {int(p): RwdLabel[name] for p, name in record["rwd_labels"]}
+        mlm_labels = {p: t for p, t in record["mlm_labels"]}
+        rwd_labels = {p: RwdLabel[name] for p, name in record["rwd_labels"]}
         loss_on = set(record["rwd_loss_mask"])
         example = PretrainingExample(
             input_ids=input_ids,
@@ -420,6 +421,13 @@ def example_from_json(line: str, lineno: int | None = None) -> PretrainingExampl
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"bad example record: {exc}", lineno) from exc
+    for kind, values in (("input id", input_ids), ("MLM label position", mlm_labels),
+                         ("MLM label token id", mlm_labels.values()),
+                         ("marker position", rwd_labels),
+                         ("rwd_loss_mask position", loss_on)):
+        if not set(map(type, values)) <= {int}:  # a bool or float is not an id
+            bad = next(v for v in values if type(v) is not int)
+            raise ParseError(f"{kind} {bad!r} is not an integer", lineno)
     for kind, positions, pairs in (("MLM label", mlm_labels, record["mlm_labels"]),
                                    ("marker", rwd_labels, record["rwd_labels"])):
         outside = [p for p in positions if not 0 <= p < len(input_ids)]
@@ -427,7 +435,7 @@ def example_from_json(line: str, lineno: int | None = None) -> PretrainingExampl
             raise ParseError(f"{kind} position {outside[0]} is outside input_ids "
                              f"of length {len(input_ids)}", lineno)
         if len(positions) < len(pairs):
-            listed = [int(p) for p, _ in pairs]
+            listed = [p for p, _ in pairs]
             twice = next(p for i, p in enumerate(listed) if p in listed[:i])
             raise ParseError(f"{kind} position {twice} is listed twice", lineno)
     if not loss_on.issubset(rwd_labels):

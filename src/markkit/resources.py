@@ -187,7 +187,31 @@ def load_embeddings(path: str | Path) -> WordEmbeddings:
     not finite (an inf component, or an overflowing norm), are rejected
     (counted, not fatal). Duplicate words keep their first accepted
     occurrence.
+
+    A regular file (see :func:`_parse_regular`) is parsed in one numpy
+    call; any other file line by line. Both give the same result.
     """
+    data, dim = _embedding_lines(path)
+    return _embeddings_from_rows(*(_parse_regular(data, dim) or _parse_by_line(data, dim)))
+
+
+def _embeddings_from_rows(words: list[str], rows: np.ndarray, rejected: int) -> WordEmbeddings:
+    """The embeddings of parsed ``rows`` (``words[i]`` names ``rows[i]``):
+    rows with a zero or non-finite norm are rejected, the rest normalized
+    in place, and each word keeps its first usable row."""
+    usable = _normalize_rows(rows)
+    rejected += len(words) - int(usable.sum())
+    first: dict[str, int] = {}
+    for i in np.flatnonzero(usable):
+        first.setdefault(words[i], int(i))
+    duplicates = int(usable.sum()) - len(first)
+    picks = np.fromiter(first.values(), dtype=np.intp, count=len(first))
+    return WordEmbeddings(tuple(first), rows, picks, rejected, duplicates)
+
+
+def _embedding_lines(path: str | Path) -> tuple[list[tuple[int, str]], int]:
+    """The non-blank data lines of an embeddings file with their line
+    numbers, and the header's dim, once the header is checked."""
     lines = read_text(path).splitlines()
     if not lines:
         raise ParseError("missing header line", 1)
@@ -203,8 +227,38 @@ def load_embeddings(path: str | Path) -> WordEmbeddings:
     data = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(data) != count:
         raise ParseError(f"header declares {count} entries but file has {len(data)} rows")
+    return data, dim
+
+
+def _parse_regular(data: list[tuple[int, str]], dim: int
+                   ) -> tuple[list[str], np.ndarray, int] | None:
+    """Words, rows and the rejected count of ``data`` in one ``np.loadtxt``
+    call, or None unless the lines are regular: at least one, each with
+    exactly ``dim`` single spaces after a word without whitespace, and
+    every value one that ``loadtxt`` parses. ``loadtxt`` gives the same
+    double as ``float`` for each value it parses; the values only ``float``
+    takes (``1_0``, full-width digits) make it raise, and the caller then
+    parses line by line."""
+    if not data or any(ln.count(" ") != dim for _, ln in data):
+        return None
+    words = [ln.partition(" ")[0] for _, ln in data]
+    if " ".join(words).split() != words:
+        return None
+    try:
+        rows = np.loadtxt((ln for _, ln in data), delimiter=" ", comments=None,
+                          usecols=range(1, dim + 1), ndmin=2)
+    except ValueError:
+        return None
+    return words, rows, 0
+
+
+def _parse_by_line(data: list[tuple[int, str]], dim: int
+                   ) -> tuple[list[str], np.ndarray, int]:
+    """Words, rows and the rejected count of ``data``, one line at a time:
+    the exact path for any file. A row of the wrong length is rejected; a
+    component ``float`` cannot parse raises ParseError naming its line."""
     words: list[str] = []
-    rows = np.empty((count, dim))
+    rows = np.empty((len(data), dim))
     rejected = 0
     for lineno, line in data:
         parts = line.split()
@@ -217,15 +271,7 @@ def load_embeddings(path: str | Path) -> WordEmbeddings:
             continue
         rows[len(words)] = values
         words.append(parts[0])
-    rows = rows[:len(words)]
-    usable = _normalize_rows(rows)
-    rejected += len(words) - int(usable.sum())
-    first: dict[str, int] = {}
-    for i in np.flatnonzero(usable):
-        first.setdefault(words[i], int(i))
-    duplicates = int(usable.sum()) - len(first)
-    picks = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-    return WordEmbeddings(tuple(first), rows, picks, rejected, duplicates)
+    return words, rows[:len(words)], rejected
 
 
 @dataclass(frozen=True)
@@ -262,6 +308,7 @@ def load_pinyin_table(path: str | Path) -> PinyinTable:
     """Parse a pinyin TSV. Entries whose syllable count differs from the
     character count are rejected (counted, not fatal). Duplicate words
     keep the first occurrence. Blank lines are ignored."""
+    toneless: dict[str, str] = {}  # strip_tone of each distinct syllable, for this call
     by_word: dict[str, str] = {}
     rejected = 0
     duplicates = 0
@@ -273,7 +320,8 @@ def load_pinyin_table(path: str | Path) -> PinyinTable:
         word, _, syllable_part = line.partition("\t")
         if not word:
             raise ParseError("empty word", lineno)
-        syllables = [strip_tone(s) for s in syllable_part.split()]
+        syllables = [toneless[s] if s in toneless else toneless.setdefault(s, strip_tone(s))
+                     for s in syllable_part.split()]
         if not syllables or any(not s for s in syllables):
             raise ParseError(f"empty syllable in {line!r}", lineno)
         if len(syllables) != len(word):

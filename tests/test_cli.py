@@ -409,6 +409,59 @@ class TestErrorHandling:
         assert f"line {len(lines)}: MLM label position 5" in record["message"]
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("command", ["segment", "pretrain"])
+    @pytest.mark.parametrize("target", ["directory", "missing parent"])
+    def test_unwritable_out_exit_3(self, env, tmp_path, capsys, command, target):
+        root, _ = env
+        if command == "segment":
+            argv = ["segment", "--lexicon", str(root / "res/lexicon.tsv"),
+                    "--in", str(root / "corpus.txt")]
+        else:
+            examples = tmp_path / "ex.jsonl"
+            run_build(root, examples)
+            argv = ["pretrain", "--vocab", str(root / "res/vocab.txt"), "--in", str(examples),
+                    "--steps", "1", "--log-every", "0", "--hidden-dim", "16",
+                    "--ffn-dim", "24", "--num-heads", "2"]
+        out = tmp_path if target == "directory" else tmp_path / "missing" / "out"
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out)]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "resource" and err["message"].startswith(f"cannot write {out}")
+        assert not (tmp_path / "missing").exists()
+
+    def pretrain_on_record(self, root, tmp_path, capsys, **fields):
+        """Exit code and the one JSON error line of `pretrain` on one record."""
+        record = json.loads(example_to_json(PretrainingExample(
+            input_ids=(2, 6, 3), mlm_labels={1: 6}, rwd_labels={}, rwd_loss_mask={})))
+        examples = tmp_path / "ex.jsonl"
+        examples.write_text(json.dumps({**record, **fields}) + "\n")
+        code = main(["pretrain", "--vocab", str(root / "res/vocab.txt"),
+                     "--in", str(examples), "--out", str(tmp_path / "m.ckpt"),
+                     "--steps", "1", "--log-every", "0"])
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and not (tmp_path / "m.ckpt").exists()
+        return code, json.loads(err[0])
+
+    @pytest.mark.parametrize("field,value,shown", [
+        ("input_ids", [2, 6.0, 3], "input id 6.0"),
+        ("input_ids", [2, "6", 3], "input id '6'"),
+        ("mlm_labels", [[1, 6.0]], "MLM label token id 6.0"),
+    ])
+    def test_non_integer_token_id_exit_4(self, env, tmp_path, capsys, field, value, shown):
+        code, err = self.pretrain_on_record(env[0], tmp_path, capsys, **{field: value})
+        assert code == 4 and err["error"] == "input"
+        assert err["message"] == f"line 1: {shown} is not an integer"
+
+    @pytest.mark.parametrize("past_end", [True, False])
+    def test_label_token_id_out_of_range_exit_4(self, env, tmp_path, capsys, past_end):
+        root, world = env
+        token = len(world.vocab) if past_end else -1
+        code, err = self.pretrain_on_record(root, tmp_path, capsys, mlm_labels=[[1, token]])
+        assert code == 4 and err["error"] == "input"
+        assert err["message"].startswith("MLM label token id out of range")
+
     def test_resources_env_prefix(self, env, tmp_path, capsys, monkeypatch):
         root, _ = env
         monkeypatch.setenv("MARKKIT_RESOURCES", str(root / "res"))

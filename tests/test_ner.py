@@ -184,6 +184,13 @@ class TestCounter:
         counter.add(set(), set(), pred_tags=["O", "B-LOC"], gold_tags=["O", "O"])
         assert counter.token_accuracy == 0.5
 
+    def test_unequal_tag_lengths_leave_counter_unchanged(self):
+        counter = SpanF1Counter()
+        span = {EntitySpan(0, 1, "LOC")}
+        with pytest.raises(InputError):
+            counter.add(span, span, pred_tags=["S-LOC"], gold_tags=["S-LOC", "O"])
+        assert counter == SpanF1Counter()
+
 
 class TestConllIO:
     def test_round_trip(self, tmp_path):

@@ -307,6 +307,23 @@ class TestJsonInterchange:
         with pytest.raises(ParseError, match=f"line 4: {message}"):
             example_from_json(json.dumps(record), lineno=4)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("input_ids", [2, 6.0, 3], "input id 6.0"),
+        ("input_ids", [2, "6", 3], "input id '6'"),
+        ("input_ids", [2, True, 3], "input id True"),
+        ("mlm_labels", [[1, 6.9]], "MLM label token id 6.9"),
+        ("mlm_labels", [[1, "6"]], "MLM label token id '6'"),
+        ("mlm_labels", [[1.0, 6]], "MLM label position 1.0"),
+        ("rwd_labels", [["1", "NORMAL"]], "marker position '1'"),
+        ("rwd_loss_mask", [True], "rwd_loss_mask position True"),
+    ])
+    def test_non_integer_ids_rejected(self, field, value, message):
+        record = json.loads(example_to_json(PretrainingExample(
+            input_ids=(2, 6, 3), mlm_labels={1: 6}, rwd_labels={}, rwd_loss_mask={})))
+        record[field] = value
+        with pytest.raises(ParseError, match=f"line 4: {message} is not an integer"):
+            example_from_json(json.dumps(record), lineno=4)
+
     def test_label_positions_at_both_ends_accepted(self):
         ex = PretrainingExample(input_ids=(2, 6, 5, 3), mlm_labels={0: 2, 3: 3},
                                 rwd_labels={2: RwdLabel.NORMAL}, rwd_loss_mask={2: False})
