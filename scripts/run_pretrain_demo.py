@@ -12,8 +12,7 @@ import tempfile
 from pathlib import Path
 
 from markkit.model import MarkBert, ModelConfig, export_attention, save_checkpoint, train_step
-from markkit.pretrain import (MaskingConfig, corpus_stats, generate_examples,
-                              pack_corpus, read_documents)
+from markkit.pretrain import MaskingConfig, corpus_stats, generate_examples, read_documents
 from markkit.resources import Resources
 from markkit.segmenter import make_lexicon_segmenter
 from markkit.toy import toy_corpus_lines, write_toy_resources
@@ -36,9 +35,9 @@ def main() -> None:
 
     cfg = MaskingConfig(max_len=48)
     lines = toy_corpus_lines(world.words, args.sentences, seed=args.seed + 1)
-    packed = pack_corpus(read_documents(lines, make_lexicon_segmenter(world.lexicon)), cfg)
-    examples = generate_examples(packed, world.vocab, resources, cfg,
-                                 corpus_seed=args.seed + 2)
+    examples = generate_examples(list(read_documents(lines)),
+                                 make_lexicon_segmenter(world.lexicon), world.vocab,
+                                 resources, cfg, corpus_seed=args.seed + 2)
     stats = corpus_stats(examples)
     print("schedule rates:", json.dumps(stats.to_dict()["rates"]))
 

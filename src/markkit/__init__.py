@@ -21,7 +21,7 @@ from .ner import (EntitySpan, NerExample, SpanF1Counter, align_labels_with_marke
                   bio_to_bmeso, extract_spans, read_conll, span_f1,
                   strip_marker_labels, write_conll)
 from .pretrain import (ExampleMeta, MaskingConfig, MaskingStats, PackedSegment,
-                       PretrainingExample, RwdLabel, build_example,
+                       PretrainingExample, RwdLabel, build_document, build_example,
                        build_packed_example, corpus_stats, derive_seed,
                        example_from_json, example_to_json, generate_examples,
                        pack_corpus, pack_documents, plain_example, read_documents)

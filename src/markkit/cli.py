@@ -62,6 +62,16 @@ def _read_lines(path: str) -> list[str]:
     return read_text(path).splitlines()
 
 
+def _check_readable(path: Path) -> None:
+    """Open and close ``path``: a file that cannot be read raises
+    ResourceError, as :func:`read_text` would, without parsing it."""
+    try:
+        with open(path, "rb"):
+            pass
+    except OSError as exc:
+        raise ResourceError(f"cannot read {path}: {exc}") from exc
+
+
 def clamp_workers(requested: int, cpus: int | None) -> int:
     """The worker count for ``--workers``: at least 1 (a smaller request is a
     ConfigError) and at most ``cpus``, the machine's CPU count when known."""
@@ -150,17 +160,24 @@ def cmd_confusions(args) -> int:
 
 def cmd_build_corpus(args) -> int:
     workers = clamp_workers(args.workers, os.cpu_count())
-    vocab = load_vocab(_resource_path(args.vocab))
-    resources = Resources(embeddings=load_embeddings(_resource_path(args.embeddings)),
-                          pinyin=load_pinyin_table(_resource_path(args.pinyin)))
-    seg_fn = _segmenter_from_args(args)
     cfg = _masking_config(args)
+    vocab = load_vocab(_resource_path(args.vocab))
+    embeddings, pinyin = _resource_path(args.embeddings), _resource_path(args.pinyin)
+    if cfg.p_replace_word == 0:
+        # no word can be replaced, so no example reads the confusion resources;
+        # the files are still opened, so a missing one fails as it would below
+        _check_readable(embeddings)
+        _check_readable(pinyin)
+        resources = Resources()
+    else:
+        resources = Resources(embeddings=load_embeddings(embeddings),
+                              pinyin=load_pinyin_table(pinyin))
+    seg_fn = _segmenter_from_args(args)
     policy = ConfusionPolicy(p_pinyin=args.p_pinyin, k_syn=args.k_syn)
-    documents = read_documents(_read_lines(args.infile), seg_fn)
-    packed = pack_corpus(documents, cfg)
-    examples = generate_examples(packed, vocab, resources, cfg, args.seed,
+    documents = list(read_documents(_read_lines(args.infile)))
+    examples = generate_examples(documents, seg_fn, vocab, resources, cfg, args.seed,
                                  workers=workers, policy=policy,
-                                 pos_markers=args.pos_markers)
+                                 pos_markers=args.pos_markers, pack=pack_corpus)
     _write_text(args.out, "\n".join(example_to_json(ex) for ex in examples)
                 + ("\n" if examples else ""))
     return 0

@@ -42,16 +42,18 @@ by the replay tests):
 from __future__ import annotations
 
 import enum
+import functools
 import json
+import math
 import random
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .confusion import ConfusionKind, ConfusionPolicy, sample_confusion
 from .errors import ConfigError, ParseError
 from .marker_encoder import MarkedSequence, Vocab, encode_marked
 from .resources import Resources
-from .segmenter import Segmentation, WordSpan
+from .segmenter import Segmentation, Segmenter, WordSpan
 
 
 class RwdLabel(enum.IntEnum):
@@ -397,9 +399,14 @@ def example_to_json(ex: PretrainingExample) -> str:
     return json.dumps(record, ensure_ascii=True, separators=(",", ":"))
 
 
+_META_INTS = ("doc_id", "seq_index", "seed", "n_chars")
+_META_BOOLS = ("no_marker", "wwm", "framed", "truncated")
+
+
 def example_from_json(line: str, lineno: int | None = None) -> PretrainingExample:
-    """Parse one JSONL record. Token ids and label positions must be JSON
-    integers; every MLM-label and marker position must index into
+    """Parse one JSONL record. Token ids, label positions and the integer
+    ``meta`` fields must be JSON integers, the flag ``meta`` fields JSON
+    booleans; every MLM-label and marker position must index into
     ``input_ids`` and be listed once; every ``rwd_loss_mask`` position must
     be a marker."""
     try:
@@ -428,6 +435,10 @@ def example_from_json(line: str, lineno: int | None = None) -> PretrainingExampl
         if not set(map(type, values)) <= {int}:  # a bool or float is not an id
             bad = next(v for v in values if type(v) is not int)
             raise ParseError(f"{kind} {bad!r} is not an integer", lineno)
+    for want, what, names in ((int, "an integer", _META_INTS), (bool, "a boolean", _META_BOOLS)):
+        if not set(type(meta[name]) for name in names) <= {want}:
+            bad = next(name for name in names if type(meta[name]) is not want)
+            raise ParseError(f"meta.{bad} {meta[bad]!r} is not {what}", lineno)
     for kind, positions, pairs in (("MLM label", mlm_labels, record["mlm_labels"]),
                                    ("marker", rwd_labels, record["rwd_labels"])):
         outside = [p for p in positions if not 0 <= p < len(input_ids)]
@@ -560,12 +571,10 @@ def corpus_stats(examples: Iterable[PretrainingExample]) -> MaskingStats:
 
 # --- corpus pipeline ----------------------------------------------------------
 
-def read_documents(lines: Iterable[str],
-                   segmenter) -> Iterator[list[Segmentation]]:
-    """Group corpus lines into documents (blank line = document boundary)
-    and segment each sentence with the given ``str -> Segmentation``
-    callable."""
-    doc: list[Segmentation] = []
+def read_documents(lines: Iterable[str]) -> Iterator[list[str]]:
+    """Group corpus lines into documents (blank line = document boundary),
+    each a list of its lines without their line endings."""
+    doc: list[str] = []
     for line in lines:
         stripped = line.rstrip("\r\n")
         if not stripped.strip():
@@ -573,44 +582,97 @@ def read_documents(lines: Iterable[str],
                 yield doc
                 doc = []
             continue
-        doc.append(segmenter(stripped))
+        doc.append(stripped)
     if doc:
         yield doc
 
 
-def pack_corpus(documents: Iterable[Sequence[Segmentation]],
-                cfg: MaskingConfig) -> list[PackedSegment]:
+def pack_corpus(documents: Iterable[Iterable[Segmentation]], cfg: MaskingConfig, *,
+                first_doc_id: int = 0) -> list[PackedSegment]:
+    """Pack each document with :func:`pack_documents`, numbering the
+    documents from ``first_doc_id``."""
     packed: list[PackedSegment] = []
-    for doc_id, doc in enumerate(documents):
+    for doc_id, doc in enumerate(documents, first_doc_id):
         packed.extend(pack_documents(doc, cfg, doc_id=doc_id))
     return packed
 
 
-def generate_examples(packed: Sequence[PackedSegment], vocab: Vocab,
-                      resources: Resources, cfg: MaskingConfig, corpus_seed: int,
-                      *, workers: int = 1,
+def build_document(doc_id: int, lines: Sequence[str], part: int = 0, parts: int = 1, *,
+                   segmenter: Segmenter, vocab: Vocab, resources: Resources,
+                   cfg: MaskingConfig, corpus_seed: int,
+                   policy: ConfusionPolicy = ConfusionPolicy(), pos_markers: bool = False,
+                   pack: Callable[..., list[PackedSegment]] = pack_corpus
+                   ) -> list[PretrainingExample]:
+    """Segment one document's lines with ``segmenter``, pack them with
+    ``pack`` (a :func:`pack_corpus`) and build the examples of the
+    ``part``-th of ``parts`` even runs of its packed sequences (by default
+    all of them)."""
+    packed = pack([map(segmenter, lines)], cfg, first_doc_id=doc_id)
+    n = len(packed)
+    return [build_packed_example(p, vocab, resources, cfg, corpus_seed,
+                                 policy=policy, pos_markers=pos_markers)
+            for p in packed[part * n // parts:(part + 1) * n // parts]]
+
+
+def generate_examples(documents: Sequence[Sequence[str]], segmenter: Segmenter,
+                      vocab: Vocab, resources: Resources, cfg: MaskingConfig,
+                      corpus_seed: int, *, workers: int = 1,
                       policy: ConfusionPolicy = ConfusionPolicy(),
-                      pos_markers: bool = False) -> list[PretrainingExample]:
-    """Build all examples, optionally across worker processes.
+                      pos_markers: bool = False,
+                      pack: Callable[..., list[PackedSegment]] = pack_corpus
+                      ) -> list[PretrainingExample]:
+    """Build the examples of every document (see :func:`read_documents`)
+    with :func:`build_document`, optionally across worker processes (see
+    :func:`_worker_tasks`). ``pack`` is the :func:`pack_corpus` to call;
+    ``cli`` passes the name it imported, which ``benchmark/spans.py``
+    traces.
 
     Each example depends only on (corpus seed, doc id, seq index), and
-    results are merged in packing order, so the output is identical for
+    results are merged in document order, so the output is identical for
     any worker count.
     """
-    import functools
-
-    build = functools.partial(build_packed_example, vocab=vocab, resources=resources,
-                              cfg=cfg, corpus_seed=corpus_seed, policy=policy,
-                              pos_markers=pos_markers)
-    if workers <= 1 or len(packed) < 2:
-        return [build(p) for p in packed]
+    build = functools.partial(build_document, segmenter=segmenter, vocab=vocab,
+                              resources=resources, cfg=cfg, corpus_seed=corpus_seed,
+                              policy=policy, pos_markers=pos_markers, pack=pack)
+    tasks = _worker_tasks(documents, workers)
+    if workers <= 1 or len(tasks) < 2:
+        return [ex for task in tasks for ex in _build_task(build, task)]
     from multiprocessing import Pool
 
-    chunk = max(1, len(packed) // (workers * 8))
     # the build callable (with the resources) reaches each worker once, at
     # start-up, instead of being pickled into every task
     with Pool(workers, initializer=_set_worker_build, initargs=(build,)) as pool:
-        return pool.map(_worker_build_example, packed, chunksize=chunk)
+        return [ex for examples in pool.imap(_worker_build_task, tasks) for ex in examples]
+
+
+def _worker_tasks(documents: Sequence[Sequence[str]],
+                  workers: int) -> list[list[tuple[int, Sequence[str], int, int]]]:
+    """Cut the corpus into tasks of :func:`build_document` arguments
+    ``(doc id, lines, part, parts)``, in document order, by line count.
+
+    A document with more than a worker's share of the lines (total /
+    ``workers``) is split into up to ``workers`` parts, one task each, so
+    a corpus of few long documents still keeps every worker busy; each
+    part segments and packs the whole document and builds its own run of
+    sequences. Other documents are grouped into tasks of about an eighth
+    of a worker's share.
+    """
+    share = max(1, sum(map(len, documents))) / workers
+    tasks: list[list[tuple[int, Sequence[str], int, int]]] = []
+    size = 0
+    for doc_id, lines in enumerate(documents):
+        parts = min(workers, math.ceil(len(lines) / share))
+        for part in range(parts):
+            if parts > 1 or not tasks or size >= share / 8:
+                tasks.append([])
+                size = 0
+            tasks[-1].append((doc_id, lines, part, parts))
+            size += len(lines)
+    return tasks
+
+
+def _build_task(build, task) -> list[PretrainingExample]:
+    return [ex for args in task for ex in build(*args)]
 
 
 _worker_build = None
@@ -621,5 +683,5 @@ def _set_worker_build(build) -> None:
     _worker_build = build
 
 
-def _worker_build_example(packed: PackedSegment) -> PretrainingExample:
-    return _worker_build(packed)
+def _worker_build_task(task) -> list[PretrainingExample]:
+    return _build_task(_worker_build, task)

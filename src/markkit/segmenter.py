@@ -9,6 +9,7 @@ through :func:`parse_pretokenized`. A segmenter is just a callable
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -88,7 +89,9 @@ def segment(text: str, lexicon: Lexicon) -> Segmentation:
 
 
 def make_lexicon_segmenter(lexicon: Lexicon) -> Segmenter:
-    return lambda text: segment(text, lexicon)
+    """:func:`segment` bound to ``lexicon``; a partial, not a closure, so it
+    pickles into worker processes under every start method."""
+    return functools.partial(segment, lexicon=lexicon)
 
 
 def parse_pretokenized(line: str) -> Segmentation:

@@ -95,6 +95,49 @@ class TestBuildCorpusCommand:
         assert run_build(root, b, extra=["--workers", "4"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_packing_goes_through_cli_pack_corpus(self, env, tmp_path, monkeypatch):
+        """`benchmark/spans.py` times packing, with segmentation nested in it,
+        by wrapping `markkit.cli.pack_corpus`: an in-process build must call
+        that name for every sequence it writes, and segment inside the call."""
+        root, _ = env
+        packed, outside = [], []
+        real_pack, real_segment = markkit.cli.pack_corpus, markkit.segmenter.segment
+        depth = 0
+
+        def pack(*args, **kwargs):
+            nonlocal depth
+            depth += 1
+            try:
+                result = real_pack(*args, **kwargs)
+            finally:
+                depth -= 1
+            packed.extend(result)
+            return result
+
+        def segment(*args, **kwargs):
+            outside.append(depth == 0)
+            return real_segment(*args, **kwargs)
+
+        monkeypatch.setattr(markkit.cli, "pack_corpus", pack)
+        monkeypatch.setattr(markkit.segmenter, "segment", segment)
+        out = tmp_path / "ex.jsonl"
+        assert run_build(root, out) == 0
+        assert len(packed) == len(out.read_text(encoding="utf-8").splitlines()) > 0
+        assert outside and not any(outside)
+
+    def test_workers_do_not_change_bytes_on_one_document(self, env, tmp_path):
+        """A corpus without blank lines is one document, split across workers."""
+        root, _ = env
+        lines = (root / "corpus.txt").read_text(encoding="utf-8").splitlines()
+        one_doc = tmp_path / "one_doc.txt"
+        one_doc.write_text("\n".join(ln for ln in lines if ln.strip()) + "\n", encoding="utf-8")
+        outs = [tmp_path / f"w{w}.jsonl" for w in (1, 2)]
+        for w, out in zip((1, 2), outs):
+            assert main(["build-corpus", *res_args(root), "--in", str(one_doc),
+                         "--out", str(out), "--max-len", "48", "--workers", str(w)]) == 0
+        assert len(outs[0].read_text(encoding="utf-8").splitlines()) > 2
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_output_is_valid_pretrain_input(self, env, tmp_path):
         root, _ = env
         out = tmp_path / "ex.jsonl"
@@ -107,6 +150,9 @@ class TestBuildCorpusCommand:
     @pytest.mark.parametrize("extra,digest", [
         ([], "c7701184b34d837783f1a90f1b8eba2dfb786d5df9ad7f44747ff627dcb133d8"),
         (["--pos-markers"], "dfc6ee5fb09db4f91528c9825a601012eeba1f7f65c2c259e3118b557354fb91"),
+        *((["--p-replace-word", "0", "--pos-markers", "--workers", workers],
+           "bc4efb786cca99993965d1a218bd3d8adbff6d963b647660ba279f33cf1b56fb")
+          for workers in ("1", "2")),
     ])
     def test_golden_digest(self, env, tmp_path, extra, digest):
         """Output bytes are pinned: a refactor of `build_example`, the confusion
@@ -114,6 +160,47 @@ class TestBuildCorpusCommand:
         out = tmp_path / "ex.jsonl"
         assert run_build(env[0], out, extra=extra) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("flag,malformed", [("--embeddings", "3 words\n"),
+                                                ("--pinyin", "no tab here\n")])
+    def test_mlm_only_does_not_parse_confusion_files(self, env, tmp_path, capsys,
+                                                     flag, malformed):
+        """With `--p-replace-word 0` no word can be replaced: a malformed
+        confusion file changes nothing, and a missing one still exits 3."""
+        root, _ = env
+        mlm = ["--p-replace-word", "0", "--pos-markers"]
+        expected, out = tmp_path / "expected.jsonl", tmp_path / "ex.jsonl"
+        assert run_build(root, expected, extra=mlm) == 0
+        bad = tmp_path / "malformed.txt"
+        bad.write_text(malformed, encoding="utf-8")
+        assert run_build(root, out, extra=[*mlm, flag, str(bad)]) == 0
+        assert out.read_bytes() == expected.read_bytes()
+        assert run_build(root, out, extra=[flag, str(bad)]) == 4  # parsed when it is used
+        missing = tmp_path / "missing.txt"
+        capsys.readouterr()
+        assert run_build(root, tmp_path / "none.jsonl", extra=[*mlm, flag, str(missing)]) == 3
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "resource" and err["message"].startswith(f"cannot read {missing}")
+        assert not (tmp_path / "none.jsonl").exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_parse_error_in_a_document_exit_4(self, env, tmp_path, capsys, workers):
+        """A ParseError raised while a worker segments a document reaches `main`
+        as it does in process: exit 4, one JSON error line, no output."""
+        root, _ = env
+        docs = (root / "corpus_tok.txt").read_text(encoding="utf-8").split("\n\n")
+        bad, out = tmp_path / "bad.txt", tmp_path / "ex.jsonl"
+        bad.write_text("\n\n".join([*docs[:3], "天气  很", *docs[3:]]), encoding="utf-8")
+        code = main(["build-corpus", *res_args(root), "--in", str(bad), "--out", str(out),
+                     "--pretokenized", "--max-len", "48", "--workers", workers])
+        assert code == 4
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "input", "exit_code": 4,
+                                        "message": "empty word token (double or trailing space?)"}
+        assert not out.exists()
 
     def test_pretokenized_input(self, env, tmp_path):
         root, _ = env
@@ -461,6 +548,24 @@ class TestErrorHandling:
         code, err = self.pretrain_on_record(root, tmp_path, capsys, mlm_labels=[[1, token]])
         assert code == 4 and err["error"] == "input"
         assert err["message"].startswith("MLM label token id out of range")
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("n_chars", "3", "meta.n_chars '3' is not an integer"),
+        ("n_chars", 2.5, "meta.n_chars 2.5 is not an integer"),
+        ("no_marker", "yes", "meta.no_marker 'yes' is not a boolean"),
+    ])
+    def test_malformed_meta_exit_4(self, tmp_path, capsys, field, value, message):
+        record = json.loads(example_to_json(PretrainingExample(
+            input_ids=(2, 6, 3), mlm_labels={1: 6}, rwd_labels={}, rwd_loss_mask={})))
+        record["meta"][field] = value
+        examples = tmp_path / "ex.jsonl"
+        examples.write_text(json.dumps(record) + "\n")
+        assert main(["stats", "--in", str(examples)]) == 4
+        out, err = capsys.readouterr()
+        lines = err.strip().splitlines()
+        assert out == "" and len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "input", "exit_code": 4,
+                                        "message": f"line 1: {message}"}
 
     def test_resources_env_prefix(self, env, tmp_path, capsys, monkeypatch):
         root, _ = env

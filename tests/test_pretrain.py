@@ -1,4 +1,6 @@
+import functools
 import json
+import pickle
 import random
 
 import pytest
@@ -7,12 +9,12 @@ from markkit.confusion import ConfusionKind, ConfusionPolicy, sample_confusion
 from markkit.errors import ConfigError, ParseError
 from markkit.marker_encoder import encode_marked
 from markkit.pretrain import (ExampleMeta, MaskingConfig, PackedSegment,
-                              PretrainingExample, RwdLabel,
+                              PretrainingExample, RwdLabel, build_document,
                               build_example, build_packed_example, corpus_stats,
                               derive_seed, example_from_json, example_to_json,
                               generate_examples, pack_corpus, pack_documents,
-                              read_documents, stochastic_round)
-from markkit.segmenter import parse_pretokenized
+                              read_documents, stochastic_round, _worker_tasks)
+from markkit.segmenter import make_lexicon_segmenter, parse_pretokenized
 from markkit.toy import toy_corpus_lines
 
 
@@ -324,6 +326,20 @@ class TestJsonInterchange:
         with pytest.raises(ParseError, match=f"line 4: {message} is not an integer"):
             example_from_json(json.dumps(record), lineno=4)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("doc_id", True, "meta.doc_id True is not an integer"),
+        ("seed", 1.0, "meta.seed 1.0 is not an integer"),
+        ("n_chars", "3", "meta.n_chars '3' is not an integer"),
+        ("wwm", 1, "meta.wwm 1 is not a boolean"),
+        ("truncated", None, "meta.truncated None is not a boolean"),
+    ])
+    def test_non_typed_meta_rejected(self, field, value, message):
+        record = json.loads(example_to_json(PretrainingExample(
+            input_ids=(2, 6, 3), mlm_labels={1: 6}, rwd_labels={}, rwd_loss_mask={})))
+        record["meta"][field] = value
+        with pytest.raises(ParseError, match=f"line 4: {message}$"):
+            example_from_json(json.dumps(record), lineno=4)
+
     def test_label_positions_at_both_ends_accepted(self):
         ex = PretrainingExample(input_ids=(2, 6, 5, 3), mlm_labels={0: 2, 3: 3},
                                 rwd_labels={2: RwdLabel.NORMAL}, rwd_loss_mask={2: False})
@@ -332,15 +348,50 @@ class TestJsonInterchange:
 
 class TestGenerateExamples:
     def test_worker_count_does_not_change_output(self, toy_world, toy_resources):
+        """Many short documents, and one long document that every worker
+        count above one splits into parts."""
         cfg = MaskingConfig(max_len=48)
-        lines = toy_corpus_lines(toy_world.words, 120, seed=13, pretokenized=True)
-        packed = pack_corpus(read_documents(lines, parse_pretokenized), cfg)
-        one = generate_examples(packed, toy_world.vocab, toy_resources, cfg, 99,
-                                workers=1)
-        four = generate_examples(packed, toy_world.vocab, toy_resources, cfg, 99,
-                                 workers=4)
-        assert one == four
-        assert [example_to_json(e) for e in one] == [example_to_json(e) for e in four]
+        for sentences_per_doc in ((2, 6), (200, 200)):
+            lines = toy_corpus_lines(toy_world.words, 120, seed=13, pretokenized=True,
+                                     sentences_per_doc=sentences_per_doc)
+            documents = list(read_documents(lines))
+            one = generate_examples(documents, parse_pretokenized, toy_world.vocab,
+                                    toy_resources, cfg, 99, workers=1)
+            for workers in (2, 4):
+                many = generate_examples(documents, parse_pretokenized, toy_world.vocab,
+                                         toy_resources, cfg, 99, workers=workers)
+                assert many == one
+                assert [example_to_json(e) for e in many] == [example_to_json(e) for e in one]
+            # building per document numbers sequences as packing the whole corpus does
+            packed = pack_corpus(([parse_pretokenized(ln) for ln in doc] for doc in documents),
+                                 cfg)
+            assert one == [build_packed_example(p, toy_world.vocab, toy_resources, cfg, 99)
+                           for p in packed]
+
+    def test_build_callable_pickles(self, toy_world, toy_resources):
+        """The per-document callable a worker receives survives pickling, as
+        the `spawn` and `forkserver` start methods require."""
+        build = functools.partial(build_document,
+                                  segmenter=make_lexicon_segmenter(toy_world.lexicon),
+                                  vocab=toy_world.vocab, resources=toy_resources,
+                                  cfg=MaskingConfig(max_len=48), corpus_seed=99)
+        lines = toy_corpus_lines(toy_world.words, 12, seed=5)
+        examples = build(3, lines)
+        assert examples and {ex.meta.doc_id for ex in examples} == {3}
+        assert pickle.loads(pickle.dumps(build))(3, lines) == examples
+
+    def test_document_parts_cover_its_sequences(self, toy_world, toy_resources):
+        build = functools.partial(build_document, segmenter=parse_pretokenized,
+                                  vocab=toy_world.vocab, resources=toy_resources,
+                                  cfg=MaskingConfig(max_len=48), corpus_seed=99)
+        lines = toy_corpus_lines(toy_world.words, 40, seed=5, pretokenized=True,
+                                 sentences_per_doc=(40, 40))
+        whole = build(2, lines)
+        assert len(whole) > 3
+        for parts in (2, 3, len(whole) + 1):
+            runs = [build(2, lines, part, parts) for part in range(parts)]
+            assert [ex for run in runs for ex in run] == whole
+            assert max(map(len, runs)) - min(map(len, runs)) <= 1
 
     def test_seeding_follows_packing_coordinates(self, toy_world, toy_resources):
         cfg = MaskingConfig(max_len=48)
@@ -352,8 +403,22 @@ class TestGenerateExamples:
         assert ex.meta.seq_index == 2
 
 
+def test_worker_tasks_split_only_long_documents():
+    """A document with more than a worker's share of the lines becomes one
+    task per worker; the others are grouped by line count, in order."""
+    documents = [["a"] * 2, ["b"] * 30, ["c"] * 3, ["d"]]
+
+    def shape(tasks):
+        return [[(doc_id, part, parts) for doc_id, _, part, parts in task] for task in tasks]
+
+    assert shape(_worker_tasks(documents, 2)) == [[(0, 0, 1)], [(1, 0, 2)], [(1, 1, 2)],
+                                                  [(2, 0, 1)], [(3, 0, 1)]]
+    assert shape(_worker_tasks(documents, 1)) == [[(0, 0, 1), (1, 0, 1)],
+                                                  [(2, 0, 1), (3, 0, 1)]]
+    assert shape(_worker_tasks([["a"] * 5], 4)) == [[(0, part, 4)] for part in range(4)]
+    assert _worker_tasks([], 2) == []
+
+
 def test_read_documents_blank_line_boundaries():
-    lines = ["天气 很", "人民 好", "", "地球"]
-    docs = list(read_documents(lines, parse_pretokenized))
-    assert len(docs) == 2
-    assert [len(d) for d in docs] == [2, 1]
+    lines = ["天气 很", "人民 好\r\n", "", " \t", "地球"]
+    assert list(read_documents(lines)) == [["天气 很", "人民 好"], ["地球"]]
