@@ -105,7 +105,8 @@ def _masking_config(args) -> MaskingConfig:
     return MaskingConfig(mask_ratio=args.mask_ratio, p_no_marker=args.p_no_marker,
                          p_wwm=args.p_wwm, p_replace_word=args.p_replace_word,
                          p_normal_marker_loss=args.p_normal_marker_loss,
-                         max_len=args.max_len)
+                         max_len=args.max_len, pos_markers=args.pos_markers,
+                         policy=ConfusionPolicy(p_pinyin=args.p_pinyin, k_syn=args.k_syn))
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -173,11 +174,9 @@ def cmd_build_corpus(args) -> int:
         resources = Resources(embeddings=load_embeddings(embeddings),
                               pinyin=load_pinyin_table(pinyin))
     seg_fn = _segmenter_from_args(args)
-    policy = ConfusionPolicy(p_pinyin=args.p_pinyin, k_syn=args.k_syn)
     documents = list(read_documents(_read_lines(args.infile)))
     examples = generate_examples(documents, seg_fn, vocab, resources, cfg, args.seed,
-                                 workers=workers, policy=policy,
-                                 pos_markers=args.pos_markers, pack=pack_corpus)
+                                 workers=workers, pack=pack_corpus)
     _write_text(args.out, "\n".join(example_to_json(ex) for ex in examples)
                 + ("\n" if examples else ""))
     return 0
@@ -321,14 +320,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 
 
 def _add_masking_flags(p: argparse.ArgumentParser) -> None:
+    """The ``build-corpus`` schedule flags, one per :class:`MaskingConfig`
+    value, with its defaults."""
     cfg = MaskingConfig()
+    p.add_argument("--pos-markers", action="store_true", default=cfg.pos_markers)
+    p.add_argument("--max-len", type=int, default=cfg.max_len)
     p.add_argument("--mask-ratio", type=float, default=cfg.mask_ratio)
     p.add_argument("--p-no-marker", type=float, default=cfg.p_no_marker)
     p.add_argument("--p-wwm", type=float, default=cfg.p_wwm)
     p.add_argument("--p-replace-word", type=float, default=cfg.p_replace_word)
     p.add_argument("--p-normal-marker-loss", type=float, default=cfg.p_normal_marker_loss)
-    p.add_argument("--p-pinyin", type=float, default=0.5)
-    p.add_argument("--k-syn", type=int, default=5)
+    p.add_argument("--p-pinyin", type=float, default=cfg.policy.p_pinyin)
+    p.add_argument("--k-syn", type=int, default=cfg.policy.k_syn)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--pretokenized", action="store_true")
-    p.add_argument("--pos-markers", action="store_true")
-    p.add_argument("--max-len", type=int, default=512)
     p.add_argument("--workers", type=int, default=1)
     _add_masking_flags(p)
     _add_common(p)

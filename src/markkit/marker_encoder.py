@@ -69,10 +69,6 @@ class Vocab:
         return len(self.tokens)
 
     @property
-    def pad_id(self) -> int:
-        return self.token_to_id[PAD]
-
-    @property
     def unk_id(self) -> int:
         return self.token_to_id[UNK]
 
@@ -133,13 +129,16 @@ def save_vocab(vocab: Vocab, path: str | Path) -> None:
 class MarkedSequence:
     """Token ids plus marker bookkeeping.
 
-    ``char_alignment`` maps every character-token position to its source
-    character index; markers and CLS/SEP have no alignment entry.
+    ``words`` are the included word spans in order (truncation drops whole
+    words from the end). With markers, word ``w`` ends just before
+    ``marker_positions[w]``. ``char_alignment`` maps every character-token
+    position to its source character index; markers and CLS/SEP have no
+    alignment entry.
     """
 
     ids: tuple[int, ...]
     marker_positions: tuple[int, ...]
-    word_of_marker: dict[int, WordSpan]
+    words: tuple[WordSpan, ...]
     char_alignment: dict[int, int]
     truncated: bool
     has_cls_sep: bool
@@ -148,25 +147,19 @@ class MarkedSequence:
     def char_count(self) -> int:
         return len(self.char_alignment)
 
-    def char_token_positions(self) -> list[int]:
-        """Character-token positions in sequence order."""
-        return sorted(self.char_alignment)
-
 
 def encode_marked(seg: Segmentation, vocab: Vocab, *,
                   insert_markers: bool = True,
                   pos_markers: bool = False,
                   max_len: int = 512,
-                  add_cls_sep: bool = True,
-                  marker_after_last: bool = True) -> MarkedSequence:
+                  add_cls_sep: bool = True) -> MarkedSequence:
     """Encode a segmentation as character token ids with markers.
 
-    When ``insert_markers`` is set, a marker follows every word; with
-    ``marker_after_last`` off, the final included word gets none (markers
-    only *between* words). ``pos_markers`` swaps in the per-POS marker
-    where one exists, falling back to the generic marker. Truncation
-    always happens at a word boundary; a word that cannot fit the
-    remaining budget ends the sequence (never split mid-word).
+    When ``insert_markers`` is set, a marker follows every word, the last
+    one included. ``pos_markers`` swaps in the per-POS marker where one
+    exists, falling back to the generic marker. Truncation always happens
+    at a word boundary; a word that cannot fit the remaining budget ends
+    the sequence (never split mid-word).
     """
     if add_cls_sep and max_len < 3:
         raise ConfigError(f"max_len={max_len} cannot hold CLS and SEP plus content")
@@ -186,24 +179,21 @@ def encode_marked(seg: Segmentation, vocab: Vocab, *,
 
     ids: list[int] = []
     marker_positions: list[int] = []
-    word_of_marker: dict[int, WordSpan] = {}
     char_alignment: dict[int, int] = {}
     if add_cls_sep:
         ids.append(vocab.cls_id)
-    for w, span in enumerate(included):
+    for span in included:
         for char_index in range(span.start, span.end):
             char_alignment[len(ids)] = char_index
             ids.append(vocab.id_of(seg.text[char_index]))
-        is_last = w == len(included) - 1
-        if insert_markers and (marker_after_last or not is_last):
+        if insert_markers:
             marker_positions.append(len(ids))
-            word_of_marker[len(ids)] = span
             ids.append(vocab.marker_id_for(span.pos, pos_markers))
     if add_cls_sep:
         ids.append(vocab.sep_id)
 
     return MarkedSequence(ids=tuple(ids), marker_positions=tuple(marker_positions),
-                          word_of_marker=word_of_marker, char_alignment=char_alignment,
+                          words=tuple(included), char_alignment=char_alignment,
                           truncated=truncated, has_cls_sep=add_cls_sep)
 
 

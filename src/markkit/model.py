@@ -39,6 +39,7 @@ import numpy as np
 from scipy.special import erf
 
 from .errors import ConfigError, InputError, ParseError, ResourceError, TrainingError
+from .marker_encoder import Vocab
 from .pretrain import PretrainingExample, RwdLabel
 
 _NEG_INF = -1e30
@@ -592,7 +593,7 @@ def analytic_grads(model: MarkBert, batch: Sequence[PretrainingExample]) -> dict
 # --- attention export -----------------------------------------------------------
 
 def export_attention(out: ForwardOutput, batch: Sequence[PretrainingExample],
-                     vocab=None) -> dict:
+                     vocab: Vocab) -> dict:
     """JSON-ready record of attention rows at marker positions.
 
     One entry per (example, layer, head, marker); weights are restricted
@@ -602,9 +603,6 @@ def export_attention(out: ForwardOutput, batch: Sequence[PretrainingExample],
     if out.attentions is None:
         raise InputError("attention capture is disabled; run forward with "
                          "capture_attention=True")
-
-    def label(token_id: int) -> str:
-        return vocab.tokens[token_id] if vocab is not None else str(token_id)
 
     examples = []
     for i, ex in enumerate(batch):
@@ -621,7 +619,7 @@ def export_attention(out: ForwardOutput, batch: Sequence[PretrainingExample],
                         "weights": [float(w) for w in probs[i, head, pos, :n]],
                     })
         examples.append({
-            "tokens": [label(t) for t in ex.input_ids],
+            "tokens": [vocab.tokens[t] for t in ex.input_ids],
             "marker_positions": markers,
             "rows": rows,
         })

@@ -9,7 +9,9 @@ Schedule defaults (all configurable via :class:`MaskingConfig`):
 * each word is independently replaced by a confusion word 30% of the
   time (marked examples only), with MacBERT-style correction labels;
 * markers over unreplaced words contribute to the detection loss only
-  15% of the time, to balance the label distribution.
+  15% of the time, to balance the label distribution;
+* ``policy`` picks the confusion kind and the synonym candidate count,
+  and every marker is the generic ``[S]`` unless ``pos_markers`` is set.
 
 RNG protocol per example (one ``random.Random`` seeded from
 :func:`derive_seed`; the order below is a stability contract relied on
@@ -78,6 +80,8 @@ class MaskingConfig:
     p_replace_word: float = 0.30
     p_normal_marker_loss: float = 0.15
     max_len: int = 512
+    policy: ConfusionPolicy = ConfusionPolicy()
+    pos_markers: bool = False
 
     def __post_init__(self):
         for name in ("mask_ratio", "p_no_marker", "p_wwm", "p_replace_word",
@@ -175,7 +179,7 @@ def _truncate_to_budget(seg: Segmentation, max_len: int) -> Segmentation:
 
 
 def pack_documents(sentences: Iterable[Segmentation], cfg: MaskingConfig,
-                   doc_id: int = 0, start_index: int = 0) -> Iterator[PackedSegment]:
+                   doc_id: int = 0) -> Iterator[PackedSegment]:
     """Greedily pack consecutive sentences of one document into sequences
     whose worst-case encoded length (characters + one marker per word +
     CLS/SEP) fits ``cfg.max_len``.
@@ -186,7 +190,7 @@ def pack_documents(sentences: Iterable[Segmentation], cfg: MaskingConfig,
     """
     current: list[Segmentation] = []
     chars = words = 0
-    seq_index = start_index
+    seq_index = 0
 
     def flush() -> Iterator[PackedSegment]:
         nonlocal current, chars, words, seq_index
@@ -237,8 +241,6 @@ def stochastic_round(rng: random.Random, value: float) -> int:
 
 def build_example(seg: Segmentation, vocab: Vocab, resources: Resources,
                   cfg: MaskingConfig, rng: random.Random, *,
-                  policy: ConfusionPolicy = ConfusionPolicy(),
-                  pos_markers: bool = False,
                   meta: ExampleMeta | None = None) -> PretrainingExample:
     """Apply the full schedule to one packed segmentation.
 
@@ -250,35 +252,27 @@ def build_example(seg: Segmentation, vocab: Vocab, resources: Resources,
     wwm = rng.random() < cfg.p_wwm
 
     marked = encode_marked(seg, vocab, insert_markers=not no_marker,
-                           pos_markers=pos_markers, max_len=cfg.max_len,
-                           add_cls_sep=True, marker_after_last=True)
+                           pos_markers=cfg.pos_markers, max_len=cfg.max_len)
     ids = list(marked.ids)
     mlm_labels: dict[int, int] = {}
     rwd_labels: dict[int, RwdLabel] = {}
     rwd_loss_mask: dict[int, bool] = {}
 
-    # token positions per included word, in word order
-    word_positions: list[list[int]] = []
+    # token positions per included word, in word order: after CLS, each
+    # word's characters, then its marker unless the example has none
+    word_positions: list[range] = []
+    cursor = 1
+    for span in marked.words:
+        word_positions.append(range(cursor, cursor + len(span)))
+        cursor += len(span) + (not no_marker)
     replaced_words: set[int] = set()
-    if no_marker:
-        # reconstruct word groups from the segmentation spans; truncation
-        # is word-aligned, so groups are either complete or absent
-        pos_iter = iter(marked.char_token_positions())
-        for span in seg.spans:
-            group = [p for _, p in zip(range(len(span)), pos_iter)]
-            if len(group) < len(span):
-                break
-            word_positions.append(group)
-    cursor = 1 if marked.has_cls_sep else 0
     for w, marker_pos in enumerate(marked.marker_positions):
-        word_positions.append(list(range(cursor, marker_pos)))
-        cursor = marker_pos + 1
         rwd_labels[marker_pos] = RwdLabel.NORMAL
         if rng.random() >= cfg.p_replace_word:
             continue
-        span = marked.word_of_marker[marker_pos]
+        span = marked.words[w]
         choice = sample_confusion(seg.text[span.start:span.end], resources.embeddings,
-                                  resources.pinyin, rng, policy)
+                                  resources.pinyin, rng, cfg.policy)
         if choice is None:
             continue
         for offset, pos in enumerate(word_positions[w]):
@@ -349,22 +343,19 @@ def build_example(seg: Segmentation, vocab: Vocab, resources: Resources,
 
 
 def build_packed_example(packed: PackedSegment, vocab: Vocab, resources: Resources,
-                         cfg: MaskingConfig, corpus_seed: int, *,
-                         policy: ConfusionPolicy = ConfusionPolicy(),
-                         pos_markers: bool = False) -> PretrainingExample:
+                         cfg: MaskingConfig, corpus_seed: int) -> PretrainingExample:
     """Build one example with its RNG seeded from (corpus seed, doc id,
     sequence index), so generation parallelizes deterministically."""
     seed = derive_seed(corpus_seed, packed.doc_id, packed.seq_index)
     meta = ExampleMeta(doc_id=packed.doc_id, seq_index=packed.seq_index,
                        seed=seed, truncated=packed.truncated)
-    return build_example(packed.seg, vocab, resources, cfg, random.Random(seed),
-                         policy=policy, pos_markers=pos_markers, meta=meta)
+    return build_example(packed.seg, vocab, resources, cfg, random.Random(seed), meta=meta)
 
 
-def plain_example(marked: MarkedSequence, doc_id: int = 0) -> PretrainingExample:
+def plain_example(marked: MarkedSequence) -> PretrainingExample:
     """Wrap an encoding with no masking or replacement (inference input,
     e.g. for attention export)."""
-    meta = ExampleMeta(doc_id=doc_id, no_marker=not marked.marker_positions,
+    meta = ExampleMeta(no_marker=not marked.marker_positions,
                        n_chars=marked.char_count, framed=marked.has_cls_sep,
                        truncated=marked.truncated)
     return PretrainingExample(
@@ -406,7 +397,8 @@ _META_BOOLS = ("no_marker", "wwm", "framed", "truncated")
 def example_from_json(line: str, lineno: int | None = None) -> PretrainingExample:
     """Parse one JSONL record. Token ids, label positions and the integer
     ``meta`` fields must be JSON integers, the flag ``meta`` fields JSON
-    booleans; every MLM-label and marker position must index into
+    booleans; ``meta.n_chars`` must not exceed the non-marker tokens;
+    every MLM-label and marker position must index into
     ``input_ids`` and be listed once; every ``rwd_loss_mask`` position must
     be a marker."""
     try:
@@ -452,6 +444,10 @@ def example_from_json(line: str, lineno: int | None = None) -> PretrainingExampl
     if not loss_on.issubset(rwd_labels):
         stray = next(p for p in record["rwd_loss_mask"] if p not in rwd_labels)
         raise ParseError(f"rwd_loss_mask position {stray!r} is not a marker position", lineno)
+    non_markers = len(input_ids) - len(rwd_labels)
+    if not 0 <= meta["n_chars"] <= non_markers:
+        raise ParseError(f"meta.n_chars {meta['n_chars']} is outside [0, {non_markers}], "
+                         f"the non-marker token count", lineno)
     return example
 
 
@@ -533,30 +529,6 @@ class MaskingStats:
         num, den = (getattr(self, attr) for attr in _RATES[name])
         return num / den if den else None
 
-    def masked_char_fraction(self) -> float | None:
-        return self._rate("masked_char_fraction")
-
-    def no_marker_fraction(self) -> float | None:
-        return self._rate("no_marker_fraction")
-
-    def wwm_fraction(self) -> float | None:
-        return self._rate("wwm_fraction")
-
-    def replaced_word_rate(self) -> float | None:
-        return self._rate("replaced_word_rate")
-
-    def pinyin_share(self) -> float | None:
-        return self._rate("pinyin_share")
-
-    def synonym_share(self) -> float | None:
-        return self._rate("synonym_share")
-
-    def normal_marker_loss_rate(self) -> float | None:
-        return self._rate("normal_marker_loss_rate")
-
-    def confusion_marker_loss_rate(self) -> float | None:
-        return self._rate("confusion_marker_loss_rate")
-
     def to_dict(self) -> dict:
         return {"counts": {name: getattr(self, attr) for name, attr in _COUNTS.items()},
                 "rates": {name: self._rate(name) for name in _RATES}}
@@ -600,7 +572,6 @@ def pack_corpus(documents: Iterable[Iterable[Segmentation]], cfg: MaskingConfig,
 def build_document(doc_id: int, lines: Sequence[str], part: int = 0, parts: int = 1, *,
                    segmenter: Segmenter, vocab: Vocab, resources: Resources,
                    cfg: MaskingConfig, corpus_seed: int,
-                   policy: ConfusionPolicy = ConfusionPolicy(), pos_markers: bool = False,
                    pack: Callable[..., list[PackedSegment]] = pack_corpus
                    ) -> list[PretrainingExample]:
     """Segment one document's lines with ``segmenter``, pack them with
@@ -609,16 +580,13 @@ def build_document(doc_id: int, lines: Sequence[str], part: int = 0, parts: int 
     all of them)."""
     packed = pack([map(segmenter, lines)], cfg, first_doc_id=doc_id)
     n = len(packed)
-    return [build_packed_example(p, vocab, resources, cfg, corpus_seed,
-                                 policy=policy, pos_markers=pos_markers)
+    return [build_packed_example(p, vocab, resources, cfg, corpus_seed)
             for p in packed[part * n // parts:(part + 1) * n // parts]]
 
 
 def generate_examples(documents: Sequence[Sequence[str]], segmenter: Segmenter,
                       vocab: Vocab, resources: Resources, cfg: MaskingConfig,
                       corpus_seed: int, *, workers: int = 1,
-                      policy: ConfusionPolicy = ConfusionPolicy(),
-                      pos_markers: bool = False,
                       pack: Callable[..., list[PackedSegment]] = pack_corpus
                       ) -> list[PretrainingExample]:
     """Build the examples of every document (see :func:`read_documents`)
@@ -633,7 +601,7 @@ def generate_examples(documents: Sequence[Sequence[str]], segmenter: Segmenter,
     """
     build = functools.partial(build_document, segmenter=segmenter, vocab=vocab,
                               resources=resources, cfg=cfg, corpus_seed=corpus_seed,
-                              policy=policy, pos_markers=pos_markers, pack=pack)
+                              pack=pack)
     tasks = _worker_tasks(documents, workers)
     if workers <= 1 or len(tasks) < 2:
         return [ex for task in tasks for ex in _build_task(build, task)]

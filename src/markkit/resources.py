@@ -67,14 +67,6 @@ class Lexicon:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def pos_of(self, word: str) -> str | None:
-        entry = self.entries.get(word)
-        return entry.pos if entry is not None else None
-
-    def pos_tags(self) -> list[str]:
-        """Sorted set of POS tags observed across all entries."""
-        return sorted({e.pos for e in self.entries.values() if e.pos is not None})
-
 
 def load_lexicon(path: str | Path) -> Lexicon:
     """Parse a lexicon TSV. Duplicate words keep the first occurrence;

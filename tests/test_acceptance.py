@@ -58,12 +58,13 @@ def test_criterion_2_schedule_conformance(toy_world, toy_resources):
                            random.Random(derive_seed(31, i, 0)))
         stats.add(ex)
     assert stats.n_examples == n_examples
-    assert abs(stats.masked_char_fraction() - 0.15) < 0.005
-    assert abs(stats.no_marker_fraction() - 0.30) < 0.01
-    assert abs(stats.wwm_fraction() - 0.50) < 0.01
-    assert abs(stats.replaced_word_rate() - 0.30) < 0.01
-    assert abs(stats.normal_marker_loss_rate() - 0.15) < 0.01
-    assert stats.confusion_marker_loss_rate() == 1.0
+    rates = stats.to_dict()["rates"]
+    assert abs(rates["masked_char_fraction"] - 0.15) < 0.005
+    assert abs(rates["no_marker_fraction"] - 0.30) < 0.01
+    assert abs(rates["wwm_fraction"] - 0.50) < 0.01
+    assert abs(rates["replaced_word_rate"] - 0.30) < 0.01
+    assert abs(rates["normal_marker_loss_rate"] - 0.15) < 0.01
+    assert rates["confusion_marker_loss_rate"] == 1.0
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"took {elapsed:.1f}s"
     report(2, f"schedule conformance over {n_examples} examples, {elapsed:.0f}s")

@@ -9,11 +9,12 @@ import pytest
 
 import markkit
 from helpers import reference_synonyms
-from markkit.cli import clamp_workers, main, print_stats
+from markkit.cli import _masking_config, build_parser, clamp_workers, main, print_stats
+from markkit.confusion import ConfusionPolicy
 from markkit.errors import ConfigError
 from markkit.ner import NerExample, write_conll
-from markkit.pretrain import (MaskingStats, PretrainingExample, corpus_stats,
-                              example_from_json, example_to_json)
+from markkit.pretrain import (MaskingConfig, MaskingStats, PretrainingExample,
+                              corpus_stats, example_from_json, example_to_json)
 from markkit.toy import write_toy_corpus, write_toy_resources
 
 
@@ -200,6 +201,31 @@ class TestBuildCorpusCommand:
         assert len(lines) == 1
         assert json.loads(lines[0]) == {"error": "input", "exit_code": 4,
                                         "message": "empty word token (double or trailing space?)"}
+        assert not out.exists()
+
+    @staticmethod
+    def masking_config(*flags):
+        return _masking_config(build_parser().parse_args(
+            ["build-corpus", "--embeddings", "e", "--pinyin", "p", "--vocab", "v",
+             "--in", "c", *flags]))
+
+    def test_default_flags_give_default_masking_config(self):
+        assert self.masking_config() == MaskingConfig()
+
+    def test_policy_and_pos_marker_flags_reach_masking_config(self):
+        cfg = self.masking_config("--p-pinyin", "0.2", "--k-syn", "3", "--pos-markers")
+        assert cfg.policy == ConfusionPolicy(p_pinyin=0.2, k_syn=3)
+        assert cfg.pos_markers
+
+    @pytest.mark.parametrize("flag,value,name", [("--p-pinyin", "1.5", "p_pinyin"),
+                                                 ("--k-syn", "0", "k_syn")])
+    def test_bad_confusion_flag_exit_5(self, env, tmp_path, capsys, flag, value, name):
+        out = tmp_path / "out"
+        assert run_build(env[0], out, extra=[flag, value]) == 5
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "config" and name in err["message"]
         assert not out.exists()
 
     def test_pretokenized_input(self, env, tmp_path):
@@ -552,6 +578,7 @@ class TestErrorHandling:
     @pytest.mark.parametrize("field,value,message", [
         ("n_chars", "3", "meta.n_chars '3' is not an integer"),
         ("n_chars", 2.5, "meta.n_chars 2.5 is not an integer"),
+        ("n_chars", -5, "meta.n_chars -5 is outside [0, 3], the non-marker token count"),
         ("no_marker", "yes", "meta.no_marker 'yes' is not a boolean"),
     ])
     def test_malformed_meta_exit_4(self, tmp_path, capsys, field, value, message):

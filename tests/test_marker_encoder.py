@@ -16,7 +16,7 @@ class TestEncodeMarked:
         assert list(marked.marker_positions) == [3, 5, 7]
         assert marked.char_alignment == {1: 0, 2: 1, 4: 2, 6: 3}
         assert not marked.truncated
-        assert marked.word_of_marker[3] == WordSpan(0, 2)
+        assert marked.words == (WordSpan(0, 2), WordSpan(2, 3), WordSpan(3, 4))
 
     def test_vanilla_downgrade(self, tiny_vocab):
         marked = encode_marked(SEG, tiny_vocab, insert_markers=False)
@@ -33,17 +33,13 @@ class TestEncodeMarked:
         assert not marked.has_cls_sep
         assert set(marked.char_alignment) | set(marked.marker_positions) == set(range(7))
 
-    def test_no_marker_after_last(self, tiny_vocab):
-        marked = encode_marked(SEG, tiny_vocab, marker_after_last=False)
-        assert list(marked.ids) == [2, 6, 7, 5, 8, 5, 9, 3]
-        assert list(marked.marker_positions) == [3, 5]
-
     def test_truncation_at_word_boundary(self, tiny_vocab):
         # budget of 6 after CLS/SEP: 天气+[S] (3) + 很+[S] (2) fit, 好 does not
         marked = encode_marked(SEG, tiny_vocab, max_len=8)
         assert marked.truncated
         assert list(marked.ids) == [2, 6, 7, 5, 8, 5, 3]
         assert len(marked.ids) <= 8
+        assert marked.words == SEG.spans[:2]
 
     def test_max_len_too_small(self, tiny_vocab):
         with pytest.raises(ConfigError):

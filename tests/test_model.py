@@ -396,7 +396,7 @@ class TestAttentionExport:
         model = MarkBert(tiny_cfg(vocab_size=len(tiny_vocab)))
         out = model.forward([ex])
         with pytest.raises(InputError):
-            export_attention(out, [ex])
+            export_attention(out, [ex], vocab=tiny_vocab)
 
 
 class TestCheckpoint:

@@ -31,6 +31,8 @@ class TestMaskingConfig:
         assert cfg.p_replace_word == 0.30
         assert cfg.p_normal_marker_loss == 0.15
         assert cfg.max_len == 512
+        assert cfg.policy == ConfusionPolicy(p_pinyin=0.5, k_syn=5)
+        assert not cfg.pos_markers
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -93,13 +95,14 @@ def test_stochastic_round_bounds():
     assert abs(sum(values) / len(values) - 2.3) < 0.05
 
 
-def replay_build(seg, vocab, resources, cfg, seed, policy=ConfusionPolicy()):
+def replay_build(seg, vocab, resources, cfg, seed):
     """Independent replay of the documented RNG protocol."""
     rng = random.Random(seed)
     no_marker = rng.random() < cfg.p_no_marker
     wwm = rng.random() < cfg.p_wwm
     marked = encode_marked(seg, vocab, insert_markers=not no_marker,
-                           max_len=cfg.max_len, add_cls_sep=True)
+                           pos_markers=cfg.pos_markers, max_len=cfg.max_len,
+                           add_cls_sep=True)
     ids = list(marked.ids)
     mlm_labels, rwd_labels, loss_mask = {}, {}, {}
 
@@ -110,20 +113,20 @@ def replay_build(seg, vocab, resources, cfg, seed, policy=ConfusionPolicy()):
             cursor += len(span)
     else:
         word_positions, cursor = [], 1
-        for marker_pos in sorted(marked.word_of_marker):
+        for marker_pos in marked.marker_positions:
             word_positions.append(list(range(cursor, marker_pos)))
             cursor = marker_pos + 1
 
     replaced = set()
     if not no_marker:
-        for w, marker_pos in enumerate(sorted(marked.word_of_marker)):
-            span = marked.word_of_marker[marker_pos]
+        for w, marker_pos in enumerate(marked.marker_positions):
+            span = seg.spans[w]
             rwd_labels[marker_pos] = RwdLabel.NORMAL
             if rng.random() >= cfg.p_replace_word:
                 continue
             word = seg.text[span.start:span.end]
             choice = sample_confusion(word, resources.embeddings, resources.pinyin,
-                                      rng, policy)
+                                      rng, cfg.policy)
             if choice is None:
                 continue
             for offset, pos in enumerate(word_positions[w]):
@@ -186,21 +189,24 @@ def replay_build(seg, vocab, resources, cfg, seed, policy=ConfusionPolicy()):
 
 class TestBuildExample:
     def test_fixed_seed_replay_oracle(self, toy_world, toy_resources):
-        cfg = MaskingConfig(max_len=40)
-        lines = toy_corpus_lines(toy_world.words, 50, seed=21, pretokenized=True)
-        for i, line in enumerate(l for l in lines if l):
-            seg = parse_pretokenized(line)
-            seed = derive_seed(17, 0, i)
-            got = build_example(seg, toy_world.vocab, toy_resources, cfg,
-                                random.Random(seed))
-            ids, mlm, rwd, mask, no_marker, wwm, _, _ = replay_build(
-                seg, toy_world.vocab, toy_resources, cfg, seed)
-            assert list(got.input_ids) == ids
-            assert got.mlm_labels == mlm
-            assert got.rwd_labels == rwd
-            assert got.rwd_loss_mask == mask
-            assert got.meta.no_marker == no_marker
-            assert got.meta.wwm == wwm
+        lines = [l for l in toy_corpus_lines(toy_world.words, 50, seed=21, pretokenized=True)
+                 if l]
+        for cfg in (MaskingConfig(max_len=40),
+                    MaskingConfig(max_len=40, policy=ConfusionPolicy(p_pinyin=0.9, k_syn=2),
+                                  pos_markers=True)):
+            for i, line in enumerate(lines):
+                seg = parse_pretokenized(line)
+                seed = derive_seed(17, 0, i)
+                got = build_example(seg, toy_world.vocab, toy_resources, cfg,
+                                    random.Random(seed))
+                ids, mlm, rwd, mask, no_marker, wwm, _, _ = replay_build(
+                    seg, toy_world.vocab, toy_resources, cfg, seed)
+                assert list(got.input_ids) == ids
+                assert got.mlm_labels == mlm
+                assert got.rwd_labels == rwd
+                assert got.rwd_loss_mask == mask
+                assert got.meta.no_marker == no_marker
+                assert got.meta.wwm == wwm
 
     def test_zero_probability_schedule(self, toy_world, toy_resources):
         cfg = MaskingConfig(mask_ratio=0.0, p_replace_word=0.0, p_no_marker=0.0,
@@ -252,21 +258,19 @@ class TestBuildExample:
                                           toy_resources, cfg,
                                           random.Random(derive_seed(2, 0, i))))
         stats = corpus_stats(examples)
-        assert stats.masked_char_fraction() == pytest.approx(0.15, abs=0.02)
-        assert stats.no_marker_fraction() == pytest.approx(0.30, abs=0.03)
-        assert stats.wwm_fraction() == pytest.approx(0.50, abs=0.03)
-        assert stats.replaced_word_rate() == pytest.approx(0.30, abs=0.03)
-        assert stats.normal_marker_loss_rate() == pytest.approx(0.15, abs=0.03)
-        assert stats.confusion_marker_loss_rate() == 1.0
+        rates = stats.to_dict()["rates"]
+        assert rates["masked_char_fraction"] == pytest.approx(0.15, abs=0.02)
+        assert rates["no_marker_fraction"] == pytest.approx(0.30, abs=0.03)
+        assert rates["wwm_fraction"] == pytest.approx(0.50, abs=0.03)
+        assert rates["replaced_word_rate"] == pytest.approx(0.30, abs=0.03)
+        assert rates["normal_marker_loss_rate"] == pytest.approx(0.15, abs=0.03)
+        assert rates["confusion_marker_loss_rate"] == 1.0
 
 
 class TestCorpusStats:
     def test_empty_iterator(self):
         stats = corpus_stats([])
         assert stats.n_examples == 0
-        assert stats.masked_char_fraction() is None
-        assert stats.no_marker_fraction() is None
-        assert stats.replaced_word_rate() is None
         rates = stats.to_dict()["rates"]
         assert all(v is None for v in rates.values())
 
@@ -330,6 +334,7 @@ class TestJsonInterchange:
         ("doc_id", True, "meta.doc_id True is not an integer"),
         ("seed", 1.0, "meta.seed 1.0 is not an integer"),
         ("n_chars", "3", "meta.n_chars '3' is not an integer"),
+        ("n_chars", -5, r"meta.n_chars -5 is outside \[0, 3\], the non-marker token count"),
         ("wwm", 1, "meta.wwm 1 is not a boolean"),
         ("truncated", None, "meta.truncated None is not a boolean"),
     ])
