@@ -40,8 +40,8 @@ from .pretrain import (MaskingConfig, MaskingStats, corpus_stats, example_from_j
                        read_documents)
 from .resources import (Resources, decode_text, load_embeddings, load_lexicon,
                         load_pinyin_table, read_text)
-from .segmenter import (Segmenter, make_lexicon_segmenter, parse_pretokenized,
-                        render_spaced)
+from .segmenter import (Segmentation, Segmenter, make_lexicon_segmenter,
+                        parse_pretokenized, render_spaced)
 
 DEFAULT_SEED = 12345
 
@@ -101,12 +101,26 @@ def _segmenter_from_args(args) -> Segmenter:
     return make_lexicon_segmenter(lexicon)
 
 
+def _segment_line(seg_fn: Segmenter, line: str, lineno: int) -> Segmentation:
+    """``seg_fn(line)``; a ParseError names ``lineno``, the line's 1-based
+    number in ``--in`` (a segmenter sees one line and cannot)."""
+    try:
+        return seg_fn(line)
+    except ParseError as exc:
+        raise ParseError(str(exc), lineno) from None
+
+
 def _masking_config(args) -> MaskingConfig:
-    return MaskingConfig(mask_ratio=args.mask_ratio, p_no_marker=args.p_no_marker,
-                         p_wwm=args.p_wwm, p_replace_word=args.p_replace_word,
-                         p_normal_marker_loss=args.p_normal_marker_loss,
-                         max_len=args.max_len, pos_markers=args.pos_markers,
-                         policy=ConfusionPolicy(p_pinyin=args.p_pinyin, k_syn=args.k_syn))
+    """The schedule the flags give; a bad value raises ConfigError naming
+    its flag (each setting's flag is its name with dashes)."""
+    try:
+        return MaskingConfig(mask_ratio=args.mask_ratio, p_no_marker=args.p_no_marker,
+                             p_wwm=args.p_wwm, p_replace_word=args.p_replace_word,
+                             p_normal_marker_loss=args.p_normal_marker_loss,
+                             max_len=args.max_len, pos_markers=args.pos_markers,
+                             policy=ConfusionPolicy(p_pinyin=args.p_pinyin, k_syn=args.k_syn))
+    except ConfigError as exc:
+        raise ConfigError(exc.reason, "--" + exc.setting.replace("_", "-")) from None
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -127,10 +141,10 @@ def cmd_encode(args) -> int:
     vocab = load_vocab(_resource_path(args.vocab))
     seg_fn = _segmenter_from_args(args)
     records = []
-    for line in _read_lines(args.infile):
+    for lineno, line in enumerate(_read_lines(args.infile), start=1):
         if not line.strip():
             continue
-        marked = encode_marked(seg_fn(line.strip()), vocab,
+        marked = encode_marked(_segment_line(seg_fn, line.strip(), lineno), vocab,
                                insert_markers=not args.no_markers,
                                pos_markers=args.pos_markers,
                                max_len=args.max_len,
@@ -174,9 +188,15 @@ def cmd_build_corpus(args) -> int:
         resources = Resources(embeddings=load_embeddings(embeddings),
                               pinyin=load_pinyin_table(pinyin))
     seg_fn = _segmenter_from_args(args)
-    documents = list(read_documents(_read_lines(args.infile)))
-    examples = generate_examples(documents, seg_fn, vocab, resources, cfg, args.seed,
-                                 workers=workers, pack=pack_corpus)
+    lines = _read_lines(args.infile)
+    try:
+        examples = generate_examples(list(read_documents(lines)), seg_fn, vocab, resources,
+                                     cfg, args.seed, workers=workers, pack=pack_corpus)
+    except ParseError:
+        if args.pretokenized:  # raised where the line number is unknown: find the line
+            for lineno, line in enumerate(lines, start=1):
+                _segment_line(seg_fn, line, lineno)
+        raise
     _write_text(args.out, "\n".join(example_to_json(ex) for ex in examples)
                 + ("\n" if examples else ""))
     return 0
@@ -264,10 +284,10 @@ def cmd_attn_dump(args) -> int:
     vocab = load_vocab(_resource_path(args.vocab))
     seg_fn = _segmenter_from_args(args)
     batch = []
-    for line in _read_lines(args.infile):
+    for lineno, line in enumerate(_read_lines(args.infile), start=1):
         if not line.strip():
             continue
-        marked = encode_marked(seg_fn(line.strip()), vocab,
+        marked = encode_marked(_segment_line(seg_fn, line.strip(), lineno), vocab,
                                insert_markers=not args.no_markers,
                                pos_markers=args.pos_markers,
                                max_len=min(args.max_len, model.cfg.max_positions))

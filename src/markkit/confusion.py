@@ -43,9 +43,9 @@ class ConfusionPolicy:
 
     def __post_init__(self):
         if not 0.0 <= self.p_pinyin <= 1.0:
-            raise ConfigError(f"p_pinyin must be in [0, 1], got {self.p_pinyin}")
+            raise ConfigError(f"must be in [0, 1], got {self.p_pinyin}", "p_pinyin")
         if self.k_syn < 1:
-            raise ConfigError(f"k_syn must be >= 1, got {self.k_syn}")
+            raise ConfigError(f"must be >= 1, got {self.k_syn}", "k_syn")
 
 
 def synonym_candidates(word: str, emb: WordEmbeddings, k: int) -> list[ConfusionChoice]:

@@ -30,7 +30,12 @@ class InputError(MarkkitError):
 
 
 class ConfigError(MarkkitError):
-    """A configuration value or vocabulary is invalid."""
+    """A configuration value or vocabulary is invalid. Names the invalid
+    setting when known, as ``<setting> <reason>``."""
+
+    def __init__(self, reason: str, setting: str | None = None):
+        self.reason, self.setting = reason, setting
+        super().__init__(reason if setting is None else f"{setting} {reason}")
 
 
 class TrainingError(MarkkitError):

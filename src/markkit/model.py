@@ -18,9 +18,10 @@ head's vocabulary projection runs only there: (M, V) logits for the M
 labelled (example, position) rows of a batch. Vocabulary logits, their
 softmax and their gradient are never computed where no label exists.
 
-One helper walks the batch once and builds every (example, position)
-index array both objectives gather: ``forward`` takes its MLM and marker
-rows from it, and ``loss_and_gradients`` its losses, logit gradients and
+One helper walks the batch once per step and builds every (example,
+position) index array both objectives gather: ``forward`` takes its MLM
+and marker rows from it and hands them on in ``ForwardOutput.rows``, from
+which ``loss_and_gradients`` takes its losses, logit gradients and
 accuracies (:class:`StepMetrics`).
 
 The detection loss and the masked-LM loss are means over their included
@@ -109,17 +110,17 @@ class ForwardOutput:
     """Logits plus (optionally) captured attention probabilities.
 
     ``mlm_logits`` is (M, V): one row per MLM-labelled position, sorted by
-    example, then position. ``forward`` records the (example, position)
-    index arrays of those rows in ``mlm_rows``.
-    ``rwd_logits[i]`` has one row per marker of example ``i``, in
-    ascending marker-position order. ``_cache`` holds the activations
-    needed for the backward pass, among them the marker rows.
+    example, then position. ``rwd_logits[i]`` has one row per marker of
+    example ``i``, in ascending marker-position order. ``forward`` records
+    the batch's (example, position) rows, among them those of both logit
+    tensors, in ``rows``, which ``loss_and_gradients`` and ``backward``
+    read. ``_cache`` holds the activations needed for the backward pass.
     """
 
     mlm_logits: np.ndarray
     rwd_logits: list[np.ndarray]
     attentions: list[np.ndarray] | None = None
-    mlm_rows: tuple[np.ndarray, np.ndarray] | None = None
+    rows: _BatchRows | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
 
@@ -282,13 +283,12 @@ class MarkBert:
         _check_token_ids("token id", ids, cfg.vocab_size)
         rows = _batch_rows(batch, cfg.rwd_classes)
         _check_token_ids("MLM label token id", rows.mlm_labels, cfg.vocab_size)
-        cache: dict = {"ids": ids, "valid": valid, "markers": rows.markers,
-                       "train": train, "layers": []}
+        cache: dict = {"ids": ids, "valid": valid, "train": train, "layers": []}
         if L == 0:
             return ForwardOutput(mlm_logits=np.zeros((0, cfg.vocab_size)),
                                  rwd_logits=[np.zeros((0, cfg.rwd_classes)) for _ in batch],
                                  attentions=[] if capture_attention else None,
-                                 mlm_rows=rows.mlm, _cache=cache)
+                                 rows=rows, _cache=cache)
 
         H = cfg.hidden_dim
         nh = cfg.num_heads
@@ -342,13 +342,13 @@ class MarkBert:
         mlm_logits += self._p("mlm.bias")
         cache.update(t1=t1, t3=t3)
 
-        markers = cache["markers"]
+        markers = rows.markers
         rwd = h[markers] @ self._p("rwd.w") + self._p("rwd.b")
         rwd_logits = np.split(rwd, np.searchsorted(markers[0], np.arange(1, B)))
 
         return ForwardOutput(mlm_logits=mlm_logits, rwd_logits=rwd_logits,
                              attentions=attentions if capture_attention else None,
-                             mlm_rows=rows.mlm, _cache=cache)
+                             rows=rows, _cache=cache)
 
     # -- backward ----------------------------------------------------------
 
@@ -360,7 +360,7 @@ class MarkBert:
         kept in the cache (``dh_mlm``, ``dh_rwd``) for inspection.
         """
         cache = out._cache
-        ids, valid, markers = cache["ids"], cache["valid"], cache["markers"]
+        ids, valid, markers = cache["ids"], cache["valid"], out.rows.markers
         B, L = ids.shape
         if L == 0:
             return
@@ -372,8 +372,8 @@ class MarkBert:
         # MLM head: only the labelled rows have logits and receive a gradient
         t3 = cache["t3"]
         dt3 = np.zeros_like(t3)
-        dt3[out.mlm_rows] = dmlm_logits @ self._p("token_embedding")
-        self._g("token_embedding")[...] += dmlm_logits.T @ t3[out.mlm_rows]
+        dt3[out.rows.mlm] = dmlm_logits @ self._p("token_embedding")
+        self._g("token_embedding")[...] += dmlm_logits.T @ t3[out.rows.mlm]
         self._g("mlm.bias")[...] += dmlm_logits.sum(axis=0)
         dt2, dg, db = _layernorm_bwd(dt3, cache["mlm_ln"], self._p("mlm.ln.gamma"))
         self._g("mlm.ln.gamma")[...] += dg
@@ -499,8 +499,11 @@ def loss_and_gradients(out: ForwardOutput, batch: Sequence[PretrainingExample],
     Each loss is a mean over its included positions; an empty set
     contributes zero loss and zero gradient and has no accuracy.
     Gradients at unlabeled / excluded positions are exactly zero.
+
+    The rows come from ``out.rows`` when ``forward`` built ``out`` (from
+    ``batch``, with the model's ``rwd_classes``), else from ``batch``.
     """
-    rows = _batch_rows(batch, rwd_classes)
+    rows = out.rows if out.rows is not None else _batch_rows(batch, rwd_classes)
     logits = out.mlm_logits
     if len(logits) != len(rows.mlm_labels):
         raise InputError(f"{len(logits)} MLM logit rows for "

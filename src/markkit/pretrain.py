@@ -88,9 +88,9 @@ class MaskingConfig:
                      "p_normal_marker_loss"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {value}")
+                raise ConfigError(f"must be in [0, 1], got {value}", name)
         if self.max_len < 3:
-            raise ConfigError(f"max_len must be >= 3, got {self.max_len}")
+            raise ConfigError(f"must be >= 3, got {self.max_len}", "max_len")
 
 
 @dataclass(frozen=True)

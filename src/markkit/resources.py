@@ -14,6 +14,8 @@ worker processes.
 
 from __future__ import annotations
 
+import os
+import stat
 import unicodedata
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +25,9 @@ import numpy as np
 from .errors import ParseError, ResourceError
 
 _TONE_DIGITS = "012345"
+# Bytes per block of a streamed embeddings file. A block's bytes, decoded
+# text and lines take about five times this at once.
+EMBEDDING_BLOCK_BYTES = 1 << 18
 
 
 def read_text(path: str | Path) -> str:
@@ -180,11 +185,12 @@ def load_embeddings(path: str | Path) -> WordEmbeddings:
     (counted, not fatal). Duplicate words keep their first accepted
     occurrence.
 
-    A regular file (see :func:`_parse_regular`) is parsed in one numpy
-    call; any other file line by line. Both give the same result.
+    A regular file (see :func:`_parse_streamed`) is read in blocks
+    straight into its matrix; any other file is parsed line by line from
+    its whole text. Both give the same result.
     """
-    data, dim = _embedding_lines(path)
-    return _embeddings_from_rows(*(_parse_regular(data, dim) or _parse_by_line(data, dim)))
+    return _embeddings_from_rows(*(_parse_streamed(path)
+                                   or _parse_by_line(*_embedding_lines(path))))
 
 
 def _embeddings_from_rows(words: list[str], rows: np.ndarray, rejected: int) -> WordEmbeddings:
@@ -201,45 +207,88 @@ def _embeddings_from_rows(words: list[str], rows: np.ndarray, rejected: int) -> 
     return WordEmbeddings(tuple(first), rows, picks, rejected, duplicates)
 
 
+def _embedding_header(line: str) -> tuple[int, int]:
+    """The ``(count, dim)`` of an embeddings file's header line."""
+    header = line.split()
+    if len(header) != 2:
+        raise ParseError(f"header must be '<count> <dim>', got {line!r}", 1)
+    try:
+        count, dim = int(header[0]), int(header[1])
+    except ValueError:
+        raise ParseError(f"header must be two integers, got {line!r}", 1) from None
+    if count < 0 or dim <= 0:
+        raise ParseError(f"invalid header values: count={count} dim={dim}", 1)
+    return count, dim
+
+
 def _embedding_lines(path: str | Path) -> tuple[list[tuple[int, str]], int]:
     """The non-blank data lines of an embeddings file with their line
     numbers, and the header's dim, once the header is checked."""
     lines = read_text(path).splitlines()
     if not lines:
         raise ParseError("missing header line", 1)
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ParseError(f"header must be '<count> <dim>', got {lines[0]!r}", 1)
-    try:
-        count, dim = int(header[0]), int(header[1])
-    except ValueError:
-        raise ParseError(f"header must be two integers, got {lines[0]!r}", 1) from None
-    if count < 0 or dim <= 0:
-        raise ParseError(f"invalid header values: count={count} dim={dim}", 1)
+    count, dim = _embedding_header(lines[0])
     data = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(data) != count:
         raise ParseError(f"header declares {count} entries but file has {len(data)} rows")
     return data, dim
 
 
-def _parse_regular(data: list[tuple[int, str]], dim: int
-                   ) -> tuple[list[str], np.ndarray, int] | None:
-    """Words, rows and the rejected count of ``data`` in one ``np.loadtxt``
-    call, or None unless the lines are regular: at least one, each with
-    exactly ``dim`` single spaces after a word without whitespace, and
-    every value one that ``loadtxt`` parses. ``loadtxt`` gives the same
-    double as ``float`` for each value it parses; the values only ``float``
-    takes (``1_0``, full-width digits) make it raise, and the caller then
-    parses line by line."""
-    if not data or any(ln.count(" ") != dim for _, ln in data):
-        return None
-    words = [ln.partition(" ")[0] for _, ln in data]
-    if " ".join(words).split() != words:
-        return None
+def _parse_streamed(path: str | Path) -> tuple[list[str], np.ndarray, int] | None:
+    """Words, rows and the rejected count of a regular embeddings file, or
+    None for any other file, which the caller then parses line by line.
+
+    The file is read in blocks of about ``EMBEDDING_BLOCK_BYTES``, each cut
+    after a newline, so its whole text is never held; each block's rows
+    are parsed in one ``np.loadtxt`` call into a matrix sized from the
+    header. A file is regular when it is UTF-8 with a valid header whose
+    count is its number of non-blank data lines, and each of those lines
+    has exactly ``dim`` single spaces after a word without whitespace and
+    values that ``loadtxt`` parses. ``loadtxt`` gives the same double as
+    ``float`` for each value it parses; the values only ``float`` takes
+    (``1_0``, full-width digits) make it raise.
+
+    The header's count sizes the matrix only once the file is large
+    enough to hold that many regular rows (at least ``2 * dim`` bytes
+    each), so a wrong count cannot request a huge allocation."""
     try:
-        rows = np.loadtxt((ln for _, ln in data), delimiter=" ", comments=None,
-                          usecols=range(1, dim + 1), ndmin=2)
-    except ValueError:
+        file = open(path, "rb")
+    except OSError:
+        return None  # the line-by-line path reports it
+    with file:
+        info = os.fstat(file.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            return None  # a pipe cannot be read a second time
+        words: list[str] = []
+        rows = None
+        while block := file.read(EMBEDDING_BLOCK_BYTES):
+            try:
+                lines = (block + file.readline()).decode("utf-8").splitlines()
+            except UnicodeDecodeError:
+                return None
+            if rows is None:  # the first block starts with the header
+                try:
+                    count, dim = _embedding_header(lines.pop(0))
+                except ParseError:
+                    return None
+                if 2 * count * dim > info.st_size:
+                    return None
+                rows = np.empty((count, dim))
+            data = [ln for ln in lines if ln.strip()]
+            if not data:
+                continue
+            if len(words) + len(data) > count or any(ln.count(" ") != dim for ln in data):
+                return None
+            block_words = [ln.partition(" ")[0] for ln in data]
+            if " ".join(block_words).split() != block_words:
+                return None
+            try:
+                rows[len(words):len(words) + len(data)] = np.loadtxt(
+                    data, delimiter=" ", comments=None, usecols=range(1, dim + 1), ndmin=2)
+            except ValueError:
+                return None
+            words += block_words
+    if rows is None or len(words) != count:
         return None
     return words, rows, 0
 
@@ -250,7 +299,9 @@ def _parse_by_line(data: list[tuple[int, str]], dim: int
     the exact path for any file. A row of the wrong length is rejected; a
     component ``float`` cannot parse raises ParseError naming its line."""
     words: list[str] = []
-    rows = np.empty((len(data), dim))
+    # a line with a word and ``dim`` values has more than ``2 * dim``
+    # characters, so a header dim no line can hold sizes no rows
+    rows = np.empty((sum(len(ln) > 2 * dim for _, ln in data), dim))
     rejected = 0
     for lineno, line in data:
         parts = line.split()

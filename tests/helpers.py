@@ -7,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 
+from markkit.errors import ParseError
 from markkit.ner import EntitySpan
-from markkit.resources import load_embeddings
+from markkit.resources import _embeddings_from_rows, load_embeddings, read_text
 from markkit.segmenter import Segmentation, WordSpan
 
 ENTITY_TYPES = ("LOC", "ORG", "PER")
@@ -86,6 +87,41 @@ def reference_synonyms(word, emb, k):
               for j, i in enumerate(bucket) if i != row]
     scored.sort(key=lambda t: (-t[0], t[1]))
     return scored[:k]
+
+
+def reference_embeddings(path):
+    """Reference: the whole-file loader. Decode the whole text, check the
+    header against the non-blank lines, parse every line with ``float``
+    (a row of the wrong length is rejected), then normalize and drop
+    duplicates through the same tail as ``load_embeddings``."""
+    lines = read_text(path).splitlines()
+    if not lines:
+        raise ParseError("missing header line", 1)
+    header = lines[0].split()
+    if len(header) != 2:
+        raise ParseError(f"header must be '<count> <dim>', got {lines[0]!r}", 1)
+    try:
+        count, dim = int(header[0]), int(header[1])
+    except ValueError:
+        raise ParseError(f"header must be two integers, got {lines[0]!r}", 1) from None
+    if count < 0 or dim <= 0:
+        raise ParseError(f"invalid header values: count={count} dim={dim}", 1)
+    data = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
+    if len(data) != count:
+        raise ParseError(f"header declares {count} entries but file has {len(data)} rows")
+    words, rows, rejected = [], [], 0
+    for lineno, line in data:
+        parts = line.split()
+        try:
+            values = [float(x) for x in parts[1:]]
+        except ValueError:
+            raise ParseError(f"non-numeric vector component in {line!r}", lineno) from None
+        if len(values) != dim:
+            rejected += 1
+            continue
+        rows.append(values)
+        words.append(parts[0])
+    return _embeddings_from_rows(words, np.array(rows, dtype=float).reshape(-1, dim), rejected)
 
 
 def dense_mlm_logits(model, out):

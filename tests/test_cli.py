@@ -12,6 +12,8 @@ from helpers import reference_synonyms
 from markkit.cli import _masking_config, build_parser, clamp_workers, main, print_stats
 from markkit.confusion import ConfusionPolicy
 from markkit.errors import ConfigError
+from markkit.marker_encoder import load_vocab
+from markkit.model import MarkBert, ModelConfig, save_checkpoint
 from markkit.ner import NerExample, write_conll
 from markkit.pretrain import (MaskingConfig, MaskingStats, PretrainingExample,
                               corpus_stats, example_from_json, example_to_json)
@@ -189,18 +191,23 @@ class TestBuildCorpusCommand:
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_parse_error_in_a_document_exit_4(self, env, tmp_path, capsys, workers):
         """A ParseError raised while a worker segments a document reaches `main`
-        as it does in process: exit 4, one JSON error line, no output."""
+        as it does in process: exit 4, one JSON error line naming the line of
+        --in, no output."""
         root, _ = env
         docs = (root / "corpus_tok.txt").read_text(encoding="utf-8").split("\n\n")
+        text = "\n\n".join([*docs[:3], "天气  很", *docs[3:]])
         bad, out = tmp_path / "bad.txt", tmp_path / "ex.jsonl"
-        bad.write_text("\n\n".join([*docs[:3], "天气  很", *docs[3:]]), encoding="utf-8")
+        bad.write_text(text, encoding="utf-8")
+        lineno = text[:text.index("天气  很")].count("\n") + 1
+        assert lineno > 3
         code = main(["build-corpus", *res_args(root), "--in", str(bad), "--out", str(out),
                      "--pretokenized", "--max-len", "48", "--workers", workers])
         assert code == 4
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
-        assert json.loads(lines[0]) == {"error": "input", "exit_code": 4,
-                                        "message": "empty word token (double or trailing space?)"}
+        assert json.loads(lines[0]) == {
+            "error": "input", "exit_code": 4,
+            "message": f"line {lineno}: empty word token (double or trailing space?)"}
         assert not out.exists()
 
     @staticmethod
@@ -216,17 +223,6 @@ class TestBuildCorpusCommand:
         cfg = self.masking_config("--p-pinyin", "0.2", "--k-syn", "3", "--pos-markers")
         assert cfg.policy == ConfusionPolicy(p_pinyin=0.2, k_syn=3)
         assert cfg.pos_markers
-
-    @pytest.mark.parametrize("flag,value,name", [("--p-pinyin", "1.5", "p_pinyin"),
-                                                 ("--k-syn", "0", "k_syn")])
-    def test_bad_confusion_flag_exit_5(self, env, tmp_path, capsys, flag, value, name):
-        out = tmp_path / "out"
-        assert run_build(env[0], out, extra=[flag, value]) == 5
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        err = json.loads(lines[0])
-        assert err["error"] == "config" and name in err["message"]
-        assert not out.exists()
 
     def test_pretokenized_input(self, env, tmp_path):
         root, _ = env
@@ -393,12 +389,20 @@ class TestErrorHandling:
         assert main(["frobnicate"]) == 2
 
     def test_malformed_input_exit_4(self, env, tmp_path, capsys):
+        """`encode` and `attn-dump` name the line of --in that holds an empty
+        pretokenized word."""
         root, _ = env
-        bad = tmp_path / "bad.txt"
-        bad.write_text("a  b\n", encoding="utf-8")
-        code = main(["encode", "--vocab", str(root / "res/vocab.txt"),
-                     "--pretokenized", "--in", str(bad)])
-        assert code == 4
+        vocab = root / "res/vocab.txt"
+        bad, ckpt = tmp_path / "bad.txt", tmp_path / "model.ckpt"
+        bad.write_text("a b\n\na  b\n", encoding="utf-8")
+        save_checkpoint(MarkBert(ModelConfig(vocab_size=len(load_vocab(vocab)), hidden_dim=8,
+                                             num_heads=2, ffn_dim=8, max_positions=16)), ckpt)
+        for command in (["encode"], ["attn-dump", "--ckpt", str(ckpt)]):
+            capsys.readouterr()
+            assert main([*command, "--vocab", str(vocab), "--pretokenized", "--in", str(bad)]) == 4
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "input", "exit_code": 4,
+                "message": "line 3: empty word token (double or trailing space?)"}
 
     def test_config_error_exit_5(self, env, tmp_path, capsys):
         root, _ = env
@@ -427,6 +431,8 @@ class TestErrorHandling:
         ("pretrain", "--lr", "nan"), ("pretrain", "--lr", "inf"),
         ("pretrain", "--log-every", "-1"),
         ("build-corpus", "--workers", "0"), ("build-corpus", "--workers", "-3"),
+        ("build-corpus", "--p-pinyin", "1.5"), ("build-corpus", "--k-syn", "0"),
+        ("build-corpus", "--mask-ratio", "2"), ("build-corpus", "--max-len", "2"),
     ])
     def test_bad_numeric_flag_exit_5(self, env, tmp_path, capsys, command, flag, value):
         root, _ = env
@@ -443,7 +449,7 @@ class TestErrorHandling:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         err = json.loads(lines[0])
-        assert err["error"] == "config" and flag in err["message"]
+        assert err["error"] == "config" and err["message"].startswith(f"{flag} ")
         assert not out.exists()
 
     @pytest.mark.parametrize("rwd_labels,loss_mask", [

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import dense_mlm_logits
+from markkit import model as model_module
 from markkit.cli import main
 from markkit.errors import ConfigError, InputError, ParseError, TrainingError
 from markkit.marker_encoder import encode_marked
@@ -181,6 +182,28 @@ class TestLoss:
         assert compute_loss(out, [ex], rwd_classes=2).rwd_loss == pytest.approx(expected)
 
 
+    def test_hand_built_output_row_count_checked(self):
+        ex = example([6, 7], mlm={0: 1, 1: 2}, framed=False)
+        out = ForwardOutput(mlm_logits=np.zeros((1, 3)), rwd_logits=[np.zeros((0, 3))])
+        with pytest.raises(InputError, match="1 MLM logit rows for 2 labelled positions"):
+            compute_loss(out, [ex])
+
+    def test_train_step_walks_the_batch_once(self, toy_world, toy_resources, monkeypatch):
+        """``forward`` hands its rows on to ``loss_and_gradients``."""
+        batch = toy_batch(toy_world, toy_resources, n=2, seed=4)
+        model = MarkBert(tiny_cfg(vocab_size=len(toy_world.vocab), max_positions=32))
+        calls = []
+        walk = model_module._batch_rows
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(model_module, "_batch_rows", counted)
+        train_step(model, batch, lr=0.1)
+        assert len(calls) == 1
+
+
 class TestGradients:
     def test_full_finite_difference_check_tiny(self, toy_world, toy_resources):
         batch = toy_batch(toy_world, toy_resources, n=2, seed=5, max_len=14)
@@ -216,7 +239,7 @@ class TestGradients:
         # logits, hence gradients, exist only at the labelled rows
         labelled = [(i, pos) for i, ex in enumerate(batch) for pos in sorted(ex.mlm_labels)]
         assert labelled
-        assert list(zip(*map(list, out.mlm_rows))) == labelled
+        assert list(zip(*map(list, out.rows.mlm))) == labelled
         assert dmlm.shape == (len(labelled), len(toy_world.vocab))
         model.zero_grads()
         model.backward(out, dmlm, [np.zeros_like(r) for r in out.rwd_logits])

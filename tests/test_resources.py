@@ -1,17 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import reference_embeddings
+from markkit import resources
 from markkit.confusion import synonym_candidates
 from markkit.errors import ParseError, ResourceError
-from markkit.resources import (_embedding_lines, _embeddings_from_rows, _parse_by_line,
-                               _parse_regular, load_embeddings, load_lexicon,
+from markkit.resources import (_parse_streamed, load_embeddings, load_lexicon,
                                load_pinyin_table, strip_tone)
 
 
 def write(tmp_path, name, text):
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -135,12 +141,6 @@ class TestLoadEmbeddings:
         assert load_embeddings(path) == load_embeddings(path)
 
 
-def load_by_line(path):
-    """The reference: the line-by-line parser for every file, through the
-    same tail as ``load_embeddings``."""
-    return _embeddings_from_rows(*_parse_by_line(*_embedding_lines(path)))
-
-
 def outcome(load, path):
     try:
         emb = load(path)
@@ -149,19 +149,23 @@ def outcome(load, path):
     return emb.dim, emb.words, emb.unit_rows().tobytes(), emb.rejected, emb.duplicates_skipped
 
 
-# (file text, whether the one-call parse takes it)
+# (file text or bytes, whether the streamed parse takes it)
 EMBEDDING_FILES = {
     "regular": ("3 2\n好 1.5 -0.25\n佳 0.5 2.0\n美 1e-3 7\n", True),
+    "no final newline": ("3 2\n好 1.5 -0.25\n佳 0.5 2.0\n美 1e-3 7", True),
     "tab between fields": ("2 2\n好\t1 0\n佳 1 0\n", False),
     "double space": ("2 2\n好  1 0\n佳 1 0\n", False),
     "trailing space": ("1 2\n好 1 0 \n", False),
     "trailing tab": ("1 2\n好 1 0\t\n", True),
     "trailing ideographic space": ("1 2\n好 1 0\u3000\n", True),
     "crlf and blank lines": ("2 2\r\n好 1 0\r\n\r\n  \r\n佳 0 1\r\n\r\n", True),
+    "crlf, blank lines, no final newline": ("2 2\r\n\r\n好 1 0\r\n\r\n佳 0 1", True),
     "leading space in word": ("1 2\n 好 1 0\n", False),
     "leading ideographic space in word": ("1 2\n\u3000好 1 0\n", False),
     "ideographic space in word": ("1 2\n好\u3000佳 1 0\n", False),
     "no-break space in word": ("1 2\n好\xa0佳 1 0\n", False),
+    "line separator in word": ("2 2\n好\u2028佳 1 0\n美 0 1\n", False),
+    "next line in word, counted": ("3 2\n好\x85佳 1 0\n美 0 1\n", False),
     "dim-1 values": ("2 2\n好 1\n佳 1 0\n", False),
     "dim+1 values": ("2 2\n好 1 0 3\n佳 1 0\n", False),
     "underscore digits": ("2 2\n好 1_0 1\n佳 1 0\n", False),
@@ -169,27 +173,36 @@ EMBEDDING_FILES = {
     "nan inf 1e400": ("5 2\n好 nan 1\n佳 inf 0\n美 1e400 1\n妙 -Infinity 1\n棒 3 4\n", True),
     "duplicates": ("3 2\n好 1 0\n好 0 1\n佳 1 1\n", True),
     "rejected first, valid duplicate": ("3 2\n好 0 0\n好 3 4\n佳 1 1\n", True),
-    "zero count": ("0 2\n", False),
-    "zero count, blank lines": ("0 2\n\n \n", False),
+    "zero count": ("0 2\n", True),
+    "zero count, blank lines": ("0 2\n\n \n", True),
+    "empty file": ("", False),
+    "count too small": ("1 2\n好 1 0\n佳 0 1\n", False),
+    "count the file cannot hold": ("999999999999 100\n好 1 0\n", False),
+    "dim the file cannot hold": ("1 999999999999\n好 1 0\n", False),
     "non-numeric": ("2 2\n好 1 0\n佳 x 1\n", False),
     "non-numeric after a short row": ("2 2\n好 1\n佳 x 1 2\n", False),
     "nul byte in a value": ("1 2\n好 1 0\x00\n", False),
+    "non-UTF-8 byte in a later line": ("3 2\n好 1 0\n佳 0 1\n".encode() + b"\xff 1 1\n", False),
 }
 
 
 @pytest.mark.parametrize("name", EMBEDDING_FILES)
-def test_embeddings_paths_agree(tmp_path, name):
+def test_embeddings_paths_agree(tmp_path, monkeypatch, name):
+    """Every file, read in blocks of a few bytes (one or two lines each) and
+    at the default size, gives the reference's result or ParseError."""
     text, regular = EMBEDDING_FILES[name]
     path = write(tmp_path, "e.txt", text)
-    assert (_parse_regular(*_embedding_lines(path)) is not None) == regular
-    assert outcome(load_embeddings, path) == outcome(load_by_line, path)
+    for block in (1, 9, resources.EMBEDDING_BLOCK_BYTES):
+        monkeypatch.setattr(resources, "EMBEDDING_BLOCK_BYTES", block)
+        assert (_parse_streamed(path) is not None) == regular
+        assert outcome(load_embeddings, path) == outcome(reference_embeddings, path)
 
 
 _NUMBERS = st.one_of(st.floats().map(repr), st.sampled_from(
     ["0", "-0", "1e400", "-1e-400", "NaN", "-nan", "inf", "+.5", "1."]))
 _ODD_VALUES = st.one_of(st.sampled_from(["1_0", "１", "x", "0x1", "1\t2", "1\x00"]),
                         st.text(alphabet="0123456789.eE+-_ x\t", min_size=1, max_size=6))
-_WORDS = st.text(alphabet="好佳a_ \t\u3000\xa0", max_size=3)
+_WORDS = st.text(alphabet="好佳a_ \t\u3000\xa0\x85\u2028", max_size=3)
 
 
 @st.composite
@@ -213,13 +226,35 @@ def embedding_files(draw):
     if not tidy:
         count += draw(st.sampled_from([0, 0, 0, 1]))
     end = draw(st.sampled_from(["\n", "\r\n"]))
-    return end.join([f"{count} {dim}", *lines]) + end
+    return end.join([f"{count} {dim}", *lines]) + draw(st.sampled_from([end, end, ""]))
 
 
-@given(embedding_files())
-def test_embeddings_paths_agree_on_generated_files(tmp_path_factory, text):
+@given(embedding_files(), st.sampled_from([1, 5, 16, resources.EMBEDDING_BLOCK_BYTES]))
+def test_embeddings_paths_agree_on_generated_files(tmp_path_factory, text, block):
     path = write(tmp_path_factory.mktemp("emb"), "e.txt", text)
-    assert outcome(load_embeddings, path) == outcome(load_by_line, path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resources, "EMBEDDING_BLOCK_BYTES", block)
+        assert outcome(load_embeddings, path) == outcome(reference_embeddings, path)
+
+
+def test_regular_file_loads_in_bounded_memory(tmp_path):
+    """A regular file is never held whole: the traced peak of a load stays
+    within the file's size plus twice the final matrix (the parsed matrix
+    and its length-sorted copy). Holding the decoded text and its lines
+    at once, as a whole-file parse does, takes about four times the file."""
+    rng = np.random.default_rng(0)
+    lines = [f"{chr(0x4E00 + i // 64)}{chr(0x4E00 + i % 64)} "
+             + " ".join(f"{v:.6f}" for v in row)
+             for i, row in enumerate(rng.normal(size=(4000, 50)))]
+    path = write(tmp_path, "e.txt", "\n".join(["4000 50", *lines]) + "\n")
+    tracemalloc.start()
+    try:
+        emb = load_embeddings(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(emb) == 4000
+    assert peak <= path.stat().st_size + 2 * emb.unit_rows().nbytes
 
 
 def unmemoized_by_word(text):
