@@ -110,9 +110,17 @@ def _segment_line(seg_fn: Segmenter, line: str, lineno: int) -> Segmentation:
         raise ParseError(str(exc), lineno) from None
 
 
+def _flag_error(exc: ConfigError, args) -> ConfigError:
+    """``exc`` naming the flag of its setting, when the setting is a flag
+    (each setting's flag is its name with dashes)."""
+    if exc.setting is None or not hasattr(args, exc.setting):
+        return exc
+    return ConfigError(exc.reason, "--" + exc.setting.replace("_", "-"))
+
+
 def _masking_config(args) -> MaskingConfig:
     """The schedule the flags give; a bad value raises ConfigError naming
-    its flag (each setting's flag is its name with dashes)."""
+    its flag."""
     try:
         return MaskingConfig(mask_ratio=args.mask_ratio, p_no_marker=args.p_no_marker,
                              p_wwm=args.p_wwm, p_replace_word=args.p_replace_word,
@@ -120,7 +128,7 @@ def _masking_config(args) -> MaskingConfig:
                              max_len=args.max_len, pos_markers=args.pos_markers,
                              policy=ConfusionPolicy(p_pinyin=args.p_pinyin, k_syn=args.k_syn))
     except ConfigError as exc:
-        raise ConfigError(exc.reason, "--" + exc.setting.replace("_", "-")) from None
+        raise _flag_error(exc, args) from None
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -218,11 +226,14 @@ def cmd_pretrain(args) -> int:
     if not examples:
         raise InputError(f"no examples in {args.infile}")
     max_positions = args.max_positions or max(ex.attention_len for ex in examples)
-    cfg = ModelConfig(vocab_size=len(vocab), hidden_dim=args.hidden_dim,
-                      num_layers=args.num_layers, num_heads=args.num_heads,
-                      ffn_dim=args.ffn_dim, max_positions=max_positions,
-                      rwd_classes=args.rwd_classes, dropout=args.dropout,
-                      seed=args.seed)
+    try:
+        cfg = ModelConfig(vocab_size=len(vocab), hidden_dim=args.hidden_dim,
+                          num_layers=args.num_layers, num_heads=args.num_heads,
+                          ffn_dim=args.ffn_dim, max_positions=max_positions,
+                          rwd_classes=args.rwd_classes, dropout=args.dropout,
+                          seed=args.seed)
+    except ConfigError as exc:
+        raise _flag_error(exc, args) from None
     model = MarkBert(cfg)
     batches = [examples[i:i + args.batch_size]
                for i in range(0, len(examples), args.batch_size)]

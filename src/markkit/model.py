@@ -26,13 +26,39 @@ accuracies (:class:`StepMetrics`).
 
 The detection loss and the masked-LM loss are means over their included
 positions and are summed unweighted into the total.
+
+The vocabulary head's M x V work runs on two threads, the caller's and
+one pool thread, once it reaches ``_SPLIT_MIN_ELEMENTS`` (2^20) elements
+and the process may use two cores. Smaller heads, such as the toy models'
+and the gradient oracle's, run in one call and never start a thread.
+Above the threshold:
+
+- the forward projection runs in two vocabulary halves, cut at a multiple
+  of 64 rows of ``E``, so each half's BLAS call blocks its rows as the
+  whole call does (checked bit for bit with OpenBLAS at V = 1,024, 1,027,
+  2,049, 4,090 to 4,100 and 21,120 to 21,136);
+- the loss, its logit gradient and the accuracy argmax run in two row
+  halves, and every row is computed alone;
+- the backward pass runs the head's weight gradients and its input
+  gradient as two whole tasks.
+
+So each value comes from the same operation on the same operands as in
+one call, and every loss, gradient and parameter is bit-identical to a
+one-thread run. A pool task runs in a copy of the caller's context, so the
+caller's ``np.errstate`` holds inside it, and a task's exception reaches
+the caller unchanged.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, fields
+from functools import partial
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -47,6 +73,9 @@ _NEG_INF = -1e30
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _MAGIC = b"MARKKIT\x00"
+_SPLIT_MIN_ELEMENTS = 1 << 20  # M x V head elements from which the head uses two threads
+_POOL_LOCK = threading.Lock()
+_POOL: list[ThreadPoolExecutor | None] = []  # the head's threads, made on first use
 
 
 @dataclass(frozen=True)
@@ -62,18 +91,17 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.vocab_size < 1:
-            raise ConfigError(f"vocab_size must be positive, got {self.vocab_size}")
-        for name in ("hidden_dim", "num_layers", "num_heads", "ffn_dim", "max_positions"):
+        for name in ("vocab_size", "hidden_dim", "num_layers", "num_heads", "ffn_dim",
+                     "max_positions"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+                raise ConfigError(f"must be positive, got {getattr(self, name)}", name)
         if self.hidden_dim % self.num_heads != 0:
-            raise ConfigError(
-                f"hidden_dim={self.hidden_dim} is not divisible by num_heads={self.num_heads}")
+            raise ConfigError(f"must divide hidden_dim={self.hidden_dim}, got {self.num_heads}",
+                              "num_heads")
         if self.rwd_classes not in (2, 3):
-            raise ConfigError(f"rwd_classes must be 2 or 3, got {self.rwd_classes}")
+            raise ConfigError(f"must be 2 or 3, got {self.rwd_classes}", "rwd_classes")
         if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+            raise ConfigError(f"must be in [0, 1), got {self.dropout}", "dropout")
 
 
 class Parameter:
@@ -127,10 +155,9 @@ class ForwardOutput:
 # --- primitive ops with explicit backward rules -------------------------------
 
 def _layernorm_fwd(x, gamma, beta, eps=1e-12):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv_std
+    xc = x - x.mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + eps)  # = x.var
+    xhat = xc * inv_std
     return xhat * gamma + beta, (xhat, inv_std)
 
 
@@ -145,11 +172,12 @@ def _layernorm_bwd(dy, cache, gamma):
 
 
 def _gelu_fwd(x):
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
-
-
-def _gelu_bwd(dy, x):
+    """gelu(x) = x * cdf(x), and the normal CDF, which ``_gelu_bwd`` reuses."""
     cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+    return x * cdf, cdf
+
+
+def _gelu_bwd(dy, x, cdf):
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
     return dy * (cdf + x * pdf)
 
@@ -171,22 +199,76 @@ def _matmul_grads(dy, x):
     return x2.T @ dy2, dy2.sum(axis=0)
 
 
-def _cross_entropy(logits, labels):
+def _cross_entropy(logits, labels, grad=None, pred=None) -> float:
     """Mean cross-entropy of ``labels`` under the row-wise softmax of
-    ``logits`` (rows, classes), and its gradient with respect to
-    ``logits``. No rows: zero loss and an empty gradient."""
+    ``logits`` (rows, classes); zero for no rows. With ``grad`` (shaped
+    like ``logits``), also writes there the loss's gradient with respect to
+    ``logits``; with ``pred``, each row's argmax. A large input runs in two
+    row halves on two threads."""
     m = len(labels)
     if not m:
-        return 0.0, np.zeros_like(logits)
-    rows = np.arange(m)
-    grad = logits - logits.max(axis=-1, keepdims=True)
-    picked = grad[rows, labels]
-    np.exp(grad, out=grad)
-    total = grad.sum(axis=-1)
-    loss = float(np.mean(np.log(total) - picked))
-    grad *= (1.0 / (total * m))[:, None]
-    grad[rows, labels] -= 1.0 / m
-    return loss, grad
+        return 0.0
+    terms = np.empty(m)
+
+    def part(lo, hi):
+        x, y, r = logits[lo:hi], labels[lo:hi], np.arange(hi - lo)
+        if pred is not None:
+            x.argmax(axis=-1, out=pred[lo:hi])
+        e = np.subtract(x, x.max(axis=-1, keepdims=True),
+                        out=None if grad is None else grad[lo:hi])
+        picked = e[r, y]
+        np.exp(e, out=e)
+        total = e.sum(axis=-1)
+        np.subtract(np.log(total), picked, out=terms[lo:hi])
+        if grad is not None:
+            e *= (1.0 / (total * m))[:, None]
+            e[r, y] -= 1.0 / m
+
+    _halves(_head_pool(logits.size), part, m)
+    return float(np.mean(terms))
+
+
+def _head_pool(elements: int) -> ThreadPoolExecutor | None:
+    """The second thread for ``elements`` (M x V) of vocabulary-head work:
+    None below ``_SPLIT_MIN_ELEMENTS`` or where the process may use one
+    core."""
+    if elements < _SPLIT_MIN_ELEMENTS:
+        return None
+    with _POOL_LOCK:
+        if not _POOL:
+            cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1)
+            _POOL.append(ThreadPoolExecutor(1, thread_name_prefix="markkit-head")
+                         if cores > 1 else None)
+        return _POOL[0]
+
+
+def _run(pool: ThreadPoolExecutor | None, tasks) -> None:
+    """Call every task, in order here when there is no pool. With a pool,
+    the first task runs here while the others run on the pool, each in a
+    copy of the caller's context (which holds its ``np.errstate``); once
+    all are done, the first exception in task order is re-raised."""
+    if pool is None:
+        for task in tasks:
+            task()
+        return
+    futures = [pool.submit(contextvars.copy_context().run, task) for task in tasks[1:]]
+    try:
+        tasks[0]()
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _halves(pool: ThreadPoolExecutor | None, fn, n: int, align: int = 1) -> None:
+    """``fn(lo, hi)`` over ``[0, n)``: as two halves on ``pool``, cut at a
+    multiple of ``align``, or in one call when there is no pool or cut."""
+    mid = n // 2 // align * align
+    if pool is None or not mid:
+        fn(0, n)
+    else:
+        _run(pool, (partial(fn, 0, mid), partial(fn, mid, n)))
 
 
 class MarkBert:
@@ -322,10 +404,10 @@ class MarkBert:
                                            self._p(p + "ln1.beta"))
             lc["h1"] = h1
             pre1 = h1 @ self._p(p + "ffn.w1") + self._p(p + "ffn.b1")
-            act = _gelu_fwd(pre1)
+            act, cdf = _gelu_fwd(pre1)
             ffn_out = act @ self._p(p + "ffn.w2") + self._p(p + "ffn.b2")
             ffn_out = self._dropout(ffn_out, train, lc, "ffn_drop")
-            lc.update(pre1=pre1, act=act)
+            lc.update(pre1=pre1, act=act, cdf=cdf)
             h, lc["ln2"] = _layernorm_fwd(h1 + ffn_out, self._p(p + "ln2.gamma"),
                                           self._p(p + "ln2.beta"))
             cache["layers"].append(lc)
@@ -335,12 +417,18 @@ class MarkBert:
         cache["hidden"] = h
 
         t1 = h @ self._p("mlm.dense_w") + self._p("mlm.dense_b")
-        t2 = _gelu_fwd(t1)
+        t2, cache["t1_cdf"] = _gelu_fwd(t1)
         t3, cache["mlm_ln"] = _layernorm_fwd(t2, self._p("mlm.ln.gamma"),
                                              self._p("mlm.ln.beta"))
-        mlm_logits = t3[rows.mlm] @ self._p("token_embedding").T
-        mlm_logits += self._p("mlm.bias")
         cache.update(t1=t1, t3=t3)
+        x, emb, bias = t3[rows.mlm], self._p("token_embedding"), self._p("mlm.bias")
+        mlm_logits = np.empty((len(x), cfg.vocab_size))
+
+        def project(lo, hi):  # the logits of vocabulary entries [lo, hi)
+            np.matmul(x, emb[lo:hi].T, out=mlm_logits[:, lo:hi])
+            mlm_logits[:, lo:hi] += bias[lo:hi]
+
+        _halves(_head_pool(mlm_logits.size), project, cfg.vocab_size, align=64)
 
         markers = rows.markers
         rwd = h[markers] @ self._p("rwd.w") + self._p("rwd.b")
@@ -369,16 +457,28 @@ class MarkBert:
         dh = H // nh
         scale = dh ** -0.5
 
-        # MLM head: only the labelled rows have logits and receive a gradient
-        t3 = cache["t3"]
+        # MLM head: only the labelled rows have logits and receive a gradient.
+        # The weight gradient is dlogits^T x taken as (x^T dlogits)^T, the
+        # layout BLAS runs faster. With OpenBLAS the two agree bit for bit
+        # when V is a multiple of 8; otherwise the last V mod 8 rows can
+        # round differently.
+        t3, mlm = cache["t3"], out.rows.mlm
         dt3 = np.zeros_like(t3)
-        dt3[out.rows.mlm] = dmlm_logits @ self._p("token_embedding")
-        self._g("token_embedding")[...] += dmlm_logits.T @ t3[out.rows.mlm]
-        self._g("mlm.bias")[...] += dmlm_logits.sum(axis=0)
+
+        def weight_grads():
+            self._g("token_embedding")[...] += (t3[mlm].T @ dmlm_logits).T
+            self._g("mlm.bias")[...] += dmlm_logits.sum(axis=0)
+
+        def input_grad():
+            dt3[mlm] = dmlm_logits @ self._p("token_embedding")
+
+        # the weight gradient runs here: a pool thread's malloc arena would
+        # keep its (H, V) temporary, about 11 MB at V = 21,128
+        _run(_head_pool(dmlm_logits.size), (weight_grads, input_grad))
         dt2, dg, db = _layernorm_bwd(dt3, cache["mlm_ln"], self._p("mlm.ln.gamma"))
         self._g("mlm.ln.gamma")[...] += dg
         self._g("mlm.ln.beta")[...] += db
-        dt1 = _gelu_bwd(dt2, cache["t1"])
+        dt1 = _gelu_bwd(dt2, cache["t1"], cache["t1_cdf"])
         dwd, dbd = _matmul_grads(dt1, cache["hidden"])
         self._g("mlm.dense_w")[...] += dwd
         self._g("mlm.dense_b")[...] += dbd
@@ -408,7 +508,7 @@ class MarkBert:
             self._g(p + "ffn.w2")[...] += dw2
             self._g(p + "ffn.b2")[...] += db2
             dact = dffn_out @ self._p(p + "ffn.w2").T
-            dpre1 = _gelu_bwd(dact, lc["pre1"])
+            dpre1 = _gelu_bwd(dact, lc["pre1"], lc["cdf"])
             dw1, db1 = _matmul_grads(dpre1, lc["h1"])
             self._g(p + "ffn.w1")[...] += dw1
             self._g(p + "ffn.b1")[...] += db1
@@ -486,8 +586,21 @@ def _batch_rows(batch: Sequence[PretrainingExample], rwd_classes: int) -> _Batch
     return _BatchRows((mlm_i, mlm_p), mlm_labels, (marker_i, marker_p), rwd_rows, rwd_labels)
 
 
-def _accuracy(logits: np.ndarray, labels: np.ndarray) -> float | None:
-    return float(np.mean(logits.argmax(axis=-1) == labels)) if len(labels) else None
+def _accuracy(pred: np.ndarray, labels: np.ndarray) -> float | None:
+    return float(np.mean(pred == labels)) if len(labels) else None
+
+
+def _loss_rows(out: ForwardOutput, batch: Sequence[PretrainingExample],
+               rwd_classes: int) -> tuple[_BatchRows, np.ndarray | None]:
+    """The batch's rows (from ``out.rows`` when ``forward`` built ``out``,
+    else from ``batch``) and the detection logits that carry loss (None
+    when no marker does)."""
+    rows = out.rows if out.rows is not None else _batch_rows(batch, rwd_classes)
+    if len(out.mlm_logits) != len(rows.mlm_labels):
+        raise InputError(f"{len(out.mlm_logits)} MLM logit rows for "
+                         f"{len(rows.mlm_labels)} labelled positions")
+    rwd_logits = np.concatenate(out.rwd_logits)[rows.rwd] if len(rows.rwd) else None
+    return rows, rwd_logits
 
 
 def loss_and_gradients(out: ForwardOutput, batch: Sequence[PretrainingExample],
@@ -503,32 +616,35 @@ def loss_and_gradients(out: ForwardOutput, batch: Sequence[PretrainingExample],
     The rows come from ``out.rows`` when ``forward`` built ``out`` (from
     ``batch``, with the model's ``rwd_classes``), else from ``batch``.
     """
-    rows = out.rows if out.rows is not None else _batch_rows(batch, rwd_classes)
+    rows, rwd_logits = _loss_rows(out, batch, rwd_classes)
     logits = out.mlm_logits
-    if len(logits) != len(rows.mlm_labels):
-        raise InputError(f"{len(logits)} MLM logit rows for "
-                         f"{len(rows.mlm_labels)} labelled positions")
-    mlm_loss, dmlm = _cross_entropy(logits, rows.mlm_labels)
+    dmlm, mlm_pred = np.empty_like(logits), np.empty(len(logits), dtype=np.intp)
+    mlm_loss = _cross_entropy(logits, rows.mlm_labels, dmlm, mlm_pred)
 
     drwd = [np.zeros_like(r) for r in out.rwd_logits]
     rwd_loss, rwd_acc = 0.0, None
-    if len(rows.rwd):
-        rwd_logits = np.concatenate(out.rwd_logits)[rows.rwd]
-        rwd_loss, g = _cross_entropy(rwd_logits, rows.rwd_labels)
-        rwd_acc = _accuracy(rwd_logits, rows.rwd_labels)
+    if rwd_logits is not None:
+        g, rwd_pred = np.empty_like(rwd_logits), np.empty(len(rwd_logits), dtype=np.intp)
+        rwd_loss = _cross_entropy(rwd_logits, rows.rwd_labels, g, rwd_pred)
+        rwd_acc = _accuracy(rwd_pred, rows.rwd_labels)
         flat = np.concatenate(drwd)
         flat[rows.rwd] = g
         drwd = np.split(flat, np.cumsum([len(d) for d in drwd])[:-1])
 
     metrics = StepMetrics(loss=LossBreakdown(mlm_loss=mlm_loss, rwd_loss=rwd_loss),
-                          mlm_accuracy=_accuracy(logits, rows.mlm_labels),
+                          mlm_accuracy=_accuracy(mlm_pred, rows.mlm_labels),
                           rwd_accuracy=rwd_acc)
     return metrics, dmlm, drwd
 
 
 def compute_loss(out: ForwardOutput, batch: Sequence[PretrainingExample],
                  rwd_classes: int = 3) -> LossBreakdown:
-    return loss_and_gradients(out, batch, rwd_classes)[0].loss
+    """The losses of :func:`loss_and_gradients`, to the bit, without its
+    logit gradients and accuracies."""
+    rows, rwd_logits = _loss_rows(out, batch, rwd_classes)
+    rwd_loss = 0.0 if rwd_logits is None else _cross_entropy(rwd_logits, rows.rwd_labels)
+    return LossBreakdown(mlm_loss=_cross_entropy(out.mlm_logits, rows.mlm_labels),
+                         rwd_loss=rwd_loss)
 
 
 def train_step(model: MarkBert, batch: Sequence[PretrainingExample],

@@ -111,7 +111,8 @@ class PretrainingExample:
 
     ``mlm_labels`` maps a position to the token id to predict there
     (present only at mask-selected and replacement-corrected positions);
-    ``rwd_labels`` and ``rwd_loss_mask`` are keyed by marker position.
+    ``rwd_labels`` and ``rwd_loss_mask`` are keyed by marker position;
+    ``marker_positions`` lists those positions in ascending order.
     """
 
     input_ids: tuple[int, ...]
@@ -124,9 +125,9 @@ class PretrainingExample:
     def attention_len(self) -> int:
         return len(self.input_ids)
 
-    @property
-    def marker_positions(self) -> list[int]:
-        return sorted(self.rwd_labels)
+    @functools.cached_property
+    def marker_positions(self) -> tuple[int, ...]:
+        return tuple(sorted(self.rwd_labels))
 
     def replaced_positions(self) -> set[int]:
         """Positions belonging to confusion-replaced words. Each word's

@@ -433,6 +433,8 @@ class TestErrorHandling:
         ("build-corpus", "--workers", "0"), ("build-corpus", "--workers", "-3"),
         ("build-corpus", "--p-pinyin", "1.5"), ("build-corpus", "--k-syn", "0"),
         ("build-corpus", "--mask-ratio", "2"), ("build-corpus", "--max-len", "2"),
+        ("pretrain", "--hidden-dim", "0"), ("pretrain", "--dropout", "1.5"),
+        ("pretrain", "--num-heads", "5"), ("pretrain", "--max-positions", "-1"),
     ])
     def test_bad_numeric_flag_exit_5(self, env, tmp_path, capsys, command, flag, value):
         root, _ = env

@@ -2,9 +2,13 @@ import json
 import math
 import random
 import struct
+import time
+import warnings
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from helpers import dense_mlm_logits
 from markkit import model as model_module
@@ -385,6 +389,135 @@ class TestTraining:
         model.params["token_embedding"].value[:] = np.inf
         with np.errstate(all="ignore"), pytest.raises(TrainingError):
             train_step(model, batch, lr=0.1)
+
+
+def labelled_batch(labels_per_example, vocab_size, seed, length=24):
+    """Examples of ``length`` tokens with three markers each and the given
+    numbers of MLM-labelled positions, so a batch has a chosen M."""
+    r = random.Random(seed)
+    batch = []
+    for n_labels in labels_per_example:
+        ids = [2] + [r.randrange(6, vocab_size) for _ in range(length - 2)] + [3]
+        markers = sorted(r.sample(range(3, length - 1), 3))
+        for pos in markers:
+            ids[pos] = 5
+        free = [p for p in range(1, length - 1) if p not in markers]
+        batch.append(example(ids, mlm={p: r.randrange(6, vocab_size)
+                                       for p in r.sample(free, n_labels)},
+                             markers={p: RwdLabel(r.randrange(3)) for p in markers},
+                             loss_on=markers[:2]))
+    return batch
+
+
+class RecordingPool:
+    """Stands in for the head's thread pool: runs each task at once and
+    counts it."""
+
+    def __init__(self):
+        self.tasks = 0
+
+    def submit(self, fn, *args):
+        self.tasks += 1
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:  # handed to the caller through the future
+            future.set_exception(exc)
+        return future
+
+
+class TestTwoThreadHead:
+    """The vocabulary head runs on two threads from _SPLIT_MIN_ELEMENTS on;
+    the split must not change a bit."""
+
+    MID_SIZE = dict(vocab_size=4096, hidden_dim=32, num_layers=1, num_heads=2, ffn_dim=32,
+                    max_positions=24, seed=5)
+
+    def train(self, monkeypatch, threshold, batches, vocab_size):
+        monkeypatch.setattr(model_module, "_SPLIT_MIN_ELEMENTS", threshold)
+        model = MarkBert(ModelConfig(**{**self.MID_SIZE, "vocab_size": vocab_size}))
+        metrics = [train_step(model, batch, lr=0.3) for batch in batches]
+        out = model.forward(batches[0])
+        losses = (compute_loss(out, batches[0]), loss_and_gradients(out, batches[0])[0].loss)
+        return model, metrics, losses
+
+    @pytest.mark.parametrize("vocab_size", [4096, 4099])
+    @pytest.mark.parametrize("labels", [(5, 7), (4, 5), (1, 0), (0, 3), (0, 0)],
+                             ids=["M=12", "M=9", "M=1", "M=3", "M=0"])
+    def test_split_is_bit_identical(self, monkeypatch, labels, vocab_size):
+        batches = [labelled_batch(labels, vocab_size, seed) for seed in range(3)]
+        split, split_metrics, split_losses = self.train(monkeypatch, 0, batches, vocab_size)
+        whole, whole_metrics, whole_losses = self.train(monkeypatch, math.inf, batches,
+                                                        vocab_size)
+        assert split_metrics == whole_metrics
+        assert split_losses[0] == split_losses[1] == whole_losses[0] == whole_losses[1]
+        for name in whole.params:
+            assert np.array_equal(split.params[name].value, whole.params[name].value), name
+
+    def test_errstate_reaches_the_threads(self, toy_world, toy_resources, monkeypatch):
+        """An infinite vocabulary bias first meets inf - inf in the loss's
+        threads: the caller's errstate silences it there, as in one thread."""
+        monkeypatch.setattr(model_module, "_SPLIT_MIN_ELEMENTS", 0)
+        batch = toy_batch(toy_world, toy_resources, n=2, seed=12)
+        model = MarkBert(tiny_cfg(vocab_size=len(toy_world.vocab), max_positions=32))
+        model.params["mlm.bias"].value[:] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning, match="invalid value"):
+                train_step(model, batch, lr=0.1)
+            with np.errstate(all="ignore"), pytest.raises(TrainingError):
+                train_step(model, batch, lr=0.1)
+
+    def test_task_exception_reaches_the_caller(self):
+        """Whichever thread a task fails on, its exception reaches the caller
+        unchanged, and only once the other task has finished."""
+        error, done = KeyError("task"), []
+
+        def fail():
+            raise error
+
+        def slow():
+            time.sleep(0.05)
+            done.append(True)
+
+        with ThreadPoolExecutor(1) as pool:
+            for tasks in ((fail, slow), (slow, fail)):
+                done.clear()
+                with pytest.raises(KeyError) as info:
+                    model_module._run(pool, tasks)
+                assert info.value is error and done == [True]
+
+    def test_oracle_config_submits_no_task(self, monkeypatch):
+        pool = RecordingPool()
+        monkeypatch.setattr(model_module, "_POOL", [pool])
+        model = MarkBert(ModelConfig(vocab_size=64, hidden_dim=32, num_layers=2, num_heads=4,
+                                     ffn_dim=64, max_positions=16, seed=11))
+        batch = labelled_batch((3, 3), 64, seed=2, length=16)
+        analytic_grads(model, batch)
+        compute_loss(model.forward(batch), batch)
+        assert pool.tasks == 0
+        monkeypatch.setattr(model_module, "_SPLIT_MIN_ELEMENTS", 0)
+        analytic_grads(model, batch)
+        assert pool.tasks > 0
+
+
+class TestPrimitives:
+    def test_layernorm_and_gelu_match_reference_formulas(self):
+        """``_layernorm_fwd`` centres once and ``_gelu_fwd`` returns its CDF;
+        both give the bits of the textbook formulas."""
+        rng = np.random.default_rng(0)
+        for _ in range(80):
+            x = (rng.normal(size=(rng.integers(1, 6), rng.integers(1, 130)))
+                 * rng.choice([1e-3, 1.0, 1e3]) + rng.normal())
+            gamma, beta = rng.normal(size=x.shape[-1]), rng.normal(size=x.shape[-1])
+            inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-12)
+            xhat = (x - x.mean(axis=-1, keepdims=True)) * inv_std
+            y, cache = model_module._layernorm_fwd(x, gamma, beta)
+            assert np.array_equal(cache[0], xhat) and np.array_equal(cache[1], inv_std)
+            assert np.array_equal(y, xhat * gamma + beta)
+            act, cdf = model_module._gelu_fwd(x)
+            assert np.array_equal(act, 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))))
+            assert np.array_equal(cdf, 0.5 * (1.0 + erf(x / np.sqrt(2.0))))
 
 
 class TestAttentionExport:

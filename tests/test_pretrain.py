@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import pickle
@@ -285,6 +286,19 @@ class TestJsonInterchange:
         back = example_from_json(line)
         assert back == ex
         assert example_to_json(back) == line  # byte-stable
+
+    def test_marker_positions_sorted_once(self):
+        ex = PretrainingExample(input_ids=(2, 6, 5, 7, 5, 5, 3), mlm_labels={1: 6},
+                                rwd_labels={5: RwdLabel.NORMAL, 2: RwdLabel.SYNONYM_CONFUSION,
+                                            4: RwdLabel.NORMAL},
+                                rwd_loss_mask={2: True, 4: False, 5: False})
+        assert ex.marker_positions == (2, 4, 5)
+        assert ex.marker_positions is ex.marker_positions
+        same = dataclasses.replace(ex, rwd_labels=dict(sorted(ex.rwd_labels.items())))
+        assert same == ex and example_to_json(same) == example_to_json(ex)
+        back = pickle.loads(pickle.dumps(ex))
+        assert back == ex and back.marker_positions == (2, 4, 5)
+        assert "marker_positions" not in example_to_json(ex)
 
     def test_bad_record(self):
         with pytest.raises(Exception):
