@@ -119,16 +119,12 @@ def _flag_error(exc: ConfigError, args) -> ConfigError:
 
 
 def _masking_config(args) -> MaskingConfig:
-    """The schedule the flags give; a bad value raises ConfigError naming
-    its flag."""
-    try:
-        return MaskingConfig(mask_ratio=args.mask_ratio, p_no_marker=args.p_no_marker,
-                             p_wwm=args.p_wwm, p_replace_word=args.p_replace_word,
-                             p_normal_marker_loss=args.p_normal_marker_loss,
-                             max_len=args.max_len, pos_markers=args.pos_markers,
-                             policy=ConfusionPolicy(p_pinyin=args.p_pinyin, k_syn=args.k_syn))
-    except ConfigError as exc:
-        raise _flag_error(exc, args) from None
+    """The schedule the flags give."""
+    return MaskingConfig(mask_ratio=args.mask_ratio, p_no_marker=args.p_no_marker,
+                         p_wwm=args.p_wwm, p_replace_word=args.p_replace_word,
+                         p_normal_marker_loss=args.p_normal_marker_loss,
+                         max_len=args.max_len, pos_markers=args.pos_markers,
+                         policy=ConfusionPolicy(p_pinyin=args.p_pinyin, k_syn=args.k_syn))
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -211,6 +207,9 @@ def cmd_build_corpus(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    if args.out in (None, "-"):
+        raise ConfigError("--out must name the checkpoint file; a checkpoint is not "
+                          "written to standard output")
     if args.batch_size < 1:
         raise ConfigError(f"--batch-size must be positive, got {args.batch_size}")
     if args.steps < 0:
@@ -226,15 +225,11 @@ def cmd_pretrain(args) -> int:
     if not examples:
         raise InputError(f"no examples in {args.infile}")
     max_positions = args.max_positions or max(ex.attention_len for ex in examples)
-    try:
-        cfg = ModelConfig(vocab_size=len(vocab), hidden_dim=args.hidden_dim,
-                          num_layers=args.num_layers, num_heads=args.num_heads,
-                          ffn_dim=args.ffn_dim, max_positions=max_positions,
-                          rwd_classes=args.rwd_classes, dropout=args.dropout,
-                          seed=args.seed)
-    except ConfigError as exc:
-        raise _flag_error(exc, args) from None
-    model = MarkBert(cfg)
+    model = MarkBert(ModelConfig(vocab_size=len(vocab), hidden_dim=args.hidden_dim,
+                                 num_layers=args.num_layers, num_heads=args.num_heads,
+                                 ffn_dim=args.ffn_dim, max_positions=max_positions,
+                                 rwd_classes=args.rwd_classes, dropout=args.dropout,
+                                 seed=args.seed))
     batches = [examples[i:i + args.batch_size]
                for i in range(0, len(examples), args.batch_size)]
     metrics = None
@@ -341,13 +336,14 @@ def print_stats(stats: MaskingStats) -> str:
 
 # --- parser ----------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser,
+                out_help: str = "output path ('-' or omitted: stdout)") -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help=f"master RNG seed (default {DEFAULT_SEED})")
     p.add_argument("--deterministic", action="store_true",
                    help="accepted for interface stability; all pipelines are "
                         "deterministic by construction")
-    p.add_argument("--out", default=None, help="output path ('-' or omitted: stdout)")
+    p.add_argument("--out", default=None, help=out_help)
 
 
 def _add_masking_flags(p: argparse.ArgumentParser) -> None:
@@ -428,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rwd-classes", type=int, default=3, choices=(2, 3))
     p.add_argument("--dropout", type=float, default=0.0)
     p.add_argument("--log-every", type=int, default=50)
-    _add_common(p)
+    _add_common(p, out_help="checkpoint path (required; a checkpoint is not written to stdout)")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("eval-ner", help="span precision/recall/F1 on CoNLL files")
@@ -478,7 +474,7 @@ def main(argv=None) -> int:
         _emit_error("input", 4, exc)
         return 4
     except ConfigError as exc:
-        _emit_error("config", 5, exc)
+        _emit_error("config", 5, _flag_error(exc, args))
         return 5
     except (TrainingError, MarkkitError) as exc:
         _emit_error("error", 1, exc)

@@ -53,7 +53,7 @@ def synonym_candidates(word: str, emb: WordEmbeddings, k: int) -> list[Confusion
     length, excluding the word itself. Ties break lexicographically.
     A word absent from the embeddings yields an empty list."""
     if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+        raise ConfigError(f"must be >= 1, got {k}", "k")
     if word not in emb:
         return []
     row = emb.row_index(word)

@@ -37,10 +37,9 @@ class Vocab:
     """
 
     tokens: tuple[str, ...]
-    token_to_id: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
-    pos_marker_ids: dict[str, int] = field(repr=False, compare=False, default_factory=dict)
-    marker_ids: frozenset[int] = field(repr=False, compare=False, default_factory=frozenset)
-    char_ids: tuple[int, ...] = field(repr=False, compare=False, default=())
+    token_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
+    pos_marker_ids: dict[str, int] = field(init=False, repr=False, compare=False)
+    char_ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mapping: dict[str, int] = {}
@@ -57,12 +56,10 @@ class Vocab:
         for tok, i in mapping.items():
             if tok.startswith(_POS_MARKER_PREFIX) and tok.endswith("]") and len(tok) > 4:
                 pos_markers[tok[len(_POS_MARKER_PREFIX):-1]] = i
-        markers = frozenset({mapping[MARKER], *pos_markers.values()})
-        reserved = markers | {mapping[t] for t in REQUIRED_TOKENS}
+        reserved = {*pos_markers.values(), *(mapping[t] for t in REQUIRED_TOKENS)}
         chars = tuple(i for i in range(len(self.tokens)) if i not in reserved)
         object.__setattr__(self, "token_to_id", mapping)
         object.__setattr__(self, "pos_marker_ids", pos_markers)
-        object.__setattr__(self, "marker_ids", markers)
         object.__setattr__(self, "char_ids", chars)
 
     def __len__(self) -> int:
@@ -162,9 +159,9 @@ def encode_marked(seg: Segmentation, vocab: Vocab, *,
     the sequence (never split mid-word).
     """
     if add_cls_sep and max_len < 3:
-        raise ConfigError(f"max_len={max_len} cannot hold CLS and SEP plus content")
+        raise ConfigError(f"must be >= 3 to hold CLS, SEP and content, got {max_len}", "max_len")
     if max_len < 1:
-        raise ConfigError(f"max_len must be positive, got {max_len}")
+        raise ConfigError(f"must be positive, got {max_len}", "max_len")
     budget = max_len - (2 if add_cls_sep else 0)
 
     included: list[WordSpan] = []

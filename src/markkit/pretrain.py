@@ -48,7 +48,7 @@ import functools
 import json
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .confusion import ConfusionKind, ConfusionPolicy, sample_confusion
@@ -377,22 +377,9 @@ def example_to_json(ex: PretrainingExample) -> str:
         "mlm_labels": [[p, ex.mlm_labels[p]] for p in sorted(ex.mlm_labels)],
         "rwd_labels": [[p, ex.rwd_labels[p].name] for p in sorted(ex.rwd_labels)],
         "rwd_loss_mask": [p for p in sorted(ex.rwd_loss_mask) if ex.rwd_loss_mask[p]],
-        "meta": {
-            "doc_id": ex.meta.doc_id,
-            "seq_index": ex.meta.seq_index,
-            "seed": ex.meta.seed,
-            "no_marker": ex.meta.no_marker,
-            "wwm": ex.meta.wwm,
-            "n_chars": ex.meta.n_chars,
-            "framed": ex.meta.framed,
-            "truncated": ex.meta.truncated,
-        },
+        "meta": {f.name: getattr(ex.meta, f.name) for f in fields(ExampleMeta)},
     }
     return json.dumps(record, ensure_ascii=True, separators=(",", ":"))
-
-
-_META_INTS = ("doc_id", "seq_index", "seed", "n_chars")
-_META_BOOLS = ("no_marker", "wwm", "framed", "truncated")
 
 
 def example_from_json(line: str, lineno: int | None = None) -> PretrainingExample:
@@ -414,10 +401,7 @@ def example_from_json(line: str, lineno: int | None = None) -> PretrainingExampl
             mlm_labels=mlm_labels,
             rwd_labels=rwd_labels,
             rwd_loss_mask={p: p in loss_on for p in rwd_labels},
-            meta=ExampleMeta(doc_id=meta["doc_id"], seq_index=meta["seq_index"],
-                             seed=meta["seed"], no_marker=meta["no_marker"],
-                             wwm=meta["wwm"], n_chars=meta["n_chars"],
-                             framed=meta["framed"], truncated=meta["truncated"]),
+            meta=ExampleMeta(**{f.name: meta[f.name] for f in fields(ExampleMeta)}),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise ParseError(f"bad example record: {exc}", lineno) from exc
@@ -428,10 +412,10 @@ def example_from_json(line: str, lineno: int | None = None) -> PretrainingExampl
         if not set(map(type, values)) <= {int}:  # a bool or float is not an id
             bad = next(v for v in values if type(v) is not int)
             raise ParseError(f"{kind} {bad!r} is not an integer", lineno)
-    for want, what, names in ((int, "an integer", _META_INTS), (bool, "a boolean", _META_BOOLS)):
-        if not set(type(meta[name]) for name in names) <= {want}:
-            bad = next(name for name in names if type(meta[name]) is not want)
-            raise ParseError(f"meta.{bad} {meta[bad]!r} is not {what}", lineno)
+    for f in fields(ExampleMeta):  # f.type is "int" or "bool"
+        if type(meta[f.name]).__name__ != f.type:
+            what = "an integer" if f.type == "int" else "a boolean"
+            raise ParseError(f"meta.{f.name} {meta[f.name]!r} is not {what}", lineno)
     for kind, positions, pairs in (("MLM label", mlm_labels, record["mlm_labels"]),
                                    ("marker", rwd_labels, record["rwd_labels"])):
         outside = [p for p in positions if not 0 <= p < len(input_ids)]

@@ -14,19 +14,23 @@ worker processes.
 
 from __future__ import annotations
 
+import io
+import itertools
 import os
 import stat
 import unicodedata
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from .errors import ParseError, ResourceError
 
 _TONE_DIGITS = "012345"
-# Bytes per block of a streamed embeddings file. A block's bytes, decoded
-# text and lines take about five times this at once.
+# Bytes per block of an embeddings file. A block's bytes, decoded text and
+# lines take about five times this at once.
 EMBEDDING_BLOCK_BYTES = 1 << 18
 
 
@@ -41,15 +45,16 @@ def read_text(path: str | Path) -> str:
     return decode_text(data, path)
 
 
-def decode_text(data: bytes, source: str | Path) -> str:
+def decode_text(data: bytes, source: str | Path, start: int = 0, line: int = 1) -> str:
     """``data`` decoded as UTF-8, the one decode step behind every input;
-    bytes that are not UTF-8 raise ParseError naming ``source`` and the
-    line they sit on."""
+    bytes that are not UTF-8 raise ParseError naming ``source``, the byte
+    and the line they sit on. ``data`` begins at byte ``start`` of
+    ``source``, on line ``line``."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{source} is not valid UTF-8: {exc.reason} at byte {exc.start}",
-                         data.count(b"\n", 0, exc.start) + 1) from None
+        raise ParseError(f"{source} is not valid UTF-8: {exc.reason} at byte {start + exc.start}",
+                         line + data.count(b"\n", 0, exc.start)) from None
 
 
 @dataclass(frozen=True)
@@ -63,8 +68,11 @@ class Lexicon:
     """Word inventory with optional POS tags and frequencies."""
 
     entries: dict[str, LexiconEntry]
-    max_word_len: int
     duplicates_skipped: int = 0
+    max_word_len: int = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "max_word_len", max(map(len, self.entries), default=0))
 
     def __contains__(self, word: str) -> bool:
         return word in self.entries
@@ -101,8 +109,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
             duplicates += 1
             continue
         entries[word] = LexiconEntry(pos=pos, freq=freq)
-    max_len = max((len(w) for w in entries), default=0)
-    return Lexicon(entries=entries, max_word_len=max_len, duplicates_skipped=duplicates)
+    return Lexicon(entries=entries, duplicates_skipped=duplicates)
 
 
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:
@@ -185,12 +192,15 @@ def load_embeddings(path: str | Path) -> WordEmbeddings:
     (counted, not fatal). Duplicate words keep their first accepted
     occurrence.
 
-    A regular file (see :func:`_parse_streamed`) is read in blocks
-    straight into its matrix; any other file is parsed line by line from
-    its whole text. Both give the same result.
+    The file is read once, block by block (see :func:`_parse_embeddings`),
+    so its whole text is never held.
     """
-    return _embeddings_from_rows(*(_parse_streamed(path)
-                                   or _parse_by_line(*_embedding_lines(path))))
+    try:
+        with open(path, "rb") as file:
+            parsed = _parse_embeddings(file, path)
+    except OSError as exc:
+        raise ResourceError(f"cannot read {path}: {exc}") from exc
+    return _embeddings_from_rows(*parsed)
 
 
 def _embeddings_from_rows(words: list[str], rows: np.ndarray, rejected: int) -> WordEmbeddings:
@@ -221,90 +231,99 @@ def _embedding_header(line: str) -> tuple[int, int]:
     return count, dim
 
 
-def _embedding_lines(path: str | Path) -> tuple[list[tuple[int, str]], int]:
-    """The non-blank data lines of an embeddings file with their line
-    numbers, and the header's dim, once the header is checked."""
-    lines = read_text(path).splitlines()
+def _decoded_blocks(file: BinaryIO, path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """``(number of the first line, lines)`` of each block of ``file``:
+    about ``EMBEDDING_BLOCK_BYTES``, cut after a newline, and decoded as
+    :func:`decode_text` decodes the whole file."""
+    start = newlines = 0
+    lineno = 1
+    while block := file.read(EMBEDDING_BLOCK_BYTES):
+        block += file.readline()
+        lines = decode_text(block, path, start, newlines + 1).splitlines()
+        yield lineno, lines
+        start += len(block)
+        newlines += block.count(b"\n")
+        lineno += len(lines)
+
+
+def _parse_embeddings(file: BinaryIO, path: str | Path) -> tuple[list[str], np.ndarray, int]:
+    """Words, rows and the rejected count of the embeddings ``file``.
+
+    A block whose data lines are all regular is one ``np.loadtxt`` call
+    (:func:`_loadtxt_block`); any other is parsed line by line
+    (:func:`_parse_lines`). Errors keep a whole-file parse's order: bytes
+    that are not UTF-8 at once; a bad header, a wrong count, then the first
+    non-numeric component once every block is decoded. A row takes more
+    than ``2 * dim`` bytes, so the matrix, allocated once, holds the count
+    only as far as the file can, and a wrong count cannot request a huge
+    allocation; a pipe is read whole first so that its size is known."""
+    if not stat.S_ISREG(os.fstat(file.fileno()).st_mode):
+        file = io.BytesIO(file.read())
+    size = file.seek(0, io.SEEK_END)
+    file.seek(0)
+    blocks = _decoded_blocks(file, path)
+    _, lines = next(blocks, (1, []))
     if not lines:
         raise ParseError("missing header line", 1)
-    count, dim = _embedding_header(lines[0])
-    data = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
-    if len(data) != count:
-        raise ParseError(f"header declares {count} entries but file has {len(data)} rows")
-    return data, dim
-
-
-def _parse_streamed(path: str | Path) -> tuple[list[str], np.ndarray, int] | None:
-    """Words, rows and the rejected count of a regular embeddings file, or
-    None for any other file, which the caller then parses line by line.
-
-    The file is read in blocks of about ``EMBEDDING_BLOCK_BYTES``, each cut
-    after a newline, so its whole text is never held; each block's rows
-    are parsed in one ``np.loadtxt`` call into a matrix sized from the
-    header. A file is regular when it is UTF-8 with a valid header whose
-    count is its number of non-blank data lines, and each of those lines
-    has exactly ``dim`` single spaces after a word without whitespace and
-    values that ``loadtxt`` parses. ``loadtxt`` gives the same double as
-    ``float`` for each value it parses; the values only ``float`` takes
-    (``1_0``, full-width digits) make it raise.
-
-    The header's count sizes the matrix only once the file is large
-    enough to hold that many regular rows (at least ``2 * dim`` bytes
-    each), so a wrong count cannot request a huge allocation."""
     try:
-        file = open(path, "rb")
-    except OSError:
-        return None  # the line-by-line path reports it
-    with file:
-        info = os.fstat(file.fileno())
-        if not stat.S_ISREG(info.st_mode):
-            return None  # a pipe cannot be read a second time
-        words: list[str] = []
-        rows = None
-        while block := file.read(EMBEDDING_BLOCK_BYTES):
-            try:
-                lines = (block + file.readline()).decode("utf-8").splitlines()
-            except UnicodeDecodeError:
-                return None
-            if rows is None:  # the first block starts with the header
-                try:
-                    count, dim = _embedding_header(lines.pop(0))
-                except ParseError:
-                    return None
-                if 2 * count * dim > info.st_size:
-                    return None
-                rows = np.empty((count, dim))
-            data = [ln for ln in lines if ln.strip()]
-            if not data:
-                continue
-            if len(words) + len(data) > count or any(ln.count(" ") != dim for ln in data):
-                return None
-            block_words = [ln.partition(" ")[0] for ln in data]
-            if " ".join(block_words).split() != block_words:
-                return None
-            try:
-                rows[len(words):len(words) + len(data)] = np.loadtxt(
-                    data, delimiter=" ", comments=None, usecols=range(1, dim + 1), ndmin=2)
-            except ValueError:
-                return None
-            words += block_words
-    if rows is None or len(words) != count:
-        return None
-    return words, rows, 0
-
-
-def _parse_by_line(data: list[tuple[int, str]], dim: int
-                   ) -> tuple[list[str], np.ndarray, int]:
-    """Words, rows and the rejected count of ``data``, one line at a time:
-    the exact path for any file. A row of the wrong length is rejected; a
-    component ``float`` cannot parse raises ParseError naming its line."""
+        count, dim = _embedding_header(lines[0])
+    except ParseError:
+        for _ in blocks:  # a UTF-8 error later in the file comes first
+            pass
+        raise
+    rows = np.empty((min(count, size // (2 * dim)), dim))
     words: list[str] = []
-    # a line with a word and ``dim`` values has more than ``2 * dim``
-    # characters, so a header dim no line can hold sizes no rows
-    rows = np.empty((sum(len(ln) > 2 * dim for _, ln in data), dim))
+    rejected = found = 0
+    value_error = None
+    for lineno, lines in itertools.chain([(2, lines[1:])], blocks):
+        data = [ln for ln in lines if ln.strip()]
+        found += len(data)
+        if not data or found > count or value_error:
+            continue  # nothing to parse, or the count or a value is wrong: only decode
+        if not _loadtxt_block(data, dim, rows, words):
+            try:
+                rejected += _parse_lines(lines, lineno, dim, rows, words)
+            except ParseError as exc:
+                value_error = exc
+    if found != count:
+        raise ParseError(f"header declares {count} entries but file has {found} rows")
+    if value_error:
+        raise value_error
+    return words, rows[:len(words)], rejected
+
+
+def _loadtxt_block(data: list[str], dim: int, rows: np.ndarray, words: list[str]) -> bool:
+    """Whether every line of ``data`` is regular: a word without
+    whitespace, then exactly ``dim`` single spaces before values that
+    ``np.loadtxt`` parses (it gives the same double as ``float``, and
+    raises on the values only ``float`` takes: ``1_0``, full-width digits).
+    If so, the values fill the rows after the first ``len(words)`` and the
+    words are appended to ``words``."""
+    if any(ln.count(" ") != dim for ln in data):
+        return False
+    block_words = [ln.partition(" ")[0] for ln in data]
+    if " ".join(block_words).split() != block_words:
+        return False
+    try:
+        rows[len(words):len(words) + len(data)] = np.loadtxt(
+            data, delimiter=" ", comments=None, usecols=range(1, dim + 1), ndmin=2)
+    except ValueError:
+        return False
+    words += block_words
+    return True
+
+
+def _parse_lines(lines: list[str], lineno: int, dim: int, rows: np.ndarray,
+                 words: list[str]) -> int:
+    """Parse ``lines`` (the first is line ``lineno``) with ``float`` into
+    the rows after the first ``len(words)``, appending their words; return
+    how many have the wrong length. A non-numeric component raises
+    ParseError naming its line."""
     rejected = 0
-    for lineno, line in data:
+    for lineno, line in enumerate(lines, start=lineno):
         parts = line.split()
+        if not parts:
+            continue
         try:
             values = [float(x) for x in parts[1:]]
         except ValueError:
@@ -314,7 +333,7 @@ def _parse_by_line(data: list[tuple[int, str]], dim: int
             continue
         rows[len(words)] = values
         words.append(parts[0])
-    return words, rows[:len(words)], rejected
+    return rejected
 
 
 @dataclass(frozen=True)
@@ -322,9 +341,15 @@ class PinyinTable:
     """Tone-stripped pinyin for words, plus the exact inverse index."""
 
     by_word: dict[str, str]
-    by_pinyin: dict[str, frozenset[str]]
     rejected: int = 0
     duplicates_skipped: int = 0
+    by_pinyin: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        inverse: dict[str, set[str]] = {}
+        for word, pinyin in self.by_word.items():
+            inverse.setdefault(pinyin, set()).add(word)
+        object.__setattr__(self, "by_pinyin", {p: frozenset(ws) for p, ws in inverse.items()})
 
     def pinyin_of(self, word: str) -> str | None:
         return self.by_word.get(word)
@@ -374,12 +399,7 @@ def load_pinyin_table(path: str | Path) -> PinyinTable:
             duplicates += 1
             continue
         by_word[word] = " ".join(syllables)
-    inverse: dict[str, set[str]] = {}
-    for word, pinyin in by_word.items():
-        inverse.setdefault(pinyin, set()).add(word)
-    by_pinyin = {p: frozenset(words) for p, words in inverse.items()}
-    return PinyinTable(by_word=by_word, by_pinyin=by_pinyin,
-                       rejected=rejected, duplicates_skipped=duplicates)
+    return PinyinTable(by_word=by_word, rejected=rejected, duplicates_skipped=duplicates)
 
 
 @dataclass

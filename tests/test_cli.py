@@ -435,16 +435,31 @@ class TestErrorHandling:
         ("build-corpus", "--mask-ratio", "2"), ("build-corpus", "--max-len", "2"),
         ("pretrain", "--hidden-dim", "0"), ("pretrain", "--dropout", "1.5"),
         ("pretrain", "--num-heads", "5"), ("pretrain", "--max-positions", "-1"),
+        ("encode", "--max-len", "2"), ("attn-dump", "--max-len", "2"),
+        ("confusions", "--k", "0"),
     ])
     def test_bad_numeric_flag_exit_5(self, env, tmp_path, capsys, command, flag, value):
         root, _ = env
+        vocab, corpus = str(root / "res/vocab.txt"), str(root / "corpus.txt")
         if command == "pretrain":
             examples = tmp_path / "ex.jsonl"
             run_build(root, examples)
-            argv = ["pretrain", "--vocab", str(root / "res/vocab.txt"), "--in", str(examples),
+            argv = ["pretrain", "--vocab", vocab, "--in", str(examples),
                     "--steps", "2", "--log-every", "0"]
+        elif command == "build-corpus":
+            argv = ["build-corpus", *res_args(root), "--in", corpus]
+        elif command == "confusions":
+            argv = ["confusions", "--embeddings", str(root / "res/embeddings.txt"),
+                    "--pinyin", str(root / "res/pinyin.tsv"), "--in", corpus]
         else:
-            argv = ["build-corpus", *res_args(root), "--in", str(root / "corpus.txt")]
+            argv = [command, "--vocab", vocab, "--lexicon", str(root / "res/lexicon.tsv"),
+                    "--in", corpus]
+            if command == "attn-dump":
+                ckpt = tmp_path / "model.ckpt"
+                save_checkpoint(MarkBert(ModelConfig(vocab_size=len(load_vocab(vocab)),
+                                                     hidden_dim=8, num_heads=2, ffn_dim=8,
+                                                     max_positions=16)), ckpt)
+                argv += ["--ckpt", str(ckpt)]
         capsys.readouterr()
         out = tmp_path / "out"
         assert main([*argv, "--out", str(out), flag, value]) == 5
@@ -453,6 +468,23 @@ class TestErrorHandling:
         err = json.loads(lines[0])
         assert err["error"] == "config" and err["message"].startswith(f"{flag} ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("out", [None, "-"])
+    def test_pretrain_without_checkpoint_path_exit_5(self, env, tmp_path, capsys, monkeypatch,
+                                                      out):
+        """A checkpoint is not written to standard output: no --out, or
+        --out -, is rejected before any file is read (--in is missing here)."""
+        root, _ = env
+        monkeypatch.chdir(tmp_path)
+        argv = ["pretrain", "--vocab", str(root / "res/vocab.txt"),
+                "--in", str(tmp_path / "missing.jsonl"), "--steps", "1"]
+        assert main(argv + ([] if out is None else ["--out", out])) == 5
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and not captured.out
+        err = json.loads(lines[0])
+        assert err["error"] == "config" and err["message"].startswith("--out ")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("rwd_labels,loss_mask", [
         ([[2, "NORMAL"]], [1, 2, 9]),

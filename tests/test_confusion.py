@@ -10,11 +10,7 @@ from markkit.resources import PinyinTable
 
 
 def table_of(**by_word):
-    inverse = {}
-    for w, p in by_word.items():
-        inverse.setdefault(p, set()).add(w)
-    return PinyinTable(by_word=by_word,
-                       by_pinyin={p: frozenset(ws) for p, ws in inverse.items()})
+    return PinyinTable(by_word=by_word)
 
 
 def brute_force_synonyms(word, emb, k):

@@ -116,7 +116,7 @@ def test_alignment_totality(tiny_vocab, seg):
     for i in range(len(marked.ids)):
         if i in markers:
             assert i not in marked.char_alignment
-            assert marked.ids[i] in tiny_vocab.marker_ids
+            assert marked.ids[i] == tiny_vocab.marker_id
         elif i not in specials:
             assert i in marked.char_alignment
 
@@ -150,5 +150,5 @@ class TestVocab:
 
     def test_build_vocab_pos_markers(self):
         vocab = build_vocab("好天", pos_tags=("VV", "NN"))
-        assert set(vocab.pos_marker_ids) == {"NN", "VV"}
-        assert vocab.marker_ids == {vocab.marker_id, *vocab.pos_marker_ids.values()}
+        assert vocab.pos_marker_ids == {"NN": 6, "VV": 7}
+        assert set(vocab.char_ids) == {8, 9}  # markers are not characters

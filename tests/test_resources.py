@@ -1,3 +1,5 @@
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,8 +10,7 @@ from helpers import reference_embeddings
 from markkit import resources
 from markkit.confusion import synonym_candidates
 from markkit.errors import ParseError, ResourceError
-from markkit.resources import (_parse_streamed, load_embeddings, load_lexicon,
-                               load_pinyin_table, strip_tone)
+from markkit.resources import load_embeddings, load_lexicon, load_pinyin_table, strip_tone
 
 
 def write(tmp_path, name, text):
@@ -149,7 +150,7 @@ def outcome(load, path):
     return emb.dim, emb.words, emb.unit_rows().tobytes(), emb.rejected, emb.duplicates_skipped
 
 
-# (file text or bytes, whether the streamed parse takes it)
+# (file text or bytes, whether no block of it reaches the line-by-line parser)
 EMBEDDING_FILES = {
     "regular": ("3 2\n好 1.5 -0.25\n佳 0.5 2.0\n美 1e-3 7\n", True),
     "no final newline": ("3 2\n好 1.5 -0.25\n佳 0.5 2.0\n美 1e-3 7", True),
@@ -175,27 +176,36 @@ EMBEDDING_FILES = {
     "rejected first, valid duplicate": ("3 2\n好 0 0\n好 3 4\n佳 1 1\n", True),
     "zero count": ("0 2\n", True),
     "zero count, blank lines": ("0 2\n\n \n", True),
-    "empty file": ("", False),
-    "count too small": ("1 2\n好 1 0\n佳 0 1\n", False),
+    "empty file": ("", True),
+    "count too small": ("1 2\n好 1 0\n佳 0 1\n", True),
     "count the file cannot hold": ("999999999999 100\n好 1 0\n", False),
     "dim the file cannot hold": ("1 999999999999\n好 1 0\n", False),
     "non-numeric": ("2 2\n好 1 0\n佳 x 1\n", False),
     "non-numeric after a short row": ("2 2\n好 1\n佳 x 1 2\n", False),
     "nul byte in a value": ("1 2\n好 1 0\x00\n", False),
-    "non-UTF-8 byte in a later line": ("3 2\n好 1 0\n佳 0 1\n".encode() + b"\xff 1 1\n", False),
+    "non-UTF-8 byte in a later line": ("3 2\n好 1 0\n佳 0 1\n".encode() + b"\xff 1 1\n", True),
 }
 
 
 @pytest.mark.parametrize("name", EMBEDDING_FILES)
 def test_embeddings_paths_agree(tmp_path, monkeypatch, name):
     """Every file, read in blocks of a few bytes (one or two lines each) and
-    at the default size, gives the reference's result or ParseError."""
+    at the default size, gives the reference's result or ParseError. A
+    regular file never reaches the line-by-line parser; an irregular one
+    does in one-line blocks (a larger block can hold lines past a wrong
+    count, which are only counted)."""
     text, regular = EMBEDDING_FILES[name]
     path = write(tmp_path, "e.txt", text)
+    calls = []
+    parse_lines = resources._parse_lines
+    monkeypatch.setattr(resources, "_parse_lines", lambda *a: calls.append(a) or parse_lines(*a))
+    reached = []
     for block in (1, 9, resources.EMBEDDING_BLOCK_BYTES):
         monkeypatch.setattr(resources, "EMBEDDING_BLOCK_BYTES", block)
-        assert (_parse_streamed(path) is not None) == regular
+        calls.clear()
         assert outcome(load_embeddings, path) == outcome(reference_embeddings, path)
+        reached.append(bool(calls))
+    assert (any(reached), reached[0]) == (not regular, not regular)
 
 
 _NUMBERS = st.one_of(st.floats().map(repr), st.sampled_from(
@@ -237,16 +247,21 @@ def test_embeddings_paths_agree_on_generated_files(tmp_path_factory, text, block
         assert outcome(load_embeddings, path) == outcome(reference_embeddings, path)
 
 
-def test_regular_file_loads_in_bounded_memory(tmp_path):
-    """A regular file is never held whole: the traced peak of a load stays
-    within the file's size plus twice the final matrix (the parsed matrix
-    and its length-sorted copy). Holding the decoded text and its lines
-    at once, as a whole-file parse does, takes about four times the file."""
+def vectors_text(ending=""):
+    """An embeddings file of 4,000 random 50-dim rows, each line ending in
+    ``ending``: about 2 MB, eight default blocks."""
     rng = np.random.default_rng(0)
     lines = [f"{chr(0x4E00 + i // 64)}{chr(0x4E00 + i % 64)} "
-             + " ".join(f"{v:.6f}" for v in row)
+             + " ".join(f"{v:.6f}" for v in row) + ending
              for i, row in enumerate(rng.normal(size=(4000, 50)))]
-    path = write(tmp_path, "e.txt", "\n".join(["4000 50", *lines]) + "\n")
+    return "\n".join(["4000 50", *lines]) + "\n"
+
+
+def assert_loads_in_bounded_memory(path):
+    """The traced peak of a load stays within the file's size plus twice
+    the final matrix (the parsed matrix and its length-sorted copy).
+    Holding the decoded text and its lines at once, as a whole-file parse
+    does, takes about four times the file."""
     tracemalloc.start()
     try:
         emb = load_embeddings(path)
@@ -255,6 +270,32 @@ def test_regular_file_loads_in_bounded_memory(tmp_path):
         tracemalloc.stop()
     assert len(emb) == 4000
     assert peak <= path.stat().st_size + 2 * emb.unit_rows().nbytes
+
+
+def test_regular_file_loads_in_bounded_memory(tmp_path):
+    assert_loads_in_bounded_memory(write(tmp_path, "e.txt", vectors_text()))
+
+
+def test_irregular_file_loads_in_bounded_memory(tmp_path):
+    """A trailing space on every line (a common word2vec text style) sends
+    every block to the line-by-line parser, which is bounded too."""
+    assert_loads_in_bounded_memory(write(tmp_path, "e.txt", vectors_text(" ")))
+
+
+def test_fifo_loads_as_the_regular_file(tmp_path):
+    """A pipe, which cannot report its size, gives the regular file's result."""
+    text = vectors_text()
+    fifo = tmp_path / "e.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(text,),
+                              kwargs={"encoding": "utf-8"}, daemon=True)
+    writer.start()
+    try:
+        got = outcome(load_embeddings, fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert got == outcome(load_embeddings, write(tmp_path, "e.txt", text))
 
 
 def unmemoized_by_word(text):

@@ -9,7 +9,7 @@ from markkit.segmenter import (Segmentation, WordSpan, parse_pretokenized,
 
 def make_lexicon(*words, pos=None):
     entries = {w: LexiconEntry(pos=pos) for w in words}
-    return Lexicon(entries=entries, max_word_len=max((len(w) for w in words), default=0))
+    return Lexicon(entries=entries)
 
 
 def spans_of(seg):
@@ -48,8 +48,7 @@ class TestSegment:
         assert seg.spans[0].pos is None
 
     def test_pos_copied_from_lexicon(self):
-        lex = Lexicon(entries={"地球": LexiconEntry(pos="NN"), "好": LexiconEntry(pos="VA")},
-                      max_word_len=2)
+        lex = Lexicon(entries={"地球": LexiconEntry(pos="NN"), "好": LexiconEntry(pos="VA")})
         seg = segment("地球好", lex)
         assert [s.pos for s in seg.spans] == ["NN", "VA"]
 
