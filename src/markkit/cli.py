@@ -289,14 +289,20 @@ def cmd_attn_dump(args) -> int:
     model = load_checkpoint(args.ckpt)  # run artifact, not under MARKKIT_RESOURCES
     vocab = load_vocab(_resource_path(args.vocab))
     seg_fn = _segmenter_from_args(args)
+    # the checkpoint's positions bound the length when they are fewer than --max-len
+    max_len = min(args.max_len, model.cfg.max_positions)
     batch = []
     for lineno, line in enumerate(_read_lines(args.infile), start=1):
         if not line.strip():
             continue
-        marked = encode_marked(_segment_line(seg_fn, line.strip(), lineno), vocab,
-                               insert_markers=not args.no_markers,
-                               pos_markers=args.pos_markers,
-                               max_len=min(args.max_len, model.cfg.max_positions))
+        try:
+            marked = encode_marked(_segment_line(seg_fn, line.strip(), lineno), vocab,
+                                   insert_markers=not args.no_markers,
+                                   pos_markers=args.pos_markers, max_len=max_len)
+        except ConfigError as exc:
+            if exc.setting != "max_len" or max_len == args.max_len:
+                raise
+            raise ConfigError(exc.reason, "checkpoint max_positions") from None
         batch.append(plain_example(marked))
     if not batch:
         raise InputError(f"no non-empty lines in {args.infile}")

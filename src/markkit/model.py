@@ -42,6 +42,30 @@ Above the threshold:
 - the backward pass runs the head's weight gradients and its input
   gradient as two whole tasks.
 
+The encoder uses the same pool thread from ``_ENCODER_SPLIT_MIN_ELEMENTS``
+(2^15) B x L x H elements on; the gradient oracle's config and the toy
+models stay below it. It runs in two batch halves, examples [0, B // 2)
+here and [B // 2, B) on the pool, each writing its rows into full-batch
+arrays made before the split (with the dropout masks, drawn for the whole
+batch in layer order):
+
+- the forward pass, from the embedding lookup and its LayerNorm through
+  every layer (projections, attention, LayerNorms, FFN) to the MLM
+  transform;
+- the backward pass's row-local chain: every LayerNorm and GELU input
+  gradient, the softmax backward, the per-example attention products and
+  every ``dy @ W.T``, keeping each matmul's and LayerNorm's output
+  gradient;
+- then every sum over the B x L rows (weight, bias and LayerNorm
+  gradients, the token-embedding scatter, the position sum) runs as one
+  whole-batch task, the tasks shared between the two threads, each
+  gradient written in the same order as in one thread.
+
+numpy runs a (B, L, H) @ (H, k) product and the (B, nh, L, k) attention
+products as one BLAS call per example, softmax, GELU and LayerNorm work
+row by row, and no sum over rows is cut, so the halves compute every row
+as the whole batch does.
+
 So each value comes from the same operation on the same operands as in
 one call, and every loss, gradient and parameter is bit-identical to a
 one-thread run. A pool task runs in a copy of the caller's context, so the
@@ -74,8 +98,9 @@ _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _MAGIC = b"MARKKIT\x00"
 _SPLIT_MIN_ELEMENTS = 1 << 20  # M x V head elements from which the head uses two threads
+_ENCODER_SPLIT_MIN_ELEMENTS = 1 << 15  # B x L x H elements from which the encoder runs in halves
 _POOL_LOCK = threading.Lock()
-_POOL: list[ThreadPoolExecutor | None] = []  # the head's threads, made on first use
+_POOL: list[ThreadPoolExecutor | None] = []  # the second thread, made on first use
 
 
 @dataclass(frozen=True)
@@ -153,28 +178,54 @@ class ForwardOutput:
 
 
 # --- primitive ops with explicit backward rules -------------------------------
+#
+# A forward op writes its results into ``out``: rows of the full-batch
+# arrays that the encoder's batch halves share.
 
-def _layernorm_fwd(x, gamma, beta, eps=1e-12):
-    xc = x - x.mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(np.mean(xc * xc, axis=-1, keepdims=True) + eps)  # = x.var
-    xhat = xc * inv_std
-    return xhat * gamma + beta, (xhat, inv_std)
+def _mean_last(x, out=None):
+    """``x.mean(axis=-1, keepdims=True)`` to the bit (a sum, then a division
+    by the count), without ``np.mean``'s Python-level overhead."""
+    total = np.add.reduce(x, axis=-1, keepdims=True, out=out)
+    total /= x.shape[-1]
+    return total
 
 
-def _layernorm_bwd(dy, cache, gamma):
-    xhat, inv_std = cache
-    dgamma = (dy * xhat).reshape(-1, xhat.shape[-1]).sum(axis=0)
-    dbeta = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
+def _layernorm_fwd(x, gamma, beta, out, eps=1e-12):
+    """LayerNorm over the last axis: y, with the xhat and inv_std its
+    backward pass reads, written into ``out`` = (y, xhat, inv_std)."""
+    y, xhat, inv_std = out
+    np.subtract(x, _mean_last(x), out=xhat)
+    _mean_last(xhat * xhat, out=inv_std)  # = x.var
+    inv_std += eps
+    np.divide(1.0, np.sqrt(inv_std, out=inv_std), out=inv_std)
+    xhat *= inv_std
+    np.multiply(xhat, gamma, out=y)
+    y += beta
+    return y
+
+
+def _layernorm_dx(dy, xhat, inv_std, gamma):
+    """LayerNorm's input gradient: row-local, unlike its parameter
+    gradients (``_layernorm_dparams``)."""
     dxhat = dy * gamma
-    dx = inv_std * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-    return dx, dgamma, dbeta
+    return inv_std * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
 
 
-def _gelu_fwd(x):
-    """gelu(x) = x * cdf(x), and the normal CDF, which ``_gelu_bwd`` reuses."""
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
-    return x * cdf, cdf
+def _layernorm_dparams(dy, xhat):
+    """(dgamma, dbeta): sums over every row."""
+    width = xhat.shape[-1]
+    return (dy * xhat).reshape(-1, width).sum(axis=0), dy.reshape(-1, width).sum(axis=0)
+
+
+def _gelu_fwd(x, out):
+    """gelu(x) = x * cdf(x), with the normal CDF, which ``_gelu_bwd``
+    reuses, written into ``out`` = (gelu, cdf)."""
+    act, cdf = out
+    np.divide(x, _SQRT2, out=cdf)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return np.multiply(x, cdf, out=act)
 
 
 def _gelu_bwd(dy, x, cdf):
@@ -182,14 +233,19 @@ def _gelu_bwd(dy, x, cdf):
     return dy * (cdf + x * pdf)
 
 
-def _softmax_last(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _softmax_last(x, out):
+    """The softmax of ``x`` over its last axis, into ``out``; ``x`` is
+    overwritten."""
+    x -= np.maximum.reduce(x, axis=-1, keepdims=True)  # x.max, without its Python wrapper
+    np.exp(x, out=x)
+    return np.divide(x, np.add.reduce(x, axis=-1, keepdims=True), out=out)
 
 
 def _softmax_bwd(da, a):
-    return a * (da - (da * a).sum(axis=-1, keepdims=True))
+    """The softmax's input gradient, in place of ``da``."""
+    da -= (da * a).sum(axis=-1, keepdims=True)
+    da *= a
+    return da
 
 
 def _matmul_grads(dy, x):
@@ -224,21 +280,21 @@ def _cross_entropy(logits, labels, grad=None, pred=None) -> float:
             e *= (1.0 / (total * m))[:, None]
             e[r, y] -= 1.0 / m
 
-    _halves(_head_pool(logits.size), part, m)
+    _halves(_pool(logits.size, _SPLIT_MIN_ELEMENTS), part, m)
     return float(np.mean(terms))
 
 
-def _head_pool(elements: int) -> ThreadPoolExecutor | None:
-    """The second thread for ``elements`` (M x V) of vocabulary-head work:
-    None below ``_SPLIT_MIN_ELEMENTS`` or where the process may use one
-    core."""
-    if elements < _SPLIT_MIN_ELEMENTS:
+def _pool(elements: int, minimum: int) -> ThreadPoolExecutor | None:
+    """The second thread for ``elements`` of work: None below ``minimum``
+    (``_SPLIT_MIN_ELEMENTS`` or ``_ENCODER_SPLIT_MIN_ELEMENTS``) or where
+    the process may use one core."""
+    if elements < minimum:
         return None
     with _POOL_LOCK:
         if not _POOL:
             cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                      else os.cpu_count() or 1)
-            _POOL.append(ThreadPoolExecutor(1, thread_name_prefix="markkit-head")
+            _POOL.append(ThreadPoolExecutor(1, thread_name_prefix="markkit-model")
                          if cores > 1 else None)
         return _POOL[0]
 
@@ -269,6 +325,17 @@ def _halves(pool: ThreadPoolExecutor | None, fn, n: int, align: int = 1) -> None
         fn(0, n)
     else:
         _run(pool, (partial(fn, 0, mid), partial(fn, mid, n)))
+
+
+def _rows(lo, hi, *arrays):
+    """Rows ``[lo, hi)`` of each array: the share of one batch half."""
+    return [a[lo:hi] for a in arrays]
+
+
+def _heads(nh, a):
+    """The (n, nh, L, H / nh) view of the heads of an (n, L, H) array."""
+    n, length, width = a.shape
+    return a.reshape(n, length, nh, width // nh).transpose(0, 2, 1, 3)
 
 
 class MarkBert:
@@ -346,13 +413,12 @@ class MarkBert:
             valid[i, :n] = True
         return ids, valid
 
-    def _dropout(self, x, train, cache, key):
+    def _dropout_mask(self, shape, train):
+        """A scaled keep mask, or None when no dropout applies."""
         rate = self.cfg.dropout
         if not train or rate == 0.0:
-            return x
-        mask = (self._dropout_rng.random(x.shape) >= rate) / (1.0 - rate)
-        cache[key] = mask
-        return x * mask
+            return None
+        return (self._dropout_rng.random(shape) >= rate) / (1.0 - rate)
 
     def forward(self, batch: Sequence[PretrainingExample], *,
                 capture_attention: bool = False, train: bool = False) -> ForwardOutput:
@@ -365,77 +431,96 @@ class MarkBert:
         _check_token_ids("token id", ids, cfg.vocab_size)
         rows = _batch_rows(batch, cfg.rwd_classes)
         _check_token_ids("MLM label token id", rows.mlm_labels, cfg.vocab_size)
-        cache: dict = {"ids": ids, "valid": valid, "train": train, "layers": []}
+        cache: dict = {"ids": ids, "layers": []}
         if L == 0:
             return ForwardOutput(mlm_logits=np.zeros((0, cfg.vocab_size)),
                                  rwd_logits=[np.zeros((0, cfg.rwd_classes)) for _ in batch],
                                  attentions=[] if capture_attention else None,
                                  rows=rows, _cache=cache)
 
-        H = cfg.hidden_dim
-        nh = cfg.num_heads
-        dh = H // nh
-        scale = dh ** -0.5
+        H, F, nh = cfg.hidden_dim, cfg.ffn_dim, cfg.num_heads
+        scale = (H // nh) ** -0.5
+        heads = partial(_heads, nh)
         key_mask = np.where(valid, 0.0, _NEG_INF)[:, None, None, :]  # (B,1,1,L)
+        p = self._p
 
-        emb = self._p("token_embedding")[ids] + self._p("position_embedding")[:L][None]
-        h, ln_cache = _layernorm_fwd(emb, self._p("embedding_ln.gamma"),
-                                     self._p("embedding_ln.beta"))
-        cache["emb_ln"] = ln_cache
-        h = self._dropout(h, train, cache, "emb_drop")
+        def acts(width=H):
+            return np.empty((B, L, width))
 
-        attentions: list[np.ndarray] = []
-        for i in range(cfg.num_layers):
-            p = f"layer{i}."
-            lc: dict = {"x": h}
-            q = h @ self._p(p + "attn.q_w") + self._p(p + "attn.q_b")
-            k = h @ self._p(p + "attn.k_w")
-            v = h @ self._p(p + "attn.v_w") + self._p(p + "attn.v_b")
-            q = q.reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
-            k = k.reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
-            v = v.reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
-            scores = (q @ k.transpose(0, 1, 3, 2)) * scale + key_mask
-            probs = _softmax_last(scores)
-            ctx = (probs @ v).transpose(0, 2, 1, 3).reshape(B, L, H)
-            attn_out = ctx @ self._p(p + "attn.out_w") + self._p(p + "attn.out_b")
-            attn_out = self._dropout(attn_out, train, lc, "attn_drop")
-            lc.update(q=q, k=k, v=v, probs=probs, ctx=ctx)
-            h1, lc["ln1"] = _layernorm_fwd(h + attn_out, self._p(p + "ln1.gamma"),
-                                           self._p(p + "ln1.beta"))
-            lc["h1"] = h1
-            pre1 = h1 @ self._p(p + "ffn.w1") + self._p(p + "ffn.b1")
-            act, cdf = _gelu_fwd(pre1)
-            ffn_out = act @ self._p(p + "ffn.w2") + self._p(p + "ffn.b2")
-            ffn_out = self._dropout(ffn_out, train, lc, "ffn_drop")
-            lc.update(pre1=pre1, act=act, cdf=cdf)
-            h, lc["ln2"] = _layernorm_fwd(h1 + ffn_out, self._p(p + "ln2.gamma"),
-                                          self._p(p + "ln2.beta"))
+        # Every activation the backward pass reads is a full-batch array made
+        # here; the halves write their rows into it. The dropout masks are
+        # drawn here too, in layer order.
+        cache.update(emb_drop=self._dropout_mask((B, L, H), train),
+                     emb_ln=(acts(), acts(), acts(1)))
+        x = cache["emb_ln"][0]
+        for _ in range(cfg.num_layers):
+            lc = {"x": x, "attn_drop": self._dropout_mask((B, L, H), train)}
+            lc["ffn_drop"] = self._dropout_mask((B, L, H), train)
+            lc.update(q=acts(), k=acts(), v=acts(), probs=np.empty((B, nh, L, L)), ctx=acts(),
+                      ln1=(acts(), acts(), acts(1)), pre1=acts(F), act=acts(F), cdf=acts(F),
+                      ln2=(acts(), acts(), acts(1)))
             cache["layers"].append(lc)
-            if capture_attention:
-                attentions.append(probs.copy())
+            x = lc["ln2"][0]
+        cache.update(hidden=x, t1=acts(), t1_cdf=acts(), mlm_ln=(acts(), acts(), acts(1)))
 
-        cache["hidden"] = h
+        def encode(lo, hi):  # examples [lo, hi), from the embedding to the MLM transform
+            at = partial(_rows, lo, hi)
+            emb = p("token_embedding")[ids[lo:hi]] + p("position_embedding")[:L][None]
+            h = _layernorm_fwd(emb, p("embedding_ln.gamma"), p("embedding_ln.beta"),
+                               at(*cache["emb_ln"]))
+            if cache["emb_drop"] is not None:
+                h *= cache["emb_drop"][lo:hi]
+            for i, lc in enumerate(cache["layers"]):
+                pre = f"layer{i}."
+                q, k, v, ctx, probs = at(lc["q"], lc["k"], lc["v"], lc["ctx"], lc["probs"])
+                np.matmul(h, p(pre + "attn.q_w"), out=q)
+                q += p(pre + "attn.q_b")
+                np.matmul(h, p(pre + "attn.k_w"), out=k)
+                np.matmul(h, p(pre + "attn.v_w"), out=v)
+                v += p(pre + "attn.v_b")
+                scores = heads(q) @ heads(k).transpose(0, 1, 3, 2)
+                scores *= scale
+                scores += key_mask[lo:hi]
+                _softmax_last(scores, probs)
+                np.matmul(probs, heads(v), out=heads(ctx))
+                attn_out = ctx @ p(pre + "attn.out_w") + p(pre + "attn.out_b")
+                if lc["attn_drop"] is not None:
+                    attn_out *= lc["attn_drop"][lo:hi]
+                h1 = _layernorm_fwd(h + attn_out, p(pre + "ln1.gamma"), p(pre + "ln1.beta"),
+                                    at(*lc["ln1"]))
+                pre1, act, cdf = at(lc["pre1"], lc["act"], lc["cdf"])
+                np.matmul(h1, p(pre + "ffn.w1"), out=pre1)
+                pre1 += p(pre + "ffn.b1")
+                _gelu_fwd(pre1, (act, cdf))
+                ffn_out = act @ p(pre + "ffn.w2") + p(pre + "ffn.b2")
+                if lc["ffn_drop"] is not None:
+                    ffn_out *= lc["ffn_drop"][lo:hi]
+                h = _layernorm_fwd(h1 + ffn_out, p(pre + "ln2.gamma"), p(pre + "ln2.beta"),
+                                   at(*lc["ln2"]))
+            t1, t1_cdf = at(cache["t1"], cache["t1_cdf"])
+            np.matmul(h, p("mlm.dense_w"), out=t1)
+            t1 += p("mlm.dense_b")
+            t2 = _gelu_fwd(t1, (np.empty_like(t1), t1_cdf))
+            _layernorm_fwd(t2, p("mlm.ln.gamma"), p("mlm.ln.beta"), at(*cache["mlm_ln"]))
 
-        t1 = h @ self._p("mlm.dense_w") + self._p("mlm.dense_b")
-        t2, cache["t1_cdf"] = _gelu_fwd(t1)
-        t3, cache["mlm_ln"] = _layernorm_fwd(t2, self._p("mlm.ln.gamma"),
-                                             self._p("mlm.ln.beta"))
-        cache.update(t1=t1, t3=t3)
-        x, emb, bias = t3[rows.mlm], self._p("token_embedding"), self._p("mlm.bias")
+        _halves(_pool(B * L * H, _ENCODER_SPLIT_MIN_ELEMENTS), encode, B)
+
+        t3 = cache["t3"] = cache["mlm_ln"][0]
+        x, emb, bias = t3[rows.mlm], p("token_embedding"), p("mlm.bias")
         mlm_logits = np.empty((len(x), cfg.vocab_size))
 
         def project(lo, hi):  # the logits of vocabulary entries [lo, hi)
             np.matmul(x, emb[lo:hi].T, out=mlm_logits[:, lo:hi])
             mlm_logits[:, lo:hi] += bias[lo:hi]
 
-        _halves(_head_pool(mlm_logits.size), project, cfg.vocab_size, align=64)
+        _halves(_pool(mlm_logits.size, _SPLIT_MIN_ELEMENTS), project, cfg.vocab_size, align=64)
 
         markers = rows.markers
-        rwd = h[markers] @ self._p("rwd.w") + self._p("rwd.b")
+        rwd = cache["hidden"][markers] @ p("rwd.w") + p("rwd.b")
         rwd_logits = np.split(rwd, np.searchsorted(markers[0], np.arange(1, B)))
-
         return ForwardOutput(mlm_logits=mlm_logits, rwd_logits=rwd_logits,
-                             attentions=attentions if capture_attention else None,
+                             attentions=[lc["probs"].copy() for lc in cache["layers"]]
+                             if capture_attention else None,
                              rows=rows, _cache=cache)
 
     # -- backward ----------------------------------------------------------
@@ -448,14 +533,15 @@ class MarkBert:
         kept in the cache (``dh_mlm``, ``dh_rwd``) for inspection.
         """
         cache = out._cache
-        ids, valid, markers = cache["ids"], cache["valid"], out.rows.markers
+        ids, markers = cache["ids"], out.rows.markers
         B, L = ids.shape
         if L == 0:
             return
         cfg = self.cfg
         H, nh = cfg.hidden_dim, cfg.num_heads
-        dh = H // nh
-        scale = dh ** -0.5
+        scale = (H // nh) ** -0.5
+        heads = partial(_heads, nh)
+        p, grad = self._p, self._g
 
         # MLM head: only the labelled rows have logits and receive a gradient.
         # The weight gradient is dlogits^T x taken as (x^T dlogits)^T, the
@@ -466,88 +552,118 @@ class MarkBert:
         dt3 = np.zeros_like(t3)
 
         def weight_grads():
-            self._g("token_embedding")[...] += (t3[mlm].T @ dmlm_logits).T
-            self._g("mlm.bias")[...] += dmlm_logits.sum(axis=0)
+            grad("token_embedding")[...] += (t3[mlm].T @ dmlm_logits).T
+            grad("mlm.bias")[...] += dmlm_logits.sum(axis=0)
 
         def input_grad():
-            dt3[mlm] = dmlm_logits @ self._p("token_embedding")
+            dt3[mlm] = dmlm_logits @ p("token_embedding")
 
         # the weight gradient runs here: a pool thread's malloc arena would
         # keep its (H, V) temporary, about 11 MB at V = 21,128
-        _run(_head_pool(dmlm_logits.size), (weight_grads, input_grad))
-        dt2, dg, db = _layernorm_bwd(dt3, cache["mlm_ln"], self._p("mlm.ln.gamma"))
-        self._g("mlm.ln.gamma")[...] += dg
-        self._g("mlm.ln.beta")[...] += db
-        dt1 = _gelu_bwd(dt2, cache["t1"], cache["t1_cdf"])
-        dwd, dbd = _matmul_grads(dt1, cache["hidden"])
-        self._g("mlm.dense_w")[...] += dwd
-        self._g("mlm.dense_b")[...] += dbd
-        dh_mlm = dt1 @ self._p("mlm.dense_w").T
+        _run(_pool(dmlm_logits.size, _SPLIT_MIN_ELEMENTS), (weight_grads, input_grad))
 
         # RWD head
         d = np.concatenate(drwd_logits).astype(np.float64, copy=False)
-        self._g("rwd.w")[...] += cache["hidden"][markers].T @ d
-        self._g("rwd.b")[...] += d.sum(axis=0)
-        dh_rwd = np.zeros_like(dh_mlm)
-        dh_rwd[markers] = d @ self._p("rwd.w").T
-        cache["dh_mlm"] = dh_mlm
-        cache["dh_rwd"] = dh_rwd
+        grad("rwd.w")[...] += cache["hidden"][markers].T @ d
+        grad("rwd.b")[...] += d.sum(axis=0)
+        dh_rwd = cache["dh_rwd"] = np.zeros_like(t3)
+        dh_rwd[markers] = d @ p("rwd.w").T
 
-        dhid = dh_mlm + dh_rwd
-        train = cache["train"]
+        # Pass 1, in batch halves: the row-local input gradients. The output
+        # gradient of every matmul and LayerNorm is kept in a full-batch array
+        # for pass 2.
+        def dys(width=H):
+            return np.empty((B, L, width))
+
+        dt1 = dys()
+        dh_mlm = cache["dh_mlm"] = dys()
+        layer_dys = [{"ln2": dys(), "ffn": dys(), "pre1": dys(cfg.ffn_dim), "ln1": dys(),
+                      "attn": dys(), "q": dys(), "k": dys(), "v": dys()}
+                     for _ in range(cfg.num_layers)]
+        demb_ln, demb = dys(), dys()
+
+        def chain(lo, hi):  # examples [lo, hi)
+            at = partial(_rows, lo, hi)
+            xhat, inv_std = at(*cache["mlm_ln"][1:])
+            dt2 = _layernorm_dx(dt3[lo:hi], xhat, inv_std, p("mlm.ln.gamma"))
+            dt1[lo:hi] = _gelu_bwd(dt2, *at(cache["t1"], cache["t1_cdf"]))
+            np.matmul(dt1[lo:hi], p("mlm.dense_w").T, out=dh_mlm[lo:hi])
+            dhid = layer_dys[-1]["ln2"][lo:hi]
+            np.add(dh_mlm[lo:hi], dh_rwd[lo:hi], out=dhid)
+            for i in reversed(range(cfg.num_layers)):
+                pre, lc, dy = f"layer{i}.", cache["layers"][i], layer_dys[i]
+                xhat, inv_std = at(*lc["ln2"][1:])
+                dsum2 = _layernorm_dx(dhid, xhat, inv_std, p(pre + "ln2.gamma"))
+                dffn_out = dy["ffn"][lo:hi]
+                dffn_out[...] = dsum2 if lc["ffn_drop"] is None else dsum2 * lc["ffn_drop"][lo:hi]
+                dact = dffn_out @ p(pre + "ffn.w2").T
+                dpre1 = dy["pre1"][lo:hi]
+                dpre1[...] = _gelu_bwd(dact, *at(lc["pre1"], lc["cdf"]))
+                dh1 = dy["ln1"][lo:hi]
+                np.add(dsum2, dpre1 @ p(pre + "ffn.w1").T, out=dh1)
+
+                xhat, inv_std = at(*lc["ln1"][1:])
+                dsum1 = _layernorm_dx(dh1, xhat, inv_std, p(pre + "ln1.gamma"))
+                dattn_out = dy["attn"][lo:hi]
+                dattn_out[...] = (dsum1 if lc["attn_drop"] is None
+                                  else dsum1 * lc["attn_drop"][lo:hi])
+                dctx = heads(dattn_out @ p(pre + "attn.out_w").T)
+                q, k, v, probs = at(lc["q"], lc["k"], lc["v"], lc["probs"])
+                dprobs = dctx @ heads(v).transpose(0, 1, 3, 2)
+                np.matmul(probs.transpose(0, 1, 3, 2), dctx, out=heads(dy["v"][lo:hi]))
+                dscores = _softmax_bwd(dprobs, probs)
+                dscores *= scale
+                np.matmul(dscores, heads(k), out=heads(dy["q"][lo:hi]))
+                np.matmul(dscores.transpose(0, 1, 3, 2), heads(q), out=heads(dy["k"][lo:hi]))
+                dhid = layer_dys[i - 1]["ln2"][lo:hi] if i else demb_ln[lo:hi]
+                dhid[...] = dsum1  # residual path
+                for name in "qkv":
+                    dhid += dy[name][lo:hi] @ p(pre + f"attn.{name}_w").T
+            if cache["emb_drop"] is not None:
+                dhid *= cache["emb_drop"][lo:hi]
+            xhat, inv_std = at(*cache["emb_ln"][1:])
+            demb[lo:hi] = _layernorm_dx(dhid, xhat, inv_std, p("embedding_ln.gamma"))
+
+        pool = _pool(B * L * H, _ENCODER_SPLIT_MIN_ELEMENTS)
+        _halves(pool, chain, B)
+
+        # Pass 2: every sum over the B x L rows, each as one whole-batch task,
+        # the tasks shared between the two threads.
+        def layernorm(prefix, dy, xhat):
+            dg, db = _layernorm_dparams(dy, xhat)
+            grad(prefix + "gamma")[...] += dg
+            grad(prefix + "beta")[...] += db
+
+        def matmul(w, b, dy, x):
+            dw, db = _matmul_grads(dy, x)
+            grad(w)[...] += dw
+            if b is not None:
+                grad(b)[...] += db
+
+        def embeddings():
+            np.add.at(grad("token_embedding"), ids.reshape(-1), demb.reshape(-1, H))
+            grad("position_embedding")[:L] += demb.sum(axis=0)
+
+        tasks = [partial(layernorm, "mlm.ln.", dt3, cache["mlm_ln"][1]),
+                 partial(matmul, "mlm.dense_w", "mlm.dense_b", dt1, cache["hidden"])]
         for i in reversed(range(cfg.num_layers)):
-            p = f"layer{i}."
-            lc = cache["layers"][i]
-            dsum2, dg, db = _layernorm_bwd(dhid, lc["ln2"], self._p(p + "ln2.gamma"))
-            self._g(p + "ln2.gamma")[...] += dg
-            self._g(p + "ln2.beta")[...] += db
-            dffn_out = dsum2
-            if train and "ffn_drop" in lc:
-                dffn_out = dffn_out * lc["ffn_drop"]
-            dw2, db2 = _matmul_grads(dffn_out, lc["act"])
-            self._g(p + "ffn.w2")[...] += dw2
-            self._g(p + "ffn.b2")[...] += db2
-            dact = dffn_out @ self._p(p + "ffn.w2").T
-            dpre1 = _gelu_bwd(dact, lc["pre1"], lc["cdf"])
-            dw1, db1 = _matmul_grads(dpre1, lc["h1"])
-            self._g(p + "ffn.w1")[...] += dw1
-            self._g(p + "ffn.b1")[...] += db1
-            dh1 = dsum2 + dpre1 @ self._p(p + "ffn.w1").T
+            pre, lc, dy = f"layer{i}.", cache["layers"][i], layer_dys[i]
+            tasks += [partial(layernorm, pre + "ln2.", dy["ln2"], lc["ln2"][1]),
+                      partial(matmul, pre + "ffn.w2", pre + "ffn.b2", dy["ffn"], lc["act"]),
+                      partial(matmul, pre + "ffn.w1", pre + "ffn.b1", dy["pre1"], lc["ln1"][0]),
+                      partial(layernorm, pre + "ln1.", dy["ln1"], lc["ln1"][1]),
+                      partial(matmul, pre + "attn.out_w", pre + "attn.out_b", dy["attn"],
+                              lc["ctx"]),
+                      partial(matmul, pre + "attn.q_w", pre + "attn.q_b", dy["q"], lc["x"]),
+                      partial(matmul, pre + "attn.k_w", None, dy["k"], lc["x"]),
+                      partial(matmul, pre + "attn.v_w", pre + "attn.v_b", dy["v"], lc["x"])]
+        tasks += [partial(layernorm, "embedding_ln.", demb_ln, cache["emb_ln"][1]), embeddings]
 
-            dsum1, dg, db = _layernorm_bwd(dh1, lc["ln1"], self._p(p + "ln1.gamma"))
-            self._g(p + "ln1.gamma")[...] += dg
-            self._g(p + "ln1.beta")[...] += db
-            dattn_out = dsum1
-            if train and "attn_drop" in lc:
-                dattn_out = dattn_out * lc["attn_drop"]
-            dwo, dbo = _matmul_grads(dattn_out, lc["ctx"])
-            self._g(p + "attn.out_w")[...] += dwo
-            self._g(p + "attn.out_b")[...] += dbo
-            dctx = (dattn_out @ self._p(p + "attn.out_w").T)
-            dctx = dctx.reshape(B, L, nh, dh).transpose(0, 2, 1, 3)
-            dprobs = dctx @ lc["v"].transpose(0, 1, 3, 2)
-            dv = lc["probs"].transpose(0, 1, 3, 2) @ dctx
-            dscores = _softmax_bwd(dprobs, lc["probs"]) * scale
-            dq = dscores @ lc["k"]
-            dk = dscores.transpose(0, 1, 3, 2) @ lc["q"]
-            dx = dsum1  # residual path
-            for name, dmat, has_bias in (("q", dq, True), ("k", dk, False),
-                                         ("v", dv, True)):
-                dflat = dmat.transpose(0, 2, 1, 3).reshape(B, L, H)
-                dw, dbias = _matmul_grads(dflat, lc["x"])
-                self._g(p + f"attn.{name}_w")[...] += dw
-                if has_bias:
-                    self._g(p + f"attn.{name}_b")[...] += dbias
-                dx = dx + dflat @ self._p(p + f"attn.{name}_w").T
-            dhid = dx
+        def reduce(lo, hi):
+            for task in tasks[lo:hi]:
+                task()
 
-        if train and "emb_drop" in cache:
-            dhid = dhid * cache["emb_drop"]
-        demb, dg, db = _layernorm_bwd(dhid, cache["emb_ln"], self._p("embedding_ln.gamma"))
-        self._g("embedding_ln.gamma")[...] += dg
-        self._g("embedding_ln.beta")[...] += db
-        np.add.at(self._g("token_embedding"), ids.reshape(-1), demb.reshape(-1, H))
-        self._g("position_embedding")[:L] += demb.sum(axis=0)
+        _halves(pool, reduce, len(tasks))
 
 
 # --- losses -------------------------------------------------------------------

@@ -32,6 +32,9 @@ _TONE_DIGITS = "012345"
 # Bytes per block of an embeddings file. A block's bytes, decoded text and
 # lines take about five times this at once.
 EMBEDDING_BLOCK_BYTES = 1 << 18
+# The largest dim an embeddings header may declare: that of the longest
+# float64 row numpy can size. A larger dim is a malformed header.
+EMBEDDING_MAX_DIM = np.iinfo(np.intp).max // 8
 
 
 def read_text(path: str | Path) -> str:
@@ -228,6 +231,8 @@ def _embedding_header(line: str) -> tuple[int, int]:
         raise ParseError(f"header must be two integers, got {line!r}", 1) from None
     if count < 0 or dim <= 0:
         raise ParseError(f"invalid header values: count={count} dim={dim}", 1)
+    if dim > EMBEDDING_MAX_DIM:
+        raise ParseError(f"dim {dim} exceeds the largest supported dim {EMBEDDING_MAX_DIM}", 1)
     return count, dim
 
 

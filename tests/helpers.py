@@ -9,7 +9,8 @@ import numpy as np
 
 from markkit.errors import ParseError
 from markkit.ner import EntitySpan
-from markkit.resources import _embeddings_from_rows, load_embeddings, read_text
+from markkit.resources import (EMBEDDING_MAX_DIM, _embeddings_from_rows, load_embeddings,
+                                read_text)
 from markkit.segmenter import Segmentation, WordSpan
 
 ENTITY_TYPES = ("LOC", "ORG", "PER")
@@ -106,6 +107,8 @@ def reference_embeddings(path):
         raise ParseError(f"header must be two integers, got {lines[0]!r}", 1) from None
     if count < 0 or dim <= 0:
         raise ParseError(f"invalid header values: count={count} dim={dim}", 1)
+    if dim > EMBEDDING_MAX_DIM:
+        raise ParseError(f"dim {dim} exceeds the largest supported dim {EMBEDDING_MAX_DIM}", 1)
     data = [(i, ln) for i, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(data) != count:
         raise ParseError(f"header declares {count} entries but file has {len(data)} rows")

@@ -469,6 +469,23 @@ class TestErrorHandling:
         assert err["error"] == "config" and err["message"].startswith(f"{flag} ")
         assert not out.exists()
 
+    def test_attn_dump_names_checkpoint_positions_exit_5(self, env, tmp_path, capsys):
+        """A checkpoint too short for CLS, SEP and content is blamed, not the
+        --max-len that it overrides."""
+        root, _ = env
+        vocab, ckpt, out = str(root / "res/vocab.txt"), tmp_path / "model.ckpt", tmp_path / "out"
+        save_checkpoint(MarkBert(ModelConfig(vocab_size=len(load_vocab(vocab)), hidden_dim=8,
+                                             num_heads=2, ffn_dim=8, max_positions=2)), ckpt)
+        capsys.readouterr()
+        assert main(["attn-dump", "--ckpt", str(ckpt), "--vocab", vocab,
+                     "--lexicon", str(root / "res/lexicon.tsv"), "--in", str(root / "corpus.txt"),
+                     "--out", str(out), "--max-len", "512"]) == 5
+        assert capsys.readouterr().err.splitlines() == [json.dumps({
+            "error": "config", "exit_code": 5,
+            "message": "checkpoint max_positions must be >= 3 to hold CLS, SEP and content, "
+                       "got 2"})]
+        assert not out.exists()
+
     @pytest.mark.parametrize("out", [None, "-"])
     def test_pretrain_without_checkpoint_path_exit_5(self, env, tmp_path, capsys, monkeypatch,
                                                       out):

@@ -2,6 +2,8 @@ import json
 import math
 import random
 import struct
+import sys
+import threading
 import time
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -501,10 +503,118 @@ class TestTwoThreadHead:
         assert pool.tasks > 0
 
 
+def mixed_batch(lengths, seed):
+    """One example of each length (two MLM labels, three markers, V = 64),
+    so a batch with several lengths is padded."""
+    return [ex for i, length in enumerate(lengths)
+            for ex in labelled_batch((2,), 64, 100 * seed + i, length=length)]
+
+
+class TestTwoThreadEncoder:
+    """The encoder runs in two batch halves from _ENCODER_SPLIT_MIN_ELEMENTS
+    on; the split must not change a bit."""
+
+    CFG = dict(vocab_size=64, hidden_dim=32, num_layers=2, num_heads=4, ffn_dim=48,
+               max_positions=24, seed=3)
+
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """A second thread, however many cores the host has, with the
+        interpreter switching threads every 10 us so that the halves
+        interleave finely."""
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(1) as pool:
+                monkeypatch.setattr(model_module, "_POOL", [pool])
+                yield pool
+        finally:
+            sys.setswitchinterval(interval)
+
+    def train(self, monkeypatch, threshold, batches, cfg):
+        monkeypatch.setattr(model_module, "_ENCODER_SPLIT_MIN_ELEMENTS", threshold)
+        model = MarkBert(ModelConfig(**{**self.CFG, **cfg}))
+        return model, [train_step(model, batch, lr=0.3) for batch in batches]
+
+    @pytest.mark.parametrize("size", ["oracle", "toy"])
+    def test_small_models_submit_no_task(self, monkeypatch, toy_world, toy_resources, size):
+        """The gradient oracle's config (criterion 5) and the toy
+        trainability model (criterion 6) stay below the encoder's threshold
+        as well as the head's: their forward and backward passes submit no
+        task."""
+        pool = RecordingPool()
+        monkeypatch.setattr(model_module, "_POOL", [pool])
+        if size == "oracle":
+            model = MarkBert(ModelConfig(vocab_size=64, hidden_dim=32, num_layers=2,
+                                         num_heads=4, ffn_dim=64, max_positions=16, seed=11))
+            batch = labelled_batch((3, 3), 64, seed=2, length=16)
+        else:
+            model = MarkBert(ModelConfig(vocab_size=len(toy_world.vocab), hidden_dim=64,
+                                         num_layers=2, num_heads=4, ffn_dim=128,
+                                         max_positions=40, seed=1))
+            batch = toy_batch(toy_world, toy_resources, n=8, seed=606, max_len=32)
+        analytic_grads(model, batch)
+        compute_loss(model.forward(batch), batch)
+        assert pool.tasks == 0
+        monkeypatch.setattr(model_module, "_ENCODER_SPLIT_MIN_ELEMENTS", 0)
+        analytic_grads(model, batch)
+        assert pool.tasks > 0
+
+    @pytest.mark.parametrize("lengths,cfg", [
+        ((24,), {}), ((24,) * 3, {}), ((24,) * 8, {}), ((24, 9, 17, 24, 7), {}),
+        ((24, 9, 17, 24), {"dropout": 0.2}), ((24, 9, 17), {"rwd_classes": 2}),
+    ], ids=["B=1", "B=3", "B=8", "padding", "dropout", "rwd_classes=2"])
+    def test_split_is_bit_identical(self, monkeypatch, pool, lengths, cfg):
+        batches = [mixed_batch(lengths, seed) for seed in range(3)]
+        split, split_metrics = self.train(monkeypatch, 0, batches, cfg)
+        whole, whole_metrics = self.train(monkeypatch, math.inf, batches, cfg)
+        assert split_metrics == whole_metrics
+        for name in whole.params:
+            assert np.array_equal(split.params[name].value, whole.params[name].value), name
+
+    @pytest.mark.parametrize("name", ["_gelu_fwd", "_layernorm_dx", "_matmul_grads"],
+                             ids=["forward", "backward chain", "backward sums"])
+    def test_pool_exception_reaches_the_caller(self, monkeypatch, pool, name):
+        """A failure in the pool's part of the forward pass, of the
+        backward's row-local chain or of its sums reaches the caller
+        unchanged."""
+        error, original = KeyError(name), getattr(model_module, name)
+        caller = threading.get_ident()
+
+        def fail_on_pool(*args):
+            if threading.get_ident() != caller:
+                raise error
+            return original(*args)
+
+        monkeypatch.setattr(model_module, name, fail_on_pool)
+        monkeypatch.setattr(model_module, "_ENCODER_SPLIT_MIN_ELEMENTS", 0)
+        model = MarkBert(ModelConfig(**self.CFG))
+        with pytest.raises(KeyError) as info:
+            train_step(model, mixed_batch((24, 9, 17), 0), lr=0.3)
+        assert info.value is error
+
+    def test_captured_attention_is_bit_identical(self, monkeypatch, pool, toy_world,
+                                                 toy_resources):
+        batch = toy_batch(toy_world, toy_resources, n=3, seed=13)
+        assert len({ex.attention_len for ex in batch}) > 1
+        results = []
+        for threshold in (0, math.inf):
+            monkeypatch.setattr(model_module, "_ENCODER_SPLIT_MIN_ELEMENTS", threshold)
+            model = MarkBert(ModelConfig(vocab_size=len(toy_world.vocab), hidden_dim=16,
+                                         num_layers=2, num_heads=4, ffn_dim=24,
+                                         max_positions=32, seed=0))
+            out = model.forward(batch, capture_attention=True)
+            results.append((out.attentions, export_attention(out, batch, vocab=toy_world.vocab)))
+        (split, split_record), (whole, whole_record) = results
+        assert len(split) == len(whole) == 2
+        assert all(np.array_equal(a, b) for a, b in zip(split, whole))
+        assert split_record == whole_record
+
+
 class TestPrimitives:
     def test_layernorm_and_gelu_match_reference_formulas(self):
-        """``_layernorm_fwd`` centres once and ``_gelu_fwd`` returns its CDF;
-        both give the bits of the textbook formulas."""
+        """``_layernorm_fwd`` centres once and ``_gelu_fwd`` keeps its CDF;
+        both write the bits of the textbook formulas into ``out``."""
         rng = np.random.default_rng(0)
         for _ in range(80):
             x = (rng.normal(size=(rng.integers(1, 6), rng.integers(1, 130)))
@@ -512,10 +622,13 @@ class TestPrimitives:
             gamma, beta = rng.normal(size=x.shape[-1]), rng.normal(size=x.shape[-1])
             inv_std = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-12)
             xhat = (x - x.mean(axis=-1, keepdims=True)) * inv_std
-            y, cache = model_module._layernorm_fwd(x, gamma, beta)
-            assert np.array_equal(cache[0], xhat) and np.array_equal(cache[1], inv_std)
+            out = y, out_xhat, out_inv_std = (np.empty_like(x), np.empty_like(x),
+                                              np.empty_like(inv_std))
+            assert model_module._layernorm_fwd(x, gamma, beta, out) is y
+            assert np.array_equal(out_xhat, xhat) and np.array_equal(out_inv_std, inv_std)
             assert np.array_equal(y, xhat * gamma + beta)
-            act, cdf = model_module._gelu_fwd(x)
+            out = act, cdf = np.empty_like(x), np.empty_like(x)
+            assert model_module._gelu_fwd(x, out) is act
             assert np.array_equal(act, 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))))
             assert np.array_equal(cdf, 0.5 * (1.0 + erf(x / np.sqrt(2.0))))
 

@@ -180,6 +180,8 @@ EMBEDDING_FILES = {
     "count too small": ("1 2\n好 1 0\n佳 0 1\n", True),
     "count the file cannot hold": ("999999999999 100\n好 1 0\n", False),
     "dim the file cannot hold": ("1 999999999999\n好 1 0\n", False),
+    "dim numpy cannot size": ("0 1000000000000000000000\n", True),
+    "largest dim, no rows": (f"0 {resources.EMBEDDING_MAX_DIM}\n", True),
     "non-numeric": ("2 2\n好 1 0\n佳 x 1\n", False),
     "non-numeric after a short row": ("2 2\n好 1\n佳 x 1 2\n", False),
     "nul byte in a value": ("1 2\n好 1 0\x00\n", False),
