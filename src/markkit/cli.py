@@ -15,7 +15,7 @@ If the ``MARKKIT_RESOURCES`` environment variable is set, relative
 All randomness flows from ``--seed`` (default 12345) through documented
 derivations, so every subcommand is reproducible; ``--deterministic`` is
 accepted for interface stability (deterministic behavior is the default
-and only mode).
+and only mode; see ``markkit`` for the BLAS thread count).
 """
 
 from __future__ import annotations
@@ -92,6 +92,11 @@ def _write_text(path: str | None, text: str) -> None:
             raise ResourceError(f"cannot write {path}: {exc}") from exc
 
 
+def _write_lines(path: str | None, lines) -> None:
+    """Each of ``lines`` ended by a newline, written by :func:`_write_text`."""
+    _write_text(path, "".join(line + "\n" for line in lines))
+
+
 def _segmenter_from_args(args) -> Segmenter:
     if getattr(args, "pretokenized", False):
         return parse_pretokenized
@@ -108,6 +113,25 @@ def _segment_line(seg_fn: Segmenter, line: str, lineno: int) -> Segmentation:
         return seg_fn(line)
     except ParseError as exc:
         raise ParseError(str(exc), lineno) from None
+
+
+def _encoded_lines(args, vocab, max_len: int, add_cls_sep: bool = True):
+    """Each non-blank line of ``--in``, segmented (``--lexicon`` or
+    ``--pretokenized``) and encoded as the marker flags say."""
+    seg_fn = _segmenter_from_args(args)
+    for lineno, line in enumerate(_read_lines(args.infile), start=1):
+        if line.strip():
+            yield encode_marked(_segment_line(seg_fn, line.strip(), lineno), vocab,
+                                insert_markers=not args.no_markers,
+                                pos_markers=args.pos_markers, max_len=max_len,
+                                add_cls_sep=add_cls_sep)
+
+
+def _read_examples(path: str):
+    """The examples of a JSONL file, one per non-blank line."""
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        if line.strip():
+            yield example_from_json(line, lineno)
 
 
 def _flag_error(exc: ConfigError, args) -> ConfigError:
@@ -143,21 +167,11 @@ def cmd_segment(args) -> int:
 
 def cmd_encode(args) -> int:
     vocab = load_vocab(_resource_path(args.vocab))
-    seg_fn = _segmenter_from_args(args)
-    records = []
-    for lineno, line in enumerate(_read_lines(args.infile), start=1):
-        if not line.strip():
-            continue
-        marked = encode_marked(_segment_line(seg_fn, line.strip(), lineno), vocab,
-                               insert_markers=not args.no_markers,
-                               pos_markers=args.pos_markers,
-                               max_len=args.max_len,
-                               add_cls_sep=not args.no_cls_sep)
-        records.append(json.dumps({"ids": list(marked.ids),
-                                   "marker_positions": list(marked.marker_positions),
-                                   "truncated": marked.truncated},
-                                  separators=(",", ":")))
-    _write_text(args.out, "\n".join(records) + ("\n" if records else ""))
+    _write_lines(args.out, (json.dumps({"ids": list(marked.ids),
+                                        "marker_positions": list(marked.marker_positions),
+                                        "truncated": marked.truncated}, separators=(",", ":"))
+                            for marked in _encoded_lines(args, vocab, args.max_len,
+                                                         add_cls_sep=not args.no_cls_sep)))
     return 0
 
 
@@ -173,7 +187,7 @@ def cmd_confusions(args) -> int:
             rows.append(f"{word}\tPINYIN\t{choice.replacement}\t{choice.score:.6f}")
         for choice in synonym_candidates(word, emb, args.k):
             rows.append(f"{word}\tSYNONYM\t{choice.replacement}\t{choice.score:.6f}")
-    _write_text(args.out, "\n".join(rows) + ("\n" if rows else ""))
+    _write_lines(args.out, rows)
     return 0
 
 
@@ -201,8 +215,7 @@ def cmd_build_corpus(args) -> int:
             for lineno, line in enumerate(lines, start=1):
                 _segment_line(seg_fn, line, lineno)
         raise
-    _write_text(args.out, "\n".join(example_to_json(ex) for ex in examples)
-                + ("\n" if examples else ""))
+    _write_lines(args.out, map(example_to_json, examples))
     return 0
 
 
@@ -219,12 +232,12 @@ def cmd_pretrain(args) -> int:
     if args.log_every < 0:
         raise ConfigError(f"--log-every must be >= 0, got {args.log_every}")
     vocab = load_vocab(_resource_path(args.vocab))
-    examples = [example_from_json(line, lineno)
-                for lineno, line in enumerate(_read_lines(args.infile), start=1)
-                if line.strip()]
+    examples = list(_read_examples(args.infile))
     if not examples:
         raise InputError(f"no examples in {args.infile}")
     max_positions = args.max_positions or max(ex.attention_len for ex in examples)
+    if not max_positions:
+        raise InputError(f"--in {args.infile}: every example has empty input_ids")
     model = MarkBert(ModelConfig(vocab_size=len(vocab), hidden_dim=args.hidden_dim,
                                  num_layers=args.num_layers, num_heads=args.num_heads,
                                  ffn_dim=args.ffn_dim, max_positions=max_positions,
@@ -288,22 +301,14 @@ def cmd_eval_ner(args) -> int:
 def cmd_attn_dump(args) -> int:
     model = load_checkpoint(args.ckpt)  # run artifact, not under MARKKIT_RESOURCES
     vocab = load_vocab(_resource_path(args.vocab))
-    seg_fn = _segmenter_from_args(args)
     # the checkpoint's positions bound the length when they are fewer than --max-len
     max_len = min(args.max_len, model.cfg.max_positions)
-    batch = []
-    for lineno, line in enumerate(_read_lines(args.infile), start=1):
-        if not line.strip():
-            continue
-        try:
-            marked = encode_marked(_segment_line(seg_fn, line.strip(), lineno), vocab,
-                                   insert_markers=not args.no_markers,
-                                   pos_markers=args.pos_markers, max_len=max_len)
-        except ConfigError as exc:
-            if exc.setting != "max_len" or max_len == args.max_len:
-                raise
-            raise ConfigError(exc.reason, "checkpoint max_positions") from None
-        batch.append(plain_example(marked))
+    try:
+        batch = [plain_example(marked) for marked in _encoded_lines(args, vocab, max_len)]
+    except ConfigError as exc:
+        if exc.setting != "max_len" or max_len == args.max_len:
+            raise
+        raise ConfigError(exc.reason, "checkpoint max_positions") from None
     if not batch:
         raise InputError(f"no non-empty lines in {args.infile}")
     out = model.forward(batch, capture_attention=True)
@@ -313,13 +318,7 @@ def cmd_attn_dump(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    def examples():
-        for lineno, line in enumerate(_read_lines(args.infile), start=1):
-            if line.strip():
-                yield example_from_json(line, lineno)
-
-    stats = corpus_stats(examples())
-    _write_text(args.out, print_stats(stats))
+    _write_text(args.out, print_stats(corpus_stats(_read_examples(args.infile))))
     return 0
 
 
@@ -348,8 +347,22 @@ def _add_common(p: argparse.ArgumentParser,
                    help=f"master RNG seed (default {DEFAULT_SEED})")
     p.add_argument("--deterministic", action="store_true",
                    help="accepted for interface stability; all pipelines are "
-                        "deterministic by construction")
+                        "deterministic by construction, and BLAS runs on one thread "
+                        "unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set")
     p.add_argument("--out", default=None, help=out_help)
+
+
+def _add_encode_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of :func:`_encoded_lines`, which ``encode`` and
+    ``attn-dump`` share."""
+    p.add_argument("--vocab", required=True)
+    p.add_argument("--lexicon")
+    p.add_argument("--in", dest="infile", required=True)
+    p.add_argument("--pretokenized", action="store_true",
+                   help="input lines are already space-separated words")
+    p.add_argument("--no-markers", action="store_true")
+    p.add_argument("--pos-markers", action="store_true")
+    p.add_argument("--max-len", type=int, default=512)
 
 
 def _add_masking_flags(p: argparse.ArgumentParser) -> None:
@@ -382,15 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("encode", help="encode lines as marked token ids (JSONL)")
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--lexicon")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--pretokenized", action="store_true",
-                   help="input lines are already space-separated words")
-    p.add_argument("--no-markers", action="store_true")
-    p.add_argument("--pos-markers", action="store_true")
+    _add_encode_flags(p)
     p.add_argument("--no-cls-sep", action="store_true")
-    p.add_argument("--max-len", type=int, default=512)
     _add_common(p)
     p.set_defaults(func=cmd_encode)
 
@@ -442,13 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attn-dump", help="export marker attention rows as JSON")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--lexicon")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--pretokenized", action="store_true")
-    p.add_argument("--no-markers", action="store_true")
-    p.add_argument("--pos-markers", action="store_true")
-    p.add_argument("--max-len", type=int, default=512)
+    _add_encode_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_attn_dump)
 

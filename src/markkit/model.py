@@ -127,6 +127,8 @@ class ModelConfig:
             raise ConfigError(f"must be 2 or 3, got {self.rwd_classes}", "rwd_classes")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"must be in [0, 1), got {self.dropout}", "dropout")
+        if self.seed < 0:
+            raise ConfigError(f"must be >= 0, got {self.seed}", "seed")
 
 
 class Parameter:
@@ -162,16 +164,16 @@ class StepMetrics:
 class ForwardOutput:
     """Logits plus (optionally) captured attention probabilities.
 
-    ``mlm_logits`` is (M, V): one row per MLM-labelled position, sorted by
-    example, then position. ``rwd_logits[i]`` has one row per marker of
-    example ``i``, in ascending marker-position order. ``forward`` records
-    the batch's (example, position) rows, among them those of both logit
-    tensors, in ``rows``, which ``loss_and_gradients`` and ``backward``
-    read. ``_cache`` holds the activations needed for the backward pass.
+    ``mlm_logits`` is (M, V), one row per MLM-labelled position, and
+    ``rwd_logits`` (N, C), one row per marker, both sorted by example, then
+    position. ``forward`` records the batch's (example, position) rows,
+    among them those of both logit arrays (``rows.mlm``, ``rows.markers``),
+    in ``rows``, which ``loss_and_gradients`` and ``backward`` read.
+    ``_cache`` holds the activations needed for the backward pass.
     """
 
     mlm_logits: np.ndarray
-    rwd_logits: list[np.ndarray]
+    rwd_logits: np.ndarray
     attentions: list[np.ndarray] | None = None
     rows: _BatchRows | None = None
     _cache: dict = field(default_factory=dict, repr=False)
@@ -345,7 +347,16 @@ class MarkBert:
         self.cfg = cfg
         self.params: dict[str, Parameter] = {}
         self._dropout_rng = np.random.default_rng(cfg.seed + 1)
-        rng = np.random.default_rng(cfg.seed)
+        try:
+            self._init_params(np.random.default_rng(cfg.seed))
+        except (MemoryError, OverflowError, ValueError) as exc:  # numpy refused a table's size
+            largest = max(("vocab_size", "hidden_dim", "ffn_dim", "max_positions"),
+                          key=lambda name: getattr(cfg, name))
+            raise ConfigError(f"is too large: {getattr(cfg, largest)} gives a parameter table "
+                              f"numpy cannot allocate ({exc})", largest) from None
+
+    def _init_params(self, rng: np.random.Generator) -> None:
+        cfg = self.cfg
         H, F, V = cfg.hidden_dim, cfg.ffn_dim, cfg.vocab_size
 
         def register(name, value):
@@ -409,7 +420,11 @@ class MarkBert:
         valid = np.zeros((len(batch), L), dtype=bool)
         for i, ex in enumerate(batch):
             n = ex.attention_len
-            ids[i, :n] = ex.input_ids
+            try:
+                ids[i, :n] = ex.input_ids
+            except OverflowError:  # an id beyond int64, kept as a Python int for the range check
+                ids = ids.astype(object)
+                ids[i, :n] = ex.input_ids
             valid[i, :n] = True
         return ids, valid
 
@@ -434,7 +449,7 @@ class MarkBert:
         cache: dict = {"ids": ids, "layers": []}
         if L == 0:
             return ForwardOutput(mlm_logits=np.zeros((0, cfg.vocab_size)),
-                                 rwd_logits=[np.zeros((0, cfg.rwd_classes)) for _ in batch],
+                                 rwd_logits=np.zeros((0, cfg.rwd_classes)),
                                  attentions=[] if capture_attention else None,
                                  rows=rows, _cache=cache)
 
@@ -515,9 +530,7 @@ class MarkBert:
 
         _halves(_pool(mlm_logits.size, _SPLIT_MIN_ELEMENTS), project, cfg.vocab_size, align=64)
 
-        markers = rows.markers
-        rwd = cache["hidden"][markers] @ p("rwd.w") + p("rwd.b")
-        rwd_logits = np.split(rwd, np.searchsorted(markers[0], np.arange(1, B)))
+        rwd_logits = cache["hidden"][rows.markers] @ p("rwd.w") + p("rwd.b")
         return ForwardOutput(mlm_logits=mlm_logits, rwd_logits=rwd_logits,
                              attentions=[lc["probs"].copy() for lc in cache["layers"]]
                              if capture_attention else None,
@@ -526,7 +539,7 @@ class MarkBert:
     # -- backward ----------------------------------------------------------
 
     def backward(self, out: ForwardOutput, dmlm_logits: np.ndarray,
-                 drwd_logits: Sequence[np.ndarray]) -> None:
+                 drwd_logits: np.ndarray) -> None:
         """Accumulate parameter gradients for the given logit gradients.
 
         The per-head contributions to the final hidden-state gradient are
@@ -563,11 +576,10 @@ class MarkBert:
         _run(_pool(dmlm_logits.size, _SPLIT_MIN_ELEMENTS), (weight_grads, input_grad))
 
         # RWD head
-        d = np.concatenate(drwd_logits).astype(np.float64, copy=False)
-        grad("rwd.w")[...] += cache["hidden"][markers].T @ d
-        grad("rwd.b")[...] += d.sum(axis=0)
+        grad("rwd.w")[...] += cache["hidden"][markers].T @ drwd_logits
+        grad("rwd.b")[...] += drwd_logits.sum(axis=0)
         dh_rwd = cache["dh_rwd"] = np.zeros_like(t3)
-        dh_rwd[markers] = d @ p("rwd.w").T
+        dh_rwd[markers] = drwd_logits @ p("rwd.w").T
 
         # Pass 1, in batch halves: the row-local input gradients. The output
         # gradient of every matmul and LayerNorm is kept in a full-batch array
@@ -673,7 +685,7 @@ class _BatchRows(NamedTuple):
 
     mlm: tuple[np.ndarray, np.ndarray]      # MLM-labelled, by example then position
     mlm_labels: np.ndarray
-    markers: tuple[np.ndarray, np.ndarray]  # every marker: the concatenated rwd_logits
+    markers: tuple[np.ndarray, np.ndarray]  # every marker: the rows of rwd_logits
     rwd: np.ndarray                         # marker rows that carry detection loss
     rwd_labels: np.ndarray                  # their class ids (confusion = 1 of 2 classes)
 
@@ -694,7 +706,10 @@ def _batch_rows(batch: Sequence[PretrainingExample], rwd_classes: int) -> _Batch
             if ex.rwd_loss_mask.get(pos, False):
                 rwd.append((len(markers), ex.rwd_labels[pos]))
             markers.append((i, pos))
-    mlm_i, mlm_p, mlm_labels = np.array(mlm, dtype=np.intp).reshape(-1, 3).T
+    try:
+        mlm_i, mlm_p, mlm_labels = np.array(mlm, dtype=np.intp).reshape(-1, 3).T
+    except OverflowError:  # a label beyond int64, kept as a Python int for the range check
+        mlm_i, mlm_p, mlm_labels = np.array(mlm, dtype=object).reshape(-1, 3).T
     marker_i, marker_p = np.array(markers, dtype=np.intp).reshape(-1, 2).T
     rwd_rows, rwd_labels = np.array(rwd, dtype=np.intp).reshape(-1, 2).T
     if rwd_classes == 2:
@@ -702,21 +717,23 @@ def _batch_rows(batch: Sequence[PretrainingExample], rwd_classes: int) -> _Batch
     return _BatchRows((mlm_i, mlm_p), mlm_labels, (marker_i, marker_p), rwd_rows, rwd_labels)
 
 
-def _accuracy(pred: np.ndarray, labels: np.ndarray) -> float | None:
-    return float(np.mean(pred == labels)) if len(labels) else None
+def _head_loss(logits: np.ndarray, labels: np.ndarray):
+    """One head's loss, its logit gradient and its accuracy (None for no
+    rows)."""
+    grad, pred = np.empty_like(logits), np.empty(len(logits), dtype=np.intp)
+    loss = _cross_entropy(logits, labels, grad, pred)
+    return loss, grad, float(np.mean(pred == labels)) if len(labels) else None
 
 
 def _loss_rows(out: ForwardOutput, batch: Sequence[PretrainingExample],
-               rwd_classes: int) -> tuple[_BatchRows, np.ndarray | None]:
-    """The batch's rows (from ``out.rows`` when ``forward`` built ``out``,
-    else from ``batch``) and the detection logits that carry loss (None
-    when no marker does)."""
+               rwd_classes: int) -> _BatchRows:
+    """The batch's rows: from ``out.rows`` when ``forward`` built ``out``,
+    else from ``batch``."""
     rows = out.rows if out.rows is not None else _batch_rows(batch, rwd_classes)
     if len(out.mlm_logits) != len(rows.mlm_labels):
         raise InputError(f"{len(out.mlm_logits)} MLM logit rows for "
                          f"{len(rows.mlm_labels)} labelled positions")
-    rwd_logits = np.concatenate(out.rwd_logits)[rows.rwd] if len(rows.rwd) else None
-    return rows, rwd_logits
+    return rows
 
 
 def loss_and_gradients(out: ForwardOutput, batch: Sequence[PretrainingExample],
@@ -732,24 +749,13 @@ def loss_and_gradients(out: ForwardOutput, batch: Sequence[PretrainingExample],
     The rows come from ``out.rows`` when ``forward`` built ``out`` (from
     ``batch``, with the model's ``rwd_classes``), else from ``batch``.
     """
-    rows, rwd_logits = _loss_rows(out, batch, rwd_classes)
-    logits = out.mlm_logits
-    dmlm, mlm_pred = np.empty_like(logits), np.empty(len(logits), dtype=np.intp)
-    mlm_loss = _cross_entropy(logits, rows.mlm_labels, dmlm, mlm_pred)
-
-    drwd = [np.zeros_like(r) for r in out.rwd_logits]
-    rwd_loss, rwd_acc = 0.0, None
-    if rwd_logits is not None:
-        g, rwd_pred = np.empty_like(rwd_logits), np.empty(len(rwd_logits), dtype=np.intp)
-        rwd_loss = _cross_entropy(rwd_logits, rows.rwd_labels, g, rwd_pred)
-        rwd_acc = _accuracy(rwd_pred, rows.rwd_labels)
-        flat = np.concatenate(drwd)
-        flat[rows.rwd] = g
-        drwd = np.split(flat, np.cumsum([len(d) for d in drwd])[:-1])
-
+    rows = _loss_rows(out, batch, rwd_classes)
+    mlm_loss, dmlm, mlm_acc = _head_loss(out.mlm_logits, rows.mlm_labels)
+    rwd_loss, drwd_loss_rows, rwd_acc = _head_loss(out.rwd_logits[rows.rwd], rows.rwd_labels)
+    drwd = np.zeros_like(out.rwd_logits)
+    drwd[rows.rwd] = drwd_loss_rows
     metrics = StepMetrics(loss=LossBreakdown(mlm_loss=mlm_loss, rwd_loss=rwd_loss),
-                          mlm_accuracy=_accuracy(mlm_pred, rows.mlm_labels),
-                          rwd_accuracy=rwd_acc)
+                          mlm_accuracy=mlm_acc, rwd_accuracy=rwd_acc)
     return metrics, dmlm, drwd
 
 
@@ -757,10 +763,9 @@ def compute_loss(out: ForwardOutput, batch: Sequence[PretrainingExample],
                  rwd_classes: int = 3) -> LossBreakdown:
     """The losses of :func:`loss_and_gradients`, to the bit, without its
     logit gradients and accuracies."""
-    rows, rwd_logits = _loss_rows(out, batch, rwd_classes)
-    rwd_loss = 0.0 if rwd_logits is None else _cross_entropy(rwd_logits, rows.rwd_labels)
+    rows = _loss_rows(out, batch, rwd_classes)
     return LossBreakdown(mlm_loss=_cross_entropy(out.mlm_logits, rows.mlm_labels),
-                         rwd_loss=rwd_loss)
+                         rwd_loss=_cross_entropy(out.rwd_logits[rows.rwd], rows.rwd_labels))
 
 
 def train_step(model: MarkBert, batch: Sequence[PretrainingExample],
@@ -790,7 +795,6 @@ def train_step(model: MarkBert, batch: Sequence[PretrainingExample],
 # --- verification helpers ------------------------------------------------------
 
 def finite_difference_grads(model: MarkBert, batch: Sequence[PretrainingExample],
-                            names: Sequence[str] | None = None,
                             step: float = 1e-3) -> dict[str, np.ndarray]:
     """Central-difference gradients of the total loss, parameter by
     parameter. Quadratic cost; intended for toy configurations."""
@@ -800,10 +804,9 @@ def finite_difference_grads(model: MarkBert, batch: Sequence[PretrainingExample]
         return compute_loss(out, batch, model.cfg.rwd_classes).total
 
     grads: dict[str, np.ndarray] = {}
-    for name in (names if names is not None else model.params):
-        value = model.params[name].value
-        grad = np.zeros_like(value)
-        flat = value.reshape(-1)
+    for name, param in model.params.items():
+        grad = np.zeros_like(param.value)
+        flat = param.value.reshape(-1)
         gflat = grad.reshape(-1)
         for j in range(flat.size):
             original = flat[j]
@@ -841,28 +844,15 @@ def export_attention(out: ForwardOutput, batch: Sequence[PretrainingExample],
 
     examples = []
     for i, ex in enumerate(batch):
-        n = ex.attention_len
-        markers = ex.marker_positions
-        rows = []
-        for layer, probs in enumerate(out.attentions):
-            for head in range(probs.shape[1]):
-                for pos in markers:
-                    rows.append({
-                        "layer": layer,
-                        "head": head,
-                        "marker": pos,
-                        "weights": [float(w) for w in probs[i, head, pos, :n]],
-                    })
-        examples.append({
-            "tokens": [vocab.tokens[t] for t in ex.input_ids],
-            "marker_positions": markers,
-            "rows": rows,
-        })
-    return {
-        "num_layers": len(out.attentions),
-        "num_heads": int(out.attentions[0].shape[1]) if out.attentions else 0,
-        "examples": examples,
-    }
+        rows = [{"layer": layer, "head": head, "marker": pos,
+                 "weights": probs[i, head, pos, :ex.attention_len].tolist()}
+                for layer, probs in enumerate(out.attentions)
+                for head in range(probs.shape[1]) for pos in ex.marker_positions]
+        examples.append({"tokens": [vocab.tokens[t] for t in ex.input_ids],
+                         "marker_positions": ex.marker_positions, "rows": rows})
+    return {"num_layers": len(out.attentions),
+            "num_heads": int(out.attentions[0].shape[1]) if out.attentions else 0,
+            "examples": examples}
 
 
 # --- checkpoint format -----------------------------------------------------------
@@ -890,7 +880,8 @@ def save_checkpoint(model: MarkBert, path: str | Path) -> None:
         fh.write(bytes(payload))
 
 
-def _checkpoint_config(config) -> ModelConfig:
+def _checkpoint_model(config) -> MarkBert:
+    """The model, before its tensors are read, of a checkpoint's config."""
     if not isinstance(config, dict):
         raise ParseError("checkpoint config is not a JSON object")
     kinds = {f.name: f.type for f in fields(ModelConfig)}  # "int" or "float"
@@ -900,7 +891,7 @@ def _checkpoint_config(config) -> ModelConfig:
         if type(value).__name__ not in {kinds[key], "int"}:
             raise ParseError(f"checkpoint config {key!r} must be {kinds[key]}, got {value!r}")
     try:
-        return ModelConfig(**config)
+        return MarkBert(ModelConfig(**config))
     except (TypeError, ConfigError) as exc:
         raise ParseError(f"invalid checkpoint config: {exc}") from None
 
@@ -924,7 +915,7 @@ def load_checkpoint(path: str | Path) -> MarkBert:
     if (not isinstance(header, dict) or header.get("format") != "markkit-checkpoint"
             or header.get("version") != 1):
         raise ParseError(f"unsupported checkpoint format/version in {path}")
-    model = MarkBert(_checkpoint_config(header.get("config")))
+    model = _checkpoint_model(header.get("config"))
     tensors = header.get("tensors")
     if not isinstance(tensors, list) or not all(isinstance(t, dict) for t in tensors):
         raise ParseError("checkpoint tensors must be a list of objects")

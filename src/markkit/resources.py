@@ -359,13 +359,6 @@ class PinyinTable:
     def pinyin_of(self, word: str) -> str | None:
         return self.by_word.get(word)
 
-    def homophones(self, word: str) -> frozenset[str]:
-        """All table words sharing this word's pinyin, including itself."""
-        p = self.by_word.get(word)
-        if p is None:
-            return frozenset()
-        return self.by_pinyin[p]
-
 
 def strip_tone(syllable: str) -> str:
     """Normalize a pinyin syllable: lowercase, remove diacritics, drop a

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .marker_encoder import REQUIRED_TOKENS, Vocab, load_vocab, pos_marker_token
+from .marker_encoder import Vocab, build_vocab, load_vocab, save_vocab
 from .resources import (Lexicon, PinyinTable, WordEmbeddings, load_embeddings,
                         load_lexicon, load_pinyin_table)
 
@@ -107,8 +107,7 @@ def write_toy_resources(directory: str | Path, seed: int = 0,
         encoding="utf-8")
 
     vocab_path = directory / "vocab.txt"
-    tokens = list(REQUIRED_TOKENS) + [pos_marker_token(p) for p in POS_TAGS] + sorted(chars)
-    vocab_path.write_text("\n".join(tokens) + "\n", encoding="utf-8")
+    save_vocab(build_vocab(chars, POS_TAGS), vocab_path)
 
     paths = {"lexicon": lexicon_path, "embeddings": emb_path,
              "pinyin": pinyin_path, "vocab": vocab_path}

@@ -105,7 +105,7 @@ def test_criterion_4_loss_correctness():
     ex = PretrainingExample(input_ids=(2, 6, 5, 3), mlm_labels={},
                             rwd_labels={2: RwdLabel.NORMAL}, rwd_loss_mask={2: True},
                             meta=ExampleMeta())
-    out = ForwardOutput(mlm_logits=np.zeros((0, 8)), rwd_logits=[np.zeros((1, 2))])
+    out = ForwardOutput(mlm_logits=np.zeros((0, 8)), rwd_logits=np.zeros((1, 2)))
     loss = compute_loss(out, [ex], rwd_classes=2)
     assert abs(loss.rwd_loss - math.log(2)) < 1e-6
 
@@ -122,7 +122,7 @@ def test_criterion_4_loss_correctness():
                             rwd_labels={1: RwdLabel.SYNONYM_CONFUSION},
                             rwd_loss_mask={1: True},
                             meta=ExampleMeta(framed=False))
-    out = ForwardOutput(mlm_logits=mlm_logits, rwd_logits=[np.array([rwd_row])])
+    out = ForwardOutput(mlm_logits=mlm_logits, rwd_logits=np.array([rwd_row]))
     loss = compute_loss(out, [ex], rwd_classes=3)
     expected_mlm = (ce(list(mlm_logits[0]), 2) + ce(list(mlm_logits[1]), 1)) / 2
     expected_rwd = ce(rwd_row, int(RwdLabel.SYNONYM_CONFUSION))

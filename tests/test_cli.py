@@ -260,6 +260,29 @@ class TestPretrainCommand:
         assert len(first["rows"]) == record["num_layers"] * record["num_heads"] * \
             len(first["marker_positions"])
 
+    def test_checkpoint_does_not_depend_on_blas_threads(self, env, tmp_path):
+        """Unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set, importing
+        markkit pins OpenBLAS to one thread. This is the smallest shape found
+        whose checkpoint differed between one thread and two without it."""
+        root, _ = env
+        examples = tmp_path / "ex.jsonl"
+        run_build(root, examples)
+        environ = {k: v for k, v in os.environ.items()
+                   if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        environ["PYTHONPATH"] = str(Path(markkit.__file__).parents[1])
+        checkpoints = []
+        for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
+            ckpt = tmp_path / f"model{len(checkpoints)}.ckpt"
+            subprocess.run([sys.executable, "-m", "markkit.cli", "pretrain",
+                            "--vocab", str(root / "res/vocab.txt"), "--in", str(examples),
+                            "--out", str(ckpt), "--steps", "3", "--log-every", "0",
+                            "--hidden-dim", "64", "--ffn-dim", "8", "--num-layers", "1",
+                            "--num-heads", "2"],
+                           env={**environ, **threads}, check=True, capture_output=True,
+                           timeout=120)
+            checkpoints.append(ckpt.read_bytes())
+        assert checkpoints[0] == checkpoints[1]
+
 
 class TestBinaryRwdPipeline:
     def test_two_class_training_end_to_end(self, env, tmp_path, capsys):
@@ -436,7 +459,10 @@ class TestErrorHandling:
         ("pretrain", "--hidden-dim", "0"), ("pretrain", "--dropout", "1.5"),
         ("pretrain", "--num-heads", "5"), ("pretrain", "--max-positions", "-1"),
         ("encode", "--max-len", "2"), ("attn-dump", "--max-len", "2"),
-        ("confusions", "--k", "0"),
+        ("confusions", "--k", "0"), ("pretrain", "--seed", "-1"),
+        # parameter tables numpy refuses before it allocates: the byte count overflows
+        ("pretrain", "--max-positions", str(2**60)), ("pretrain", "--ffn-dim", str(2**60)),
+        ("pretrain", "--hidden-dim", str(2**62)),
     ])
     def test_bad_numeric_flag_exit_5(self, env, tmp_path, capsys, command, flag, value):
         root, _ = env
@@ -624,13 +650,28 @@ class TestErrorHandling:
         assert code == 4 and err["error"] == "input"
         assert err["message"] == f"line 1: {shown} is not an integer"
 
+    def test_no_input_ids_blames_in_exit_4(self, env, tmp_path, capsys):
+        """With every example empty, no --max-positions can be inferred; no
+        such flag was passed, so --in is blamed."""
+        code, err = self.pretrain_on_record(env[0], tmp_path, capsys, input_ids=[],
+                                            mlm_labels=[])
+        assert code == 4 and err["error"] == "input"
+        assert err["message"].startswith(f"--in {tmp_path / 'ex.jsonl'}: every example has "
+                                          f"empty input_ids")
+
     @pytest.mark.parametrize("past_end", [True, False])
     def test_label_token_id_out_of_range_exit_4(self, env, tmp_path, capsys, past_end):
+        """An id past the end of the vocabulary or below zero, as an input
+        id or an MLM label, also one that does not fit int64."""
         root, world = env
-        token = len(world.vocab) if past_end else -1
-        code, err = self.pretrain_on_record(root, tmp_path, capsys, mlm_labels=[[1, token]])
-        assert code == 4 and err["error"] == "input"
-        assert err["message"].startswith("MLM label token id out of range")
+        for token in [len(world.vocab), 2**63, 10**30] if past_end else [-1, -2**63 - 1]:
+            code, err = self.pretrain_on_record(root, tmp_path, capsys, mlm_labels=[[1, token]])
+            assert code == 4 and err["error"] == "input"
+            assert err["message"].startswith("MLM label token id out of range")
+            code, err = self.pretrain_on_record(root, tmp_path, capsys, input_ids=[2, token, 3])
+            assert code == 4 and err["error"] == "input"
+            assert err["message"].startswith(f"token id out of range for vocab_size="
+                                             f"{len(world.vocab)}")
 
     @pytest.mark.parametrize("field,value,message", [
         ("n_chars", "3", "meta.n_chars '3' is not an integer"),

@@ -1,0 +1,139 @@
+"""Property tests: mutated example records and mutated ``pretrain`` flags end
+in a documented exit code with exactly one JSON error line, never a
+traceback.
+
+Every run goes through ``cli.main`` in-process, so an exception that is not
+a ``MarkkitError`` fails the test, and so does a numpy RuntimeWarning (the
+suite turns those into errors).
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from markkit.cli import main
+from markkit.pretrain import ExampleMeta, PretrainingExample, RwdLabel, example_to_json
+from markkit.toy import write_toy_resources
+
+FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None)
+
+# one marker per word, an MLM label, a confusion marker with loss on
+VALID = json.loads(example_to_json(PretrainingExample(
+    input_ids=(2, 10, 11, 5, 12, 5, 3), mlm_labels={1: 10},
+    rwd_labels={3: RwdLabel.NORMAL, 5: RwdLabel.PINYIN_CONFUSION},
+    rwd_loss_mask={3: False, 5: True}, meta=ExampleMeta(n_chars=3))))
+
+# integers past every bound: negative, beyond int64, and sizes whose tables
+# numpy refuses before it allocates (their byte count overflows intp)
+HUGE = (-1, -2**63 - 1, 2**60, 2**62, 2**63, 10**30)
+WRONG_TYPES = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=2),
+                        st.lists(st.integers(-1, 12), max_size=2),
+                        st.fixed_dictionaries({"a": st.integers(0, 3)}))
+TINY_MODEL = ["--hidden-dim", "8", "--num-heads", "2", "--ffn-dim", "8", "--num-layers", "1",
+              "--steps", "1", "--log-every", "0"]
+
+
+@pytest.fixture(scope="module")
+def world(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    write_toy_resources(root / "res", seed=0)
+    (root / "valid.jsonl").write_text(json.dumps(VALID) + "\n", encoding="utf-8")
+    return root
+
+
+def run(argv) -> tuple[int, list[str]]:
+    """``main(argv)``'s exit code and its standard-error lines."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, err.getvalue().splitlines()
+
+
+def assert_clean(code, lines, allowed):
+    assert code in allowed
+    if code:
+        assert len(lines) == 1
+        assert json.loads(lines[0])["exit_code"] == code
+    else:
+        assert lines == []
+
+
+def _paths(node, prefix=()):
+    """The path of every value below ``node``, a parsed JSON record."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+@st.composite
+def mutated_records(draw):
+    """VALID with one to three edits: a value dropped, a value of the wrong
+    JSON type, a huge or negative integer, or a list entry repeated."""
+    record = json.loads(json.dumps(VALID))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(record))))
+        parent = record
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        kind = draw(st.sampled_from(("drop", "type", "number")
+                                    + (("repeat",) if isinstance(parent, list) else ())))
+        if kind == "drop":
+            del parent[key]
+        elif kind == "type":
+            parent[key] = draw(WRONG_TYPES)
+        elif kind == "number":
+            parent[key] = draw(st.sampled_from(HUGE))
+        else:
+            parent.append(json.loads(json.dumps(parent[key])))
+    return record
+
+
+@FUZZ
+@given(record=mutated_records())
+@example(record={**VALID, "input_ids": [2, 2**63, 11, 5, 12, 5, 3]})
+@example(record={**VALID, "mlm_labels": [[1, 10**30]]})
+@example(record={"input_ids": [], "mlm_labels": [], "rwd_labels": [], "rwd_loss_mask": [],
+                 "meta": {**VALID["meta"], "n_chars": 0}})
+def test_mutated_example_record(world, record):
+    """``stats`` and ``pretrain`` on one mutated record exit 0 or 4."""
+    path = world / "ex.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert_clean(*run(["stats", "--in", path]), allowed=(0, 4))
+    assert_clean(*run(["pretrain", "--vocab", world / "res/vocab.txt", "--in", path,
+                       "--out", world / "m.ckpt", *TINY_MODEL]), allowed=(0, 4))
+
+
+INTS = st.one_of(st.integers(-2, 12), st.sampled_from(HUGE))
+FLAGS = {
+    # --steps and --num-layers stay small: their cost grows with the value
+    "--steps": st.integers(-2, 2),
+    "--num-layers": st.integers(-1, 2),
+    "--batch-size": INTS, "--log-every": INTS, "--seed": INTS, "--hidden-dim": INTS,
+    "--num-heads": INTS, "--ffn-dim": INTS, "--max-positions": INTS,
+    "--lr": st.sampled_from(("nan", "inf", "-1", "0", "0.1", "10")),
+    "--dropout": st.sampled_from(("nan", "-0.5", "0", "0.1", "1")),
+}
+
+
+@FUZZ
+@given(flags=st.sets(st.sampled_from(sorted(FLAGS)), min_size=1, max_size=3).flatmap(
+    lambda chosen: st.fixed_dictionaries({flag: FLAGS[flag] for flag in sorted(chosen)})))
+@example(flags={"--seed": -1})
+@example(flags={"--max-positions": 2**60})
+@example(flags={"--ffn-dim": 2**60})
+@example(flags={"--hidden-dim": 2**62})
+def test_mutated_pretrain_flags(world, flags):
+    """``pretrain`` with mutated numeric flags exits 0, 4 (an example longer
+    than ``--max-positions``) or 5."""
+    argv = ["pretrain", "--vocab", world / "res/vocab.txt", "--in", world / "valid.jsonl",
+            "--out", world / "f.ckpt", *TINY_MODEL]
+    for flag, value in flags.items():
+        argv += [flag, value]
+    assert_clean(*run(argv), allowed=(0, 4, 5))

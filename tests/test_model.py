@@ -75,6 +75,20 @@ class TestInit:
         with pytest.raises(ConfigError):
             ModelConfig(vocab_size=16, rwd_classes=4)
 
+    def test_unallocatable_parameters_name_the_largest_size(self, monkeypatch):
+        """A table numpy refuses, by its byte count or for want of memory,
+        is a ConfigError naming the largest size."""
+        for size in (2**60, 10**30):
+            with pytest.raises(ConfigError, match=f"^max_positions is too large: {size} "):
+                MarkBert(tiny_cfg(max_positions=size))
+
+        def refuse(name, value):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setattr(model_module, "Parameter", refuse)
+        with pytest.raises(ConfigError, match="^ffn_dim is too large: 99 "):
+            MarkBert(tiny_cfg(ffn_dim=99))
+
     def test_parameter_count_closed_form(self):
         V, H, L, F, P, C = 16, 32, 2, 48, 20, 3
         model = MarkBert(ModelConfig(vocab_size=V, hidden_dim=H, num_layers=L,
@@ -97,7 +111,7 @@ class TestForward:
         model = MarkBert(tiny_cfg(vocab_size=len(tiny_vocab)))
         out = model.forward([ex])
         assert out.mlm_logits.shape == (0, len(tiny_vocab))  # no MLM labels
-        assert out.rwd_logits[0].shape == (3, 3)
+        assert out.rwd_logits.shape == (3, 3)
         dense = dense_mlm_logits(model, out)
         assert dense.shape == (1, 9, len(tiny_vocab))
         assert np.all(np.isfinite(dense))
@@ -110,7 +124,7 @@ class TestForward:
                                 rwd_loss_mask={}, meta=ExampleMeta(framed=False))
         out = model.forward([ex])
         assert out.mlm_logits.shape == (0, 12)
-        assert out.rwd_logits[0].shape == (0, 3)
+        assert out.rwd_logits.shape == (0, 3)
         assert compute_loss(out, [ex]).total == 0.0
 
     def test_attention_rows_sum_to_one_over_unpadded(self, toy_world, toy_resources):
@@ -125,10 +139,14 @@ class TestForward:
                 assert np.all(probs[i, :, :n, n:] == 0.0)
 
     def test_id_out_of_range(self):
+        """Past the vocabulary, below zero, or beyond int64: an input id or
+        an MLM label."""
         model = MarkBert(tiny_cfg())
-        ex = example([2, 99, 3])
-        with pytest.raises(InputError):
-            model.forward([ex])
+        for token in (99, -1, 2**63, 10**30, -2**63 - 1):
+            with pytest.raises(InputError, match=r"^token id out of range for vocab_size=12"):
+                model.forward([example([2, token, 3])])
+            with pytest.raises(InputError, match=r"^MLM label token id out of range"):
+                model.forward([example([2, 6, 3], mlm={1: token})])
 
     def test_sequence_too_long(self):
         model = MarkBert(tiny_cfg(max_positions=4))
@@ -141,7 +159,7 @@ class TestLoss:
     def test_uniform_binary_equals_ln2(self):
         ex = example([2, 6, 5, 3], markers={2: RwdLabel.NORMAL}, loss_on=[2])
         out = ForwardOutput(mlm_logits=np.zeros((0, 12)),
-                            rwd_logits=[np.zeros((1, 2))])
+                            rwd_logits=np.zeros((1, 2)))
         loss = compute_loss(out, [ex], rwd_classes=2)
         assert loss.rwd_loss == pytest.approx(math.log(2), abs=1e-6)
         assert loss.mlm_loss == 0.0
@@ -149,7 +167,7 @@ class TestLoss:
 
     def test_empty_sets_give_zero(self):
         ex = example([2, 6, 3])
-        out = ForwardOutput(mlm_logits=np.zeros((0, 12)), rwd_logits=[np.zeros((0, 3))])
+        out = ForwardOutput(mlm_logits=np.zeros((0, 12)), rwd_logits=np.zeros((0, 3)))
         loss = compute_loss(out, [ex])
         assert loss.mlm_loss == 0.0 and loss.rwd_loss == 0.0 and loss.total == 0.0
 
@@ -160,7 +178,7 @@ class TestLoss:
         logits[0] = [1.0, 2.0, 0.5]
         logits[1] = [0.0, -1.0, 3.0]
         ex = example([6, 7], mlm={0: 1, 1: 2}, framed=False)
-        out = ForwardOutput(mlm_logits=logits, rwd_logits=[np.zeros((0, 3))])
+        out = ForwardOutput(mlm_logits=logits, rwd_logits=np.zeros((0, 3)))
 
         def ce(row, label):
             exp = [math.exp(v) for v in row]
@@ -174,7 +192,7 @@ class TestLoss:
                      markers={2: RwdLabel.NORMAL, 4: RwdLabel.PINYIN_CONFUSION},
                      loss_on=[4])
         rwd = np.array([[3.0, -1.0, 0.5], [0.2, 0.9, -0.3]])
-        out = ForwardOutput(mlm_logits=np.zeros((0, 12)), rwd_logits=[rwd])
+        out = ForwardOutput(mlm_logits=np.zeros((0, 12)), rwd_logits=rwd)
         exp = [math.exp(v) for v in rwd[1]]
         expected = -math.log(exp[1] / sum(exp))
         assert compute_loss(out, [ex]).rwd_loss == pytest.approx(expected, abs=1e-9)
@@ -182,7 +200,7 @@ class TestLoss:
     def test_binary_mode_collapses_confusion_kinds(self):
         ex = example([2, 6, 5, 3], markers={2: RwdLabel.SYNONYM_CONFUSION}, loss_on=[2])
         out = ForwardOutput(mlm_logits=np.zeros((0, 12)),
-                            rwd_logits=[np.array([[0.0, 2.0]])])
+                            rwd_logits=np.array([[0.0, 2.0]]))
         exp = [1.0, math.exp(2.0)]
         expected = -math.log(exp[1] / sum(exp))
         assert compute_loss(out, [ex], rwd_classes=2).rwd_loss == pytest.approx(expected)
@@ -190,7 +208,7 @@ class TestLoss:
 
     def test_hand_built_output_row_count_checked(self):
         ex = example([6, 7], mlm={0: 1, 1: 2}, framed=False)
-        out = ForwardOutput(mlm_logits=np.zeros((1, 3)), rwd_logits=[np.zeros((0, 3))])
+        out = ForwardOutput(mlm_logits=np.zeros((1, 3)), rwd_logits=np.zeros((0, 3)))
         with pytest.raises(InputError, match="1 MLM logit rows for 2 labelled positions"):
             compute_loss(out, [ex])
 
@@ -248,7 +266,7 @@ class TestGradients:
         assert list(zip(*map(list, out.rows.mlm))) == labelled
         assert dmlm.shape == (len(labelled), len(toy_world.vocab))
         model.zero_grads()
-        model.backward(out, dmlm, [np.zeros_like(r) for r in out.rwd_logits])
+        model.backward(out, dmlm, np.zeros_like(out.rwd_logits))
         dh = out._cache["dh_mlm"]
         # the head's transform runs at every position; only labelled ones feed back
         for i, ex in enumerate(batch):
@@ -284,9 +302,9 @@ class TestLabelledOnlyHead:
         assert abs(compute_loss(out, batch).mlm_loss - mlm_loss) < 1e-12
 
         mlm_hits = [int(np.argmax(dense[i, pos])) == label for i, pos, label in labelled]
-        rwd_hits = [int(np.argmax(out.rwd_logits[i][row])) == int(ex.rwd_labels[pos])
-                    for i, ex in enumerate(batch)
-                    for row, pos in enumerate(ex.marker_positions) if ex.rwd_loss_mask[pos]]
+        markers = [(ex, pos) for ex in batch for pos in ex.marker_positions]
+        rwd_hits = [int(np.argmax(out.rwd_logits[row])) == int(ex.rwd_labels[pos])
+                    for row, (ex, pos) in enumerate(markers) if ex.rwd_loss_mask[pos]]
         metrics = train_step(model, batch, lr=0.0)
         assert metrics.mlm_accuracy == sum(mlm_hits) / len(mlm_hits)
         assert metrics.rwd_accuracy == sum(rwd_hits) / len(rwd_hits)
@@ -691,7 +709,8 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("case", [
         "short", "truncated_payload", "dtype_f4", "dtype_big_endian", "unknown_config_key",
-        "config_wrong_type", "nbytes_disagrees", "offset_past_payload"])
+        "config_wrong_type", "nbytes_disagrees", "offset_past_payload", "config_negative_seed",
+        "config_unallocatable"])
     def test_malformed_checkpoint_exit_4(self, tmp_path, toy_world, capsys, case):
         path = tmp_path / "model.ckpt"
         save_checkpoint(MarkBert(tiny_cfg(vocab_size=len(toy_world.vocab))), path)
@@ -705,6 +724,8 @@ class TestCheckpoint:
             "dtype_big_endian": lambda: first.update(dtype=">f8"),
             "unknown_config_key": lambda: header["config"].update(colour=1),
             "config_wrong_type": lambda: header["config"].update(hidden_dim="8"),
+            "config_negative_seed": lambda: header["config"].update(seed=-1),
+            "config_unallocatable": lambda: header["config"].update(max_positions=2**60),
             "nbytes_disagrees": lambda: first.update(nbytes=first["nbytes"] - 8),
             "offset_past_payload": lambda: last.update(offset=last["offset"] + 8),
         }.get(case)
