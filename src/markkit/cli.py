@@ -27,6 +27,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .confusion import ConfusionPolicy, pinyin_candidates, synonym_candidates
 from .errors import (ConfigError, InputError, MarkkitError, ParseError,
@@ -246,13 +248,19 @@ def cmd_pretrain(args) -> int:
     batches = [examples[i:i + args.batch_size]
                for i in range(0, len(examples), args.batch_size)]
     metrics = None
-    for step in range(args.steps):
-        metrics = train_step(model, batches[step % len(batches)], args.lr)
-        if args.log_every and (step + 1) % args.log_every == 0:
-            print(f"step {step + 1}: mlm_loss={metrics.loss.mlm_loss:.4f} "
-                  f"rwd_loss={metrics.loss.rwd_loss:.4f} "
-                  f"mlm_acc={_fmt(metrics.mlm_accuracy)} "
-                  f"rwd_acc={_fmt(metrics.rwd_accuracy)}")
+    # a step that overflows shows as a non-finite loss or parameters below,
+    # one error line, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(args.steps):
+            metrics = train_step(model, batches[step % len(batches)], args.lr)
+            if args.log_every and (step + 1) % args.log_every == 0:
+                print(f"step {step + 1}: mlm_loss={metrics.loss.mlm_loss:.4f} "
+                      f"rwd_loss={metrics.loss.rwd_loss:.4f} "
+                      f"mlm_acc={_fmt(metrics.mlm_accuracy)} "
+                      f"rwd_acc={_fmt(metrics.rwd_accuracy)}")
+    if not all(np.isfinite(p.value).all() for p in model.params.values()):
+        raise TrainingError(f"non-finite parameters after step {args.steps}; "
+                            "check learning rate")
     try:
         save_checkpoint(model, args.out)
     except OSError as exc:

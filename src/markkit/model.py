@@ -27,6 +27,12 @@ accuracies (:class:`StepMetrics`).
 The detection loss and the masked-LM loss are means over their included
 positions and are summed unweighted into the total.
 
+A train step holds one (M, V) array, the largest of the step: its
+training pass's logits are consumed by the loss, which writes their
+gradient over them, row block by row block. The update then runs in
+place (``.grad *= lr``, ``.value -= .grad``), so after a step each
+parameter's ``.grad`` holds the step applied. No buffer outlives a step.
+
 The vocabulary head's M x V work runs on two threads, the caller's and
 one pool thread, once it reaches ``_SPLIT_MIN_ELEMENTS`` (2^20) elements
 and the process may use two cores. Smaller heads, such as the toy models'
@@ -40,7 +46,9 @@ Above the threshold:
 - the loss, its logit gradient and the accuracy argmax run in two row
   halves, and every row is computed alone;
 - the backward pass runs the head's weight gradients and its input
-  gradient as two whole tasks.
+  gradient as two whole tasks;
+- the update, once the model has 2^20 parameters, runs in two row halves
+  of every parameter.
 
 The encoder uses the same pool thread from ``_ENCODER_SPLIT_MIN_ELEMENTS``
 (2^15) B x L x H elements on; the gradient oracle's config and the toy
@@ -97,7 +105,7 @@ _NEG_INF = -1e30
 _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _MAGIC = b"MARKKIT\x00"
-_SPLIT_MIN_ELEMENTS = 1 << 20  # M x V head elements from which the head uses two threads
+_SPLIT_MIN_ELEMENTS = 1 << 20  # M x V head elements (or parameters) from which two threads run
 _ENCODER_SPLIT_MIN_ELEMENTS = 1 << 15  # B x L x H elements from which the encoder runs in halves
 _POOL_LOCK = threading.Lock()
 _POOL: list[ThreadPoolExecutor | None] = []  # the second thread, made on first use
@@ -129,6 +137,14 @@ class ModelConfig:
             raise ConfigError(f"must be in [0, 1), got {self.dropout}", "dropout")
         if self.seed < 0:
             raise ConfigError(f"must be >= 0, got {self.seed}", "seed")
+
+    @property
+    def parameter_count(self) -> int:
+        """The number of float64 values in the model's parameters."""
+        V, H, F, C = self.vocab_size, self.hidden_dim, self.ffn_dim, self.rwd_classes
+        per_layer = 4 * H * H + 2 * H * F + F + 8 * H  # attention, FFN, 3 biases, 2 LayerNorms
+        return ((V + self.max_positions + H + C) * H + 5 * H + V + C
+                + self.num_layers * per_layer)
 
 
 class Parameter:
@@ -170,6 +186,9 @@ class ForwardOutput:
     among them those of both logit arrays (``rows.mlm``, ``rows.markers``),
     in ``rows``, which ``loss_and_gradients`` and ``backward`` read.
     ``_cache`` holds the activations needed for the backward pass.
+
+    The MLM logits of a training pass (``train=True``) are the loss's to
+    consume: ``loss_and_gradients`` writes their gradient over them.
     """
 
     mlm_logits: np.ndarray
@@ -260,27 +279,31 @@ def _matmul_grads(dy, x):
 def _cross_entropy(logits, labels, grad=None, pred=None) -> float:
     """Mean cross-entropy of ``labels`` under the row-wise softmax of
     ``logits`` (rows, classes); zero for no rows. With ``grad`` (shaped
-    like ``logits``), also writes there the loss's gradient with respect to
-    ``logits``; with ``pred``, each row's argmax. A large input runs in two
-    row halves on two threads."""
+    like ``logits``, or ``logits`` itself), also writes there the loss's
+    gradient with respect to ``logits``; with ``pred``, each row's argmax.
+    A large input runs in two row halves on two threads."""
     m = len(labels)
     if not m:
         return 0.0
     terms = np.empty(m)
 
-    def part(lo, hi):
-        x, y, r = logits[lo:hi], labels[lo:hi], np.arange(hi - lo)
-        if pred is not None:
-            x.argmax(axis=-1, out=pred[lo:hi])
-        e = np.subtract(x, x.max(axis=-1, keepdims=True),
-                        out=None if grad is None else grad[lo:hi])
-        picked = e[r, y]
-        np.exp(e, out=e)
-        total = e.sum(axis=-1)
-        np.subtract(np.log(total), picked, out=terms[lo:hi])
-        if grad is not None:
-            e *= (1.0 / (total * m))[:, None]
-            e[r, y] -= 1.0 / m
+    def part(lo, hi):  # rows [lo, hi), in blocks of 8 rows, whose passes run in cache
+        for a in range(lo, hi, 8):
+            b = min(a + 8, hi)
+            x, y, r = logits[a:b], labels[a:b], np.arange(b - a)
+            if pred is None:
+                top = x.max(axis=-1, keepdims=True)
+            else:  # the max is the value at the argmax: no second scan
+                x.argmax(axis=-1, out=pred[a:b])
+                top = np.take_along_axis(x, pred[a:b, None], axis=-1)
+            e = np.subtract(x, top, out=None if grad is None else grad[a:b])
+            picked = e[r, y]
+            np.exp(e, out=e)
+            total = e.sum(axis=-1)
+            np.subtract(np.log(total), picked, out=terms[a:b])
+            if grad is not None:
+                e *= (1.0 / (total * m))[:, None]
+                e[r, y] -= 1.0 / m
 
     _halves(_pool(logits.size, _SPLIT_MIN_ELEMENTS), part, m)
     return float(np.mean(terms))
@@ -340,6 +363,14 @@ def _heads(nh, a):
     return a.reshape(n, length, nh, width // nh).transpose(0, 2, 1, 3)
 
 
+def _physical_memory() -> int | None:
+    """The host's physical memory in bytes, where the platform reports it."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
 class MarkBert:
     """Encoder + heads. Construction is deterministic given cfg.seed."""
 
@@ -347,11 +378,16 @@ class MarkBert:
         self.cfg = cfg
         self.params: dict[str, Parameter] = {}
         self._dropout_rng = np.random.default_rng(cfg.seed + 1)
+        largest = max(("vocab_size", "hidden_dim", "num_layers", "ffn_dim", "max_positions"),
+                      key=lambda name: getattr(cfg, name))
+        needed, memory = 16 * cfg.parameter_count, _physical_memory()  # values and gradients
+        if memory is not None and needed > memory:
+            raise ConfigError(f"is too large: {getattr(cfg, largest)} gives parameters whose "
+                              f"values and gradients need {needed} bytes, more than the "
+                              f"{memory} bytes of physical memory", largest)
         try:
             self._init_params(np.random.default_rng(cfg.seed))
         except (MemoryError, OverflowError, ValueError) as exc:  # numpy refused a table's size
-            largest = max(("vocab_size", "hidden_dim", "ffn_dim", "max_positions"),
-                          key=lambda name: getattr(cfg, name))
             raise ConfigError(f"is too large: {getattr(cfg, largest)} gives a parameter table "
                               f"numpy cannot allocate ({exc})", largest) from None
 
@@ -446,7 +482,7 @@ class MarkBert:
         _check_token_ids("token id", ids, cfg.vocab_size)
         rows = _batch_rows(batch, cfg.rwd_classes)
         _check_token_ids("MLM label token id", rows.mlm_labels, cfg.vocab_size)
-        cache: dict = {"ids": ids, "layers": []}
+        cache: dict = {"ids": ids, "layers": [], "train": train}
         if L == 0:
             return ForwardOutput(mlm_logits=np.zeros((0, cfg.vocab_size)),
                                  rwd_logits=np.zeros((0, cfg.rwd_classes)),
@@ -717,12 +753,12 @@ def _batch_rows(batch: Sequence[PretrainingExample], rwd_classes: int) -> _Batch
     return _BatchRows((mlm_i, mlm_p), mlm_labels, (marker_i, marker_p), rwd_rows, rwd_labels)
 
 
-def _head_loss(logits: np.ndarray, labels: np.ndarray):
-    """One head's loss, its logit gradient and its accuracy (None for no
-    rows)."""
-    grad, pred = np.empty_like(logits), np.empty(len(logits), dtype=np.intp)
+def _head_loss(logits: np.ndarray, labels: np.ndarray, grad: np.ndarray):
+    """One head's loss and accuracy (None for no rows), with its logit
+    gradient written into ``grad``, which may be ``logits``."""
+    pred = np.empty(len(logits), dtype=np.intp)
     loss = _cross_entropy(logits, labels, grad, pred)
-    return loss, grad, float(np.mean(pred == labels)) if len(labels) else None
+    return loss, float(np.mean(pred == labels)) if len(labels) else None
 
 
 def _loss_rows(out: ForwardOutput, batch: Sequence[PretrainingExample],
@@ -748,12 +784,18 @@ def loss_and_gradients(out: ForwardOutput, batch: Sequence[PretrainingExample],
 
     The rows come from ``out.rows`` when ``forward`` built ``out`` (from
     ``batch``, with the model's ``rwd_classes``), else from ``batch``.
+
+    The MLM logits of a training pass (``forward(..., train=True)``) are
+    consumed: their gradient is written over them, and ``out.mlm_logits``
+    is the returned MLM gradient. Any other output keeps its logits.
     """
     rows = _loss_rows(out, batch, rwd_classes)
-    mlm_loss, dmlm, mlm_acc = _head_loss(out.mlm_logits, rows.mlm_labels)
-    rwd_loss, drwd_loss_rows, rwd_acc = _head_loss(out.rwd_logits[rows.rwd], rows.rwd_labels)
+    dmlm = out.mlm_logits if out._cache.get("train") else np.empty_like(out.mlm_logits)
+    mlm_loss, mlm_acc = _head_loss(out.mlm_logits, rows.mlm_labels, dmlm)
+    drwd_rows = out.rwd_logits[rows.rwd]  # a copy: its gradient goes over it
+    rwd_loss, rwd_acc = _head_loss(drwd_rows, rows.rwd_labels, drwd_rows)
     drwd = np.zeros_like(out.rwd_logits)
-    drwd[rows.rwd] = drwd_loss_rows
+    drwd[rows.rwd] = drwd_rows
     metrics = StepMetrics(loss=LossBreakdown(mlm_loss=mlm_loss, rwd_loss=rwd_loss),
                           mlm_accuracy=mlm_acc, rwd_accuracy=rwd_acc)
     return metrics, dmlm, drwd
@@ -772,13 +814,16 @@ def train_step(model: MarkBert, batch: Sequence[PretrainingExample],
                lr: float) -> StepMetrics:
     """One full-batch gradient-descent update on the total loss.
 
-    The model is updated in place. Metrics (loss and accuracies) are
-    computed from the pre-update forward pass.
+    The model is updated in place, in two row halves of every parameter
+    once the model reaches ``_SPLIT_MIN_ELEMENTS`` parameters; afterwards
+    each ``.grad`` holds the step applied, ``lr`` times the gradient (the
+    gradient itself at ``lr`` 0, where nothing is applied). Metrics (loss
+    and accuracies) are computed from the pre-update forward pass.
     """
     if not (np.isfinite(lr) and lr >= 0):
         raise ConfigError(f"learning rate must be finite and >= 0, got {lr}")
     model.zero_grads()
-    out = model.forward(batch, train=model.cfg.dropout > 0.0)
+    out = model.forward(batch, train=True)
     metrics, dmlm, drwd = loss_and_gradients(out, batch, model.cfg.rwd_classes)
     loss = metrics.loss
     if not np.isfinite(loss.total):
@@ -787,8 +832,16 @@ def train_step(model: MarkBert, batch: Sequence[PretrainingExample],
             f"check learning rate and input ids")
     model.backward(out, dmlm, drwd)
     if lr:
-        for p in model.params.values():
-            p.value -= lr * p.grad
+        params = list(model.params.values())
+
+        def update(lo, hi):  # rows [n * lo // 2, n * hi // 2) of each n-row parameter
+            for p in params:
+                rows = slice(len(p.value) * lo // 2, len(p.value) * hi // 2)
+                step, value = p.grad[rows], p.value[rows]
+                step *= lr
+                value -= step
+
+        _halves(_pool(model.cfg.parameter_count, _SPLIT_MIN_ELEMENTS), update, 2)
     return metrics
 
 
@@ -880,8 +933,9 @@ def save_checkpoint(model: MarkBert, path: str | Path) -> None:
         fh.write(bytes(payload))
 
 
-def _checkpoint_model(config) -> MarkBert:
-    """The model, before its tensors are read, of a checkpoint's config."""
+def _checkpoint_model(config, payload_bytes: int) -> MarkBert:
+    """The model, before its tensors are read, of a checkpoint's config,
+    built only once the payload is seen to hold that many parameters."""
     if not isinstance(config, dict):
         raise ParseError("checkpoint config is not a JSON object")
     kinds = {f.name: f.type for f in fields(ModelConfig)}  # "int" or "float"
@@ -891,7 +945,11 @@ def _checkpoint_model(config) -> MarkBert:
         if type(value).__name__ not in {kinds[key], "int"}:
             raise ParseError(f"checkpoint config {key!r} must be {kinds[key]}, got {value!r}")
     try:
-        return MarkBert(ModelConfig(**config))
+        cfg = ModelConfig(**config)
+        if 8 * cfg.parameter_count > payload_bytes:
+            raise ParseError(f"checkpoint config needs {8 * cfg.parameter_count} bytes of "
+                             f"tensors, but the payload holds {payload_bytes}")
+        return MarkBert(cfg)
     except (TypeError, ConfigError) as exc:
         raise ParseError(f"invalid checkpoint config: {exc}") from None
 
@@ -915,11 +973,11 @@ def load_checkpoint(path: str | Path) -> MarkBert:
     if (not isinstance(header, dict) or header.get("format") != "markkit-checkpoint"
             or header.get("version") != 1):
         raise ParseError(f"unsupported checkpoint format/version in {path}")
-    model = _checkpoint_model(header.get("config"))
+    payload = blob[16 + header_len:]
+    model = _checkpoint_model(header.get("config"), len(payload))
     tensors = header.get("tensors")
     if not isinstance(tensors, list) or not all(isinstance(t, dict) for t in tensors):
         raise ParseError("checkpoint tensors must be a list of objects")
-    payload = blob[16 + header_len:]
     seen = set()
     for t in tensors:
         name = t.get("name")

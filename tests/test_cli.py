@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import markkit
+import markkit.cli
 from helpers import reference_synonyms
 from markkit.cli import _masking_config, build_parser, clamp_workers, main, print_stats
 from markkit.confusion import ConfusionPolicy
@@ -463,6 +464,8 @@ class TestErrorHandling:
         # parameter tables numpy refuses before it allocates: the byte count overflows
         ("pretrain", "--max-positions", str(2**60)), ("pretrain", "--ffn-dim", str(2**60)),
         ("pretrain", "--hidden-dim", str(2**62)),
+        # beyond physical memory: refused before the layers are made
+        ("pretrain", "--num-layers", "1000000000"),
     ])
     def test_bad_numeric_flag_exit_5(self, env, tmp_path, capsys, command, flag, value):
         root, _ = env
@@ -626,6 +629,49 @@ class TestErrorHandling:
         err = json.loads(lines[0])
         assert err["error"] == "resource" and err["message"].startswith(f"cannot write {out}")
         assert not (tmp_path / "missing").exists()
+
+    def test_huge_learning_rate_one_error_line(self, env, tmp_path):
+        """The update overflows; the next step's loss is the one error, with
+        no numpy warning before it."""
+        root, _ = env
+        examples = tmp_path / "ex.jsonl"
+        run_build(root, examples)
+        proc = subprocess.run(
+            [sys.executable, "-m", "markkit.cli", "pretrain", "--vocab",
+             str(root / "res/vocab.txt"), "--in", str(examples), "--out", str(tmp_path / "m"),
+             "--steps", "3", "--lr", "1e308", "--log-every", "0", "--hidden-dim", "16",
+             "--ffn-dim", "24", "--num-heads", "2"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(markkit.__file__).parents[1])})
+        assert proc.returncode == 1 and proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["message"].startswith("non-finite loss")
+        assert not (tmp_path / "m").exists()
+
+    def test_non_finite_parameters_exit_1(self, env, tmp_path, capsys, monkeypatch):
+        """A last step whose loss is finite but whose update is not writes
+        no checkpoint."""
+        root, _ = env
+        examples = tmp_path / "ex.jsonl"
+        run_build(root, examples)
+        step = markkit.cli.train_step
+
+        def overflowing_step(model, batch, lr):
+            metrics = step(model, batch, lr)
+            model.params["rwd.b"].value[0] = float("inf")
+            return metrics
+
+        monkeypatch.setattr(markkit.cli, "train_step", overflowing_step)
+        capsys.readouterr()
+        code = main(["pretrain", "--vocab", str(root / "res/vocab.txt"), "--in", str(examples),
+                     "--out", str(tmp_path / "m"), "--steps", "1", "--log-every", "0",
+                     "--hidden-dim", "16", "--ffn-dim", "24", "--num-heads", "2"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == "" and not (tmp_path / "m").exists()
+        assert json.loads(err) == {"error": "error", "exit_code": 1,
+                                   "message": "non-finite parameters after step 1; "
+                                              "check learning rate"}
 
     def pretrain_on_record(self, root, tmp_path, capsys, **fields):
         """Exit code and the one JSON error line of `pretrain` on one record."""

@@ -5,6 +5,7 @@ import struct
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
 
@@ -90,17 +91,33 @@ class TestInit:
             MarkBert(tiny_cfg(ffn_dim=99))
 
     def test_parameter_count_closed_form(self):
-        V, H, L, F, P, C = 16, 32, 2, 48, 20, 3
-        model = MarkBert(ModelConfig(vocab_size=V, hidden_dim=H, num_layers=L,
-                                     num_heads=4, ffn_dim=F, max_positions=P,
-                                     rwd_classes=C))
-        # attention: q/k/v/out weights, biases on q/v/out (keys take none)
-        per_layer = 4 * H * H + 3 * H + 2 * H + (H * F + F) + (F * H + H) + 2 * H
-        expected = (V * H + P * H + 2 * H            # embeddings + embedding LN
-                    + L * per_layer
-                    + (H * H + H) + 2 * H + V        # MLM transform + LN + bias
-                    + (H * C + C))                   # RWD head
-        assert sum(p.value.size for p in model.params.values()) == expected
+        for V, H, L, F, P, C in [(16, 32, 2, 48, 20, 3), (12, 8, 1, 12, 10, 2),
+                                 (106, 64, 3, 128, 48, 3), (5, 4, 1, 1, 1, 2)]:
+            cfg = ModelConfig(vocab_size=V, hidden_dim=H, num_layers=L, num_heads=4,
+                              ffn_dim=F, max_positions=P, rwd_classes=C)
+            # attention: q/k/v/out weights, biases on q/v/out (keys take none)
+            per_layer = 4 * H * H + 3 * H + 2 * H + (H * F + F) + (F * H + H) + 2 * H
+            expected = (V * H + P * H + 2 * H            # embeddings + embedding LN
+                        + L * per_layer
+                        + (H * H + H) + 2 * H + V        # MLM transform + LN + bias
+                        + (H * C + C))                   # RWD head
+            model = MarkBert(cfg)
+            assert sum(p.value.size for p in model.params.values()) == expected
+            assert cfg.parameter_count == expected
+
+    def test_model_beyond_physical_memory_refused_before_allocating(self):
+        """Values and gradients take 16 bytes per parameter; a config that
+        needs more than physical memory is refused before any table is
+        made, naming its largest size."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match=r"^num_layers is too large: 1000000000 .* "
+                                                  r"physical memory"):
+                MarkBert(tiny_cfg(num_layers=10**9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestForward:
@@ -521,6 +538,72 @@ class TestTwoThreadHead:
         assert pool.tasks > 0
 
 
+class TestStepInPlace:
+    """A training pass's loss writes the MLM logit gradient over its logits,
+    and the update runs in place; neither may change a bit."""
+
+    @pytest.mark.parametrize("threshold", [0, math.inf], ids=["split", "whole"])
+    def test_matches_reference_loop(self, monkeypatch, threshold):
+        """``train_step`` against ``analytic_grads`` on an eval pass plus
+        ``value - lr * grad`` in fresh arrays. Split, the threads switch
+        every 10 us, so that the halves of the loss and update interleave."""
+        monkeypatch.setattr(model_module, "_SPLIT_MIN_ELEMENTS", threshold)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(1) as pool:
+                monkeypatch.setattr(model_module, "_POOL", [pool])
+                self.check_reference_loop()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def check_reference_loop(self):
+        cfg = ModelConfig(**TestTwoThreadHead.MID_SIZE)
+        model, reference = MarkBert(cfg), MarkBert(cfg)
+        for seed in range(4):
+            batch = labelled_batch((5, 7), cfg.vocab_size, seed)
+            metrics = train_step(model, batch, lr=0.3)
+            assert metrics.loss == compute_loss(reference.forward(batch), batch)
+            grads = analytic_grads(reference, batch)
+            for name, p in reference.params.items():
+                p.value = p.value - 0.3 * grads[name]
+                assert np.array_equal(model.params[name].grad, 0.3 * grads[name]), name
+        for name in reference.params:
+            assert np.array_equal(model.params[name].value, reference.params[name].value), name
+
+    def test_loss_consumes_only_training_logits(self):
+        batch = labelled_batch((5, 7), 64, seed=1)
+        model = MarkBert(tiny_cfg(vocab_size=64, max_positions=24))
+        out = model.forward(batch)
+        logits = out.mlm_logits.copy()
+        _, dmlm, _ = loss_and_gradients(out, batch)
+        assert np.array_equal(out.mlm_logits, logits)
+        assert not np.shares_memory(dmlm, out.mlm_logits)
+        out = model.forward(batch, train=True)
+        assert np.array_equal(out.mlm_logits, logits)
+        _, train_dmlm, _ = loss_and_gradients(out, batch)
+        assert train_dmlm is out.mlm_logits
+        assert np.array_equal(train_dmlm, dmlm)
+
+    def test_step_peak_holds_one_logit_array(self):
+        """At a shape where the (M, V) logits outweigh every other array of
+        the step, its traced peak holds one such array, not two."""
+        cfg = ModelConfig(vocab_size=20_000, hidden_dim=8, num_layers=1, num_heads=2,
+                          ffn_dim=8, max_positions=24, seed=0)
+        batch = labelled_batch((15, 15), cfg.vocab_size, seed=3)
+        model = MarkBert(cfg)
+        logits_bytes = sum(len(ex.mlm_labels) for ex in batch) * cfg.vocab_size * 8
+        assert logits_bytes < model_module._SPLIT_MIN_ELEMENTS * 8  # one thread
+        train_step(model, batch, lr=0.1)
+        tracemalloc.start()
+        try:
+            train_step(model, batch, lr=0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert logits_bytes < peak < 1.5 * logits_bytes
+
+
 def mixed_batch(lengths, seed):
     """One example of each length (two MLM labels, three markers, V = 64),
     so a batch with several lengths is padded."""
@@ -706,6 +789,29 @@ class TestCheckpoint:
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)
         with pytest.raises(ParseError):
             load_checkpoint(path)
+
+    def test_config_beyond_payload_is_not_built(self, tmp_path, toy_world):
+        """A small checkpoint whose config claims 400,000 positions is
+        refused before the model of that config is made (about 400 MB of
+        values and gradients)."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(MarkBert(tiny_cfg(vocab_size=len(toy_world.vocab), hidden_dim=64,
+                                          num_heads=4, max_positions=48)), path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        header = json.loads(blob[16:16 + header_len])
+        header["config"]["max_positions"] = 400_000
+        raw = json.dumps(header).encode("utf-8")
+        path.write_bytes(blob[:8] + struct.pack("<Q", len(raw)) + raw + blob[16 + header_len:])
+        assert path.stat().st_size < 300_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="config needs 205039560 bytes of tensors"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * path.stat().st_size
 
     @pytest.mark.parametrize("case", [
         "short", "truncated_payload", "dtype_f4", "dtype_big_endian", "unknown_config_key",
