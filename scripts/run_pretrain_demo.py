@@ -55,7 +55,7 @@ def main() -> None:
 
     ckpt = workdir / "model.ckpt"
     save_checkpoint(model, ckpt)
-    out = model.forward(batches[0], capture_attention=True)
+    out = model.forward(batches[0])
     record = export_attention(out, batches[0], vocab=world.vocab)
     attn_path = workdir / "attention.json"
     attn_path.write_text(json.dumps(record, ensure_ascii=False, indent=2),

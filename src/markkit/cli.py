@@ -319,7 +319,11 @@ def cmd_attn_dump(args) -> int:
         raise ConfigError(exc.reason, "checkpoint max_positions") from None
     if not batch:
         raise InputError(f"no non-empty lines in {args.infile}")
-    out = model.forward(batch, capture_attention=True)
+    # overflowing parameters show as non-finite weights: one error line, no numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = model.forward(batch)
+    if not all(np.isfinite(probs).all() for probs in out.attentions):
+        raise InputError(f"checkpoint {args.ckpt} gives non-finite attention weights")
     record = export_attention(out, batch, vocab=vocab)
     _write_text(args.out, json.dumps(record, ensure_ascii=False, indent=2) + "\n")
     return 0

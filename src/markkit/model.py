@@ -18,11 +18,11 @@ head's vocabulary projection runs only there: (M, V) logits for the M
 labelled (example, position) rows of a batch. Vocabulary logits, their
 softmax and their gradient are never computed where no label exists.
 
-One helper walks the batch once per step and builds every (example,
-position) index array both objectives gather: ``forward`` takes its MLM
-and marker rows from it and hands them on in ``ForwardOutput.rows``, from
-which ``loss_and_gradients`` takes its losses, logit gradients and
-accuracies (:class:`StepMetrics`).
+One walk over the batch per step builds its padded token ids, their
+valid mask and every (example, position) index array both objectives
+gather. ``forward`` hands them on in ``ForwardOutput.rows``, from which
+``backward`` takes the ids and ``loss_and_gradients`` its losses, logit
+gradients and accuracies (:class:`StepMetrics`).
 
 The detection loss and the masked-LM loss are means over their included
 positions and are summed unweighted into the total.
@@ -39,10 +39,10 @@ and the process may use two cores. Smaller heads, such as the toy models'
 and the gradient oracle's, run in one call and never start a thread.
 Above the threshold:
 
-- the forward projection runs in two vocabulary halves, cut at a multiple
-  of 64 rows of ``E``, so each half's BLAS call blocks its rows as the
-  whole call does (checked bit for bit with OpenBLAS at V = 1,024, 1,027,
-  2,049, 4,090 to 4,100 and 21,120 to 21,136);
+- the forward projection runs in two vocabulary halves from V = 1,024 on,
+  cut at a multiple of 64 rows of ``E``, so each half's BLAS call blocks
+  its rows as the whole call does (checked bit for bit with OpenBLAS at
+  V = 1,024, 1,027, 2,049, 4,090 to 4,100 and 21,120 to 21,136);
 - the loss, its logit gradient and the accuracy argmax run in two row
   halves, and every row is computed alone;
 - the backward pass runs the head's weight gradients and its input
@@ -178,14 +178,16 @@ class StepMetrics:
 
 @dataclass
 class ForwardOutput:
-    """Logits plus (optionally) captured attention probabilities.
+    """Logits plus every layer's attention probabilities.
 
     ``mlm_logits`` is (M, V), one row per MLM-labelled position, and
     ``rwd_logits`` (N, C), one row per marker, both sorted by example, then
-    position. ``forward`` records the batch's (example, position) rows,
-    among them those of both logit arrays (``rows.mlm``, ``rows.markers``),
-    in ``rows``, which ``loss_and_gradients`` and ``backward`` read.
-    ``_cache`` holds the activations needed for the backward pass.
+    position. ``attentions`` holds each layer's (B, heads, L, L)
+    probabilities, the read-only arrays ``backward`` reads. ``rows`` holds
+    the batch's padded ids and (example, position) rows, among them those
+    of both logit arrays (``rows.mlm``, ``rows.markers``), which
+    ``loss_and_gradients`` and ``backward`` read. ``_cache`` holds the
+    activations needed for the backward pass.
 
     The MLM logits of a training pass (``train=True``) are the loss's to
     consume: ``loss_and_gradients`` writes their gradient over them.
@@ -193,7 +195,7 @@ class ForwardOutput:
 
     mlm_logits: np.ndarray
     rwd_logits: np.ndarray
-    attentions: list[np.ndarray] | None = None
+    attentions: list[np.ndarray] = field(default_factory=list)
     rows: _BatchRows | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -447,23 +449,6 @@ class MarkBert:
 
     # -- forward -----------------------------------------------------------
 
-    def _batchify(self, batch: Sequence[PretrainingExample]):
-        if not batch:
-            return np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0), dtype=bool)
-        L = max(ex.attention_len for ex in batch)
-        pad = 0  # conventional PAD id; padded positions are masked out anyway
-        ids = np.full((len(batch), L), pad, dtype=np.int64)
-        valid = np.zeros((len(batch), L), dtype=bool)
-        for i, ex in enumerate(batch):
-            n = ex.attention_len
-            try:
-                ids[i, :n] = ex.input_ids
-            except OverflowError:  # an id beyond int64, kept as a Python int for the range check
-                ids = ids.astype(object)
-                ids[i, :n] = ex.input_ids
-            valid[i, :n] = True
-        return ids, valid
-
     def _dropout_mask(self, shape, train):
         """A scaled keep mask, or None when no dropout applies."""
         rate = self.cfg.dropout
@@ -472,27 +457,25 @@ class MarkBert:
         return (self._dropout_rng.random(shape) >= rate) / (1.0 - rate)
 
     def forward(self, batch: Sequence[PretrainingExample], *,
-                capture_attention: bool = False, train: bool = False) -> ForwardOutput:
+                train: bool = False) -> ForwardOutput:
         """Run the encoder and both heads (see :class:`ForwardOutput`)."""
         cfg = self.cfg
-        ids, valid = self._batchify(batch)
-        B, L = ids.shape
+        rows = _batch_rows(batch, cfg.rwd_classes)
+        B, L = rows.ids.shape
         if L > cfg.max_positions:
             raise InputError(f"sequence length {L} exceeds max_positions={cfg.max_positions}")
-        _check_token_ids("token id", ids, cfg.vocab_size)
-        rows = _batch_rows(batch, cfg.rwd_classes)
+        _check_token_ids("token id", rows.ids, cfg.vocab_size)
         _check_token_ids("MLM label token id", rows.mlm_labels, cfg.vocab_size)
-        cache: dict = {"ids": ids, "layers": [], "train": train}
+        cache: dict = {"layers": [], "train": train}
         if L == 0:
             return ForwardOutput(mlm_logits=np.zeros((0, cfg.vocab_size)),
                                  rwd_logits=np.zeros((0, cfg.rwd_classes)),
-                                 attentions=[] if capture_attention else None,
                                  rows=rows, _cache=cache)
 
         H, F, nh = cfg.hidden_dim, cfg.ffn_dim, cfg.num_heads
         scale = (H // nh) ** -0.5
         heads = partial(_heads, nh)
-        key_mask = np.where(valid, 0.0, _NEG_INF)[:, None, None, :]  # (B,1,1,L)
+        key_mask = np.where(rows.valid, 0.0, _NEG_INF)[:, None, None, :]  # (B,1,1,L)
         p = self._p
 
         def acts(width=H):
@@ -516,7 +499,7 @@ class MarkBert:
 
         def encode(lo, hi):  # examples [lo, hi), from the embedding to the MLM transform
             at = partial(_rows, lo, hi)
-            emb = p("token_embedding")[ids[lo:hi]] + p("position_embedding")[:L][None]
+            emb = p("token_embedding")[rows.ids[lo:hi]] + p("position_embedding")[:L][None]
             h = _layernorm_fwd(emb, p("embedding_ln.gamma"), p("embedding_ln.beta"),
                                at(*cache["emb_ln"]))
             if cache["emb_drop"] is not None:
@@ -564,25 +547,24 @@ class MarkBert:
             np.matmul(x, emb[lo:hi].T, out=mlm_logits[:, lo:hi])
             mlm_logits[:, lo:hi] += bias[lo:hi]
 
-        _halves(_pool(mlm_logits.size, _SPLIT_MIN_ELEMENTS), project, cfg.vocab_size, align=64)
+        # below V = 1,024 a cut can round the last columns differently (seen at V = 250, 300)
+        pool = _pool(mlm_logits.size, _SPLIT_MIN_ELEMENTS) if cfg.vocab_size >= 1024 else None
+        _halves(pool, project, cfg.vocab_size, align=64)
 
         rwd_logits = cache["hidden"][rows.markers] @ p("rwd.w") + p("rwd.b")
+        attentions = [lc["probs"] for lc in cache["layers"]]
+        for probs in attentions:
+            probs.flags.writeable = False  # ``backward`` reads them
         return ForwardOutput(mlm_logits=mlm_logits, rwd_logits=rwd_logits,
-                             attentions=[lc["probs"].copy() for lc in cache["layers"]]
-                             if capture_attention else None,
-                             rows=rows, _cache=cache)
+                             attentions=attentions, rows=rows, _cache=cache)
 
     # -- backward ----------------------------------------------------------
 
     def backward(self, out: ForwardOutput, dmlm_logits: np.ndarray,
                  drwd_logits: np.ndarray) -> None:
-        """Accumulate parameter gradients for the given logit gradients.
-
-        The per-head contributions to the final hidden-state gradient are
-        kept in the cache (``dh_mlm``, ``dh_rwd``) for inspection.
-        """
+        """Accumulate parameter gradients for the given logit gradients."""
         cache = out._cache
-        ids, markers = cache["ids"], out.rows.markers
+        ids, markers = out.rows.ids, out.rows.markers
         B, L = ids.shape
         if L == 0:
             return
@@ -614,7 +596,7 @@ class MarkBert:
         # RWD head
         grad("rwd.w")[...] += cache["hidden"][markers].T @ drwd_logits
         grad("rwd.b")[...] += drwd_logits.sum(axis=0)
-        dh_rwd = cache["dh_rwd"] = np.zeros_like(t3)
+        dh_rwd = np.zeros_like(t3)
         dh_rwd[markers] = drwd_logits @ p("rwd.w").T
 
         # Pass 1, in batch halves: the row-local input gradients. The output
@@ -624,7 +606,6 @@ class MarkBert:
             return np.empty((B, L, width))
 
         dt1 = dys()
-        dh_mlm = cache["dh_mlm"] = dys()
         layer_dys = [{"ln2": dys(), "ffn": dys(), "pre1": dys(cfg.ffn_dim), "ln1": dys(),
                       "attn": dys(), "q": dys(), "k": dys(), "v": dys()}
                      for _ in range(cfg.num_layers)]
@@ -635,9 +616,9 @@ class MarkBert:
             xhat, inv_std = at(*cache["mlm_ln"][1:])
             dt2 = _layernorm_dx(dt3[lo:hi], xhat, inv_std, p("mlm.ln.gamma"))
             dt1[lo:hi] = _gelu_bwd(dt2, *at(cache["t1"], cache["t1_cdf"]))
-            np.matmul(dt1[lo:hi], p("mlm.dense_w").T, out=dh_mlm[lo:hi])
             dhid = layer_dys[-1]["ln2"][lo:hi]
-            np.add(dh_mlm[lo:hi], dh_rwd[lo:hi], out=dhid)
+            np.matmul(dt1[lo:hi], p("mlm.dense_w").T, out=dhid)
+            dhid += dh_rwd[lo:hi]
             for i in reversed(range(cfg.num_layers)):
                 pre, lc, dy = f"layer{i}.", cache["layers"][i], layer_dys[i]
                 xhat, inv_std = at(*lc["ln2"][1:])
@@ -717,8 +698,11 @@ class MarkBert:
 # --- losses -------------------------------------------------------------------
 
 class _BatchRows(NamedTuple):
-    """The (example, position) rows both objectives gather from a batch."""
+    """A batch's padded token ids and valid mask, and the (example,
+    position) rows both objectives gather."""
 
+    ids: np.ndarray                         # (B, L): each example's ids, then 0 (PAD)
+    valid: np.ndarray                       # (B, L): True at each example's own positions
     mlm: tuple[np.ndarray, np.ndarray]      # MLM-labelled, by example then position
     mlm_labels: np.ndarray
     markers: tuple[np.ndarray, np.ndarray]  # every marker: the rows of rwd_logits
@@ -732,25 +716,38 @@ def _check_token_ids(kind: str, ids: np.ndarray, vocab_size: int) -> None:
                          f"[{ids.min()}, {ids.max()}]")
 
 
+def _int_array(values, shape) -> np.ndarray:
+    """``values`` as an intp array of ``shape``, or, with one beyond int64,
+    as Python ints, kept for the range check."""
+    try:
+        return np.array(values, dtype=np.intp).reshape(shape)
+    except OverflowError:
+        return np.array(values, dtype=object).reshape(shape)
+
+
 def _batch_rows(batch: Sequence[PretrainingExample], rwd_classes: int) -> _BatchRows:
+    lengths = [ex.attention_len for ex in batch]
+    L = max(lengths, default=0)
+    ids: list[int] = []
     mlm: list[tuple[int, int, int]] = []
     markers: list[tuple[int, int]] = []
     rwd: list[tuple[int, int]] = []
     for i, ex in enumerate(batch):
+        ids.extend(ex.input_ids)
+        ids.extend([0] * (L - lengths[i]))  # padded keys are masked out
         mlm.extend((i, pos, label) for pos, label in sorted(ex.mlm_labels.items()))
         for pos in ex.marker_positions:
             if ex.rwd_loss_mask.get(pos, False):
                 rwd.append((len(markers), ex.rwd_labels[pos]))
             markers.append((i, pos))
-    try:
-        mlm_i, mlm_p, mlm_labels = np.array(mlm, dtype=np.intp).reshape(-1, 3).T
-    except OverflowError:  # a label beyond int64, kept as a Python int for the range check
-        mlm_i, mlm_p, mlm_labels = np.array(mlm, dtype=object).reshape(-1, 3).T
+    mlm_i, mlm_p, mlm_labels = _int_array(mlm, (-1, 3)).T
     marker_i, marker_p = np.array(markers, dtype=np.intp).reshape(-1, 2).T
     rwd_rows, rwd_labels = np.array(rwd, dtype=np.intp).reshape(-1, 2).T
     if rwd_classes == 2:
         rwd_labels = (rwd_labels != RwdLabel.NORMAL).astype(np.intp)
-    return _BatchRows((mlm_i, mlm_p), mlm_labels, (marker_i, marker_p), rwd_rows, rwd_labels)
+    valid = np.arange(L) < np.array(lengths, dtype=np.intp)[:, None]
+    return _BatchRows(_int_array(ids, (len(batch), L)), valid,
+                      (mlm_i, mlm_p), mlm_labels, (marker_i, marker_p), rwd_rows, rwd_labels)
 
 
 def _head_loss(logits: np.ndarray, labels: np.ndarray, grad: np.ndarray):
@@ -888,13 +885,8 @@ def export_attention(out: ForwardOutput, batch: Sequence[PretrainingExample],
     """JSON-ready record of attention rows at marker positions.
 
     One entry per (example, layer, head, marker); weights are restricted
-    to the example's unpadded length. Requires a forward pass run with
-    ``capture_attention=True``.
+    to the example's unpadded length.
     """
-    if out.attentions is None:
-        raise InputError("attention capture is disabled; run forward with "
-                         "capture_attention=True")
-
     examples = []
     for i, ex in enumerate(batch):
         rows = [{"layer": layer, "head": head, "marker": pos,
@@ -968,7 +960,7 @@ def load_checkpoint(path: str | Path) -> MarkBert:
     (header_len,) = struct.unpack("<Q", blob[8:16])
     try:
         header = json.loads(blob[16:16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, a huge number, deep nesting
         raise ParseError(f"corrupt checkpoint header: {exc}") from exc
     if (not isinstance(header, dict) or header.get("format") != "markkit-checkpoint"
             or header.get("version") != 1):
@@ -981,7 +973,7 @@ def load_checkpoint(path: str | Path) -> MarkBert:
     seen = set()
     for t in tensors:
         name = t.get("name")
-        if name not in model.params or name in seen:
+        if not isinstance(name, str) or name not in model.params or name in seen:
             raise ParseError(f"unknown or repeated tensor {name!r} in checkpoint")
         param = model.params[name]
         shape = param.value.shape

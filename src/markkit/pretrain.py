@@ -403,7 +403,7 @@ def example_from_json(line: str, lineno: int | None = None) -> PretrainingExampl
             rwd_loss_mask={p: p in loss_on for p in rwd_labels},
             meta=ExampleMeta(**{f.name: meta[f.name] for f in fields(ExampleMeta)}),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, RecursionError) as exc:  # also JSON nested too deep
         raise ParseError(f"bad example record: {exc}", lineno) from exc
     for kind, values in (("input id", input_ids), ("MLM label position", mlm_labels),
                          ("MLM label token id", mlm_labels.values()),

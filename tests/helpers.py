@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from markkit.errors import ParseError
+from markkit.model import _gelu_bwd, _layernorm_dx
 from markkit.ner import EntitySpan
 from markkit.resources import (EMBEDDING_MAX_DIM, _embeddings_from_rows, load_embeddings,
                                 read_text)
@@ -132,6 +133,20 @@ def dense_mlm_logits(model, out):
     batch, (B, L, V), from the head's hidden states in ``out``."""
     return out._cache["t3"] @ model.params["token_embedding"].value.T \
         + model.params["mlm.bias"].value
+
+
+def hidden_grads(model, out, dmlm, drwd):
+    """Reference: each head's contribution to the final hidden-state
+    gradient, (B, L, H) apiece, as (MLM, RWD), recomputed from the
+    activations in ``out`` and the model's parameters."""
+    cache, p = out._cache, {name: prm.value for name, prm in model.params.items()}
+    dt3 = np.zeros_like(cache["t3"])
+    dt3[out.rows.mlm] = dmlm @ p["token_embedding"]
+    dt2 = _layernorm_dx(dt3, *cache["mlm_ln"][1:], p["mlm.ln.gamma"])
+    dh_mlm = _gelu_bwd(dt2, cache["t1"], cache["t1_cdf"]) @ p["mlm.dense_w"].T
+    dh_rwd = np.zeros_like(cache["t3"])
+    dh_rwd[out.rows.markers] = drwd @ p["rwd.w"].T
+    return dh_mlm, dh_rwd
 
 
 def embeddings_of(**vectors):

@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -427,6 +429,42 @@ class TestErrorHandling:
             assert json.loads(capsys.readouterr().err) == {
                 "error": "input", "exit_code": 4,
                 "message": "line 3: empty word token (double or trailing space?)"}
+
+    @pytest.mark.parametrize("command", ["stats", "pretrain", "attn-dump"])
+    def test_deeply_nested_json_exit_4(self, env, tmp_path, capsys, command):
+        """100,000 nested arrays as an example record or as a checkpoint
+        header."""
+        root, _ = env
+        vocab, deep = root / "res/vocab.txt", "[" * 100_000
+        records, ckpt = tmp_path / "deep.jsonl", tmp_path / "deep.ckpt"
+        records.write_text(deep + "\n", encoding="utf-8")
+        ckpt.write_bytes(b"MARKKIT\x00" + struct.pack("<Q", len(deep)) + deep.encode())
+        argv = {"stats": ["stats", "--in", records],
+                "pretrain": ["pretrain", "--vocab", vocab, "--in", records,
+                             "--out", tmp_path / "m.ckpt"],
+                "attn-dump": ["attn-dump", "--ckpt", ckpt, "--vocab", vocab, "--pretokenized",
+                              "--in", root / "corpus_tok.txt"]}[command]
+        assert main([str(a) for a in argv]) == 4
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert "maximum recursion depth exceeded" in json.loads(lines[0])["message"]
+
+    @pytest.mark.parametrize("value", [1e308, math.nan])
+    def test_overflowing_checkpoint_exit_4(self, env, tmp_path, capsys, value):
+        """Parameters that overflow the forward pass, or are not numbers,
+        give one error line, not numpy warnings and NaN weights."""
+        root, world = env
+        model = MarkBert(ModelConfig(vocab_size=len(world.vocab), hidden_dim=8, num_heads=2,
+                                     ffn_dim=8, max_positions=48))
+        model.params["token_embedding"].value[:] = value
+        save_checkpoint(model, tmp_path / "model.ckpt")
+        code = main(["attn-dump", "--ckpt", str(tmp_path / "model.ckpt"),
+                     "--vocab", str(root / "res/vocab.txt"), "--pretokenized",
+                     "--in", str(root / "corpus_tok.txt"), "--out", str(tmp_path / "attn.json")])
+        assert code == 4 and not (tmp_path / "attn.json").exists()
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["message"].endswith("gives non-finite attention weights")
 
     def test_config_error_exit_5(self, env, tmp_path, capsys):
         root, _ = env

@@ -1,6 +1,6 @@
-"""Property tests: mutated example records and mutated ``pretrain`` flags end
-in a documented exit code with exactly one JSON error line, never a
-traceback.
+"""Property tests: mutated example records, mutated ``pretrain`` flags and
+mutated checkpoints end in a documented exit code with exactly one JSON
+error line, never a traceback.
 
 Every run goes through ``cli.main`` in-process, so an exception that is not
 a ``MarkkitError`` fails the test, and so does a numpy RuntimeWarning (the
@@ -10,12 +10,14 @@ suite turns those into errors).
 import contextlib
 import io
 import json
+import struct
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markkit.cli import main
+from markkit.model import MarkBert, ModelConfig, save_checkpoint
 from markkit.pretrain import ExampleMeta, PretrainingExample, RwdLabel, example_to_json
 from markkit.toy import write_toy_resources
 
@@ -40,8 +42,12 @@ TINY_MODEL = ["--hidden-dim", "8", "--num-heads", "2", "--ffn-dim", "8", "--num-
 @pytest.fixture(scope="module")
 def world(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
-    write_toy_resources(root / "res", seed=0)
+    toy = write_toy_resources(root / "res", seed=0)
     (root / "valid.jsonl").write_text(json.dumps(VALID) + "\n", encoding="utf-8")
+    (root / "words.txt").write_text(" ".join(toy.words[:4]) + "\n", encoding="utf-8")
+    save_checkpoint(MarkBert(ModelConfig(vocab_size=len(toy.vocab), hidden_dim=8, num_layers=1,
+                                         num_heads=2, ffn_dim=8, max_positions=16)),
+                    root / "valid.ckpt")
     return root
 
 
@@ -71,27 +77,36 @@ def _paths(node, prefix=()):
             yield from _paths(value, prefix + (key,))
 
 
+def _pick(draw, node):
+    """A value below ``node``, a parsed JSON record, as (its parent, its key)."""
+    path = draw(st.sampled_from(list(_paths(node))))
+    for key in path[:-1]:
+        node = node[key]
+    return node, path[-1]
+
+
+def _edit(draw, node):
+    """One edit below ``node``: a value dropped, a value of the wrong JSON
+    type, a huge or negative integer, or a list entry repeated."""
+    parent, key = _pick(draw, node)
+    kind = draw(st.sampled_from(("drop", "type", "number")
+                                + (("repeat",) if isinstance(parent, list) else ())))
+    if kind == "drop":
+        del parent[key]
+    elif kind == "type":
+        parent[key] = draw(WRONG_TYPES)
+    elif kind == "number":
+        parent[key] = draw(st.sampled_from(HUGE))
+    else:
+        parent.append(json.loads(json.dumps(parent[key])))
+
+
 @st.composite
 def mutated_records(draw):
-    """VALID with one to three edits: a value dropped, a value of the wrong
-    JSON type, a huge or negative integer, or a list entry repeated."""
+    """VALID with one to three ``_edit``s."""
     record = json.loads(json.dumps(VALID))
     for _ in range(draw(st.integers(1, 3))):
-        path = draw(st.sampled_from(list(_paths(record))))
-        parent = record
-        for key in path[:-1]:
-            parent = parent[key]
-        key = path[-1]
-        kind = draw(st.sampled_from(("drop", "type", "number")
-                                    + (("repeat",) if isinstance(parent, list) else ())))
-        if kind == "drop":
-            del parent[key]
-        elif kind == "type":
-            parent[key] = draw(WRONG_TYPES)
-        elif kind == "number":
-            parent[key] = draw(st.sampled_from(HUGE))
-        else:
-            parent.append(json.loads(json.dumps(parent[key])))
+        _edit(draw, record)
     return record
 
 
@@ -137,3 +152,41 @@ def test_mutated_pretrain_flags(world, flags):
     for flag, value in flags.items():
         argv += [flag, value]
     assert_clean(*run(argv), allowed=(0, 4, 5))
+
+
+def _with_header(header_text: str, payload: bytes) -> bytes:
+    raw = header_text.encode("utf-8")
+    return b"MARKKIT\x00" + struct.pack("<Q", len(raw)) + raw + payload
+
+
+@st.composite
+def mutated_checkpoints(draw, blob: bytes):
+    """``blob``, a checkpoint, with one to three byte flips, truncated, with
+    one ``_edit`` of its header, or with a header value replaced by 100,000
+    nested arrays."""
+    kind = draw(st.sampled_from(("flip", "truncate", "header", "nest")))
+    if kind == "flip":
+        data = bytearray(blob)
+        for _ in range(draw(st.integers(1, 3))):
+            data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(data)
+    if kind == "truncate":
+        return blob[:draw(st.integers(0, len(blob) - 1))]
+    (header_len,) = struct.unpack("<Q", blob[8:16])
+    header, payload = json.loads(blob[16:16 + header_len]), blob[16 + header_len:]
+    if kind == "header":
+        _edit(draw, header)
+        return _with_header(json.dumps(header), payload)
+    parent, key = _pick(draw, header)
+    parent[key] = "NEST"
+    return _with_header(json.dumps(header).replace('"NEST"', "[" * 100_000), payload)
+
+
+@settings(FUZZ, max_examples=100)
+@given(data=st.data())
+def test_mutated_checkpoint(world, data):
+    """``attn-dump`` on a mutated toy checkpoint exits 0 or 4."""
+    path = world / "mutated.ckpt"
+    path.write_bytes(data.draw(mutated_checkpoints((world / "valid.ckpt").read_bytes())))
+    assert_clean(*run(["attn-dump", "--ckpt", path, "--vocab", world / "res/vocab.txt",
+                       "--pretokenized", "--in", world / "words.txt"]), allowed=(0, 4))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from helpers import dense_mlm_logits
+from helpers import dense_mlm_logits, hidden_grads
 from markkit import model as model_module
 from markkit.cli import main
 from markkit.errors import ConfigError, InputError, ParseError, TrainingError
@@ -147,7 +147,7 @@ class TestForward:
     def test_attention_rows_sum_to_one_over_unpadded(self, toy_world, toy_resources):
         batch = toy_batch(toy_world, toy_resources, n=3, seed=2)
         model = MarkBert(tiny_cfg(vocab_size=len(toy_world.vocab), max_positions=32))
-        out = model.forward(batch, capture_attention=True)
+        out = model.forward(batch)
         for probs in out.attentions:
             for i, ex in enumerate(batch):
                 n = ex.attention_len
@@ -265,7 +265,7 @@ class TestGradients:
         out = model.forward(batch)
         _, dmlm, drwd = loss_and_gradients(out, batch, 3)
         model.backward(out, np.zeros_like(dmlm), drwd)  # detection loss only
-        dh = out._cache["dh_rwd"]
+        dh = hidden_grads(model, out, np.zeros_like(dmlm), drwd)[1]
         for i, ex in enumerate(batch):
             markers = set(ex.marker_positions)
             for pos in range(ex.attention_len):
@@ -284,7 +284,7 @@ class TestGradients:
         assert dmlm.shape == (len(labelled), len(toy_world.vocab))
         model.zero_grads()
         model.backward(out, dmlm, np.zeros_like(out.rwd_logits))
-        dh = out._cache["dh_mlm"]
+        dh = hidden_grads(model, out, dmlm, np.zeros_like(out.rwd_logits))[0]
         # the head's transform runs at every position; only labelled ones feed back
         for i, ex in enumerate(batch):
             for pos in range(ex.attention_len):
@@ -340,7 +340,7 @@ class TestLabelledOnlyHead:
         grads = self.grads(model, out, batch)
         for name in ("mlm.bias", "mlm.dense_w", "mlm.dense_b", "mlm.ln.gamma", "mlm.ln.beta"):
             assert not np.any(grads[name]), name
-        assert np.all(out._cache["dh_mlm"] == 0.0)
+        assert np.all(hidden_grads(model, out, dmlm, np.zeros_like(out.rwd_logits))[0] == 0.0)
         metrics = train_step(model, batch, lr=0.1)
         assert metrics.mlm_accuracy is None and metrics.rwd_accuracy is not None
 
@@ -478,7 +478,7 @@ class TestTwoThreadHead:
         losses = (compute_loss(out, batches[0]), loss_and_gradients(out, batches[0])[0].loss)
         return model, metrics, losses
 
-    @pytest.mark.parametrize("vocab_size", [4096, 4099])
+    @pytest.mark.parametrize("vocab_size", [300, 4096, 4099])
     @pytest.mark.parametrize("labels", [(5, 7), (4, 5), (1, 0), (0, 3), (0, 0)],
                              ids=["M=12", "M=9", "M=1", "M=3", "M=0"])
     def test_split_is_bit_identical(self, monkeypatch, labels, vocab_size):
@@ -704,7 +704,7 @@ class TestTwoThreadEncoder:
             model = MarkBert(ModelConfig(vocab_size=len(toy_world.vocab), hidden_dim=16,
                                          num_layers=2, num_heads=4, ffn_dim=24,
                                          max_positions=32, seed=0))
-            out = model.forward(batch, capture_attention=True)
+            out = model.forward(batch)
             results.append((out.attentions, export_attention(out, batch, vocab=toy_world.vocab)))
         (split, split_record), (whole, whole_record) = results
         assert len(split) == len(whole) == 2
@@ -740,7 +740,7 @@ class TestAttentionExport:
         model = MarkBert(ModelConfig(vocab_size=len(toy_world.vocab), hidden_dim=16,
                                      num_layers=2, num_heads=4, ffn_dim=24,
                                      max_positions=32, seed=0))
-        out = model.forward(batch, capture_attention=True)
+        out = model.forward(batch)
         record = export_attention(out, batch, vocab=toy_world.vocab)
         assert record["num_layers"] == 2 and record["num_heads"] == 4
         for i, ex in enumerate(batch):
@@ -756,17 +756,22 @@ class TestAttentionExport:
                                insert_markers=False)
         ex = plain_example(marked)
         model = MarkBert(tiny_cfg(vocab_size=len(tiny_vocab)))
-        out = model.forward([ex], capture_attention=True)
+        out = model.forward([ex])
         record = export_attention(out, [ex], vocab=tiny_vocab)
         assert record["examples"][0]["rows"] == []
 
-    def test_capture_disabled_raises(self, tiny_vocab):
-        marked = encode_marked(parse_pretokenized("天气"), tiny_vocab)
-        ex = plain_example(marked)
-        model = MarkBert(tiny_cfg(vocab_size=len(tiny_vocab)))
-        out = model.forward([ex])
-        with pytest.raises(InputError):
-            export_attention(out, [ex], vocab=tiny_vocab)
+    def test_attentions_are_the_read_only_backward_arrays(self, toy_world, toy_resources):
+        """A plain ``forward`` returns every layer's probabilities, the
+        arrays ``backward`` reads; writing into one raises."""
+        batch = toy_batch(toy_world, toy_resources, n=2, seed=13)
+        model = MarkBert(tiny_cfg(vocab_size=len(toy_world.vocab), num_layers=2,
+                                  max_positions=32))
+        out = model.forward(batch)
+        assert len(out.attentions) == 2
+        for probs, lc in zip(out.attentions, out._cache["layers"]):
+            assert probs is lc["probs"]
+            with pytest.raises(ValueError, match="read-only"):
+                probs[0, 0, 0, 0] = 0.0
 
 
 class TestCheckpoint:
@@ -816,7 +821,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("case", [
         "short", "truncated_payload", "dtype_f4", "dtype_big_endian", "unknown_config_key",
         "config_wrong_type", "nbytes_disagrees", "offset_past_payload", "config_negative_seed",
-        "config_unallocatable"])
+        "config_unallocatable", "name_not_a_string", "number_past_digit_limit"])
     def test_malformed_checkpoint_exit_4(self, tmp_path, toy_world, capsys, case):
         path = tmp_path / "model.ckpt"
         save_checkpoint(MarkBert(tiny_cfg(vocab_size=len(toy_world.vocab))), path)
@@ -834,10 +839,13 @@ class TestCheckpoint:
             "config_unallocatable": lambda: header["config"].update(max_positions=2**60),
             "nbytes_disagrees": lambda: first.update(nbytes=first["nbytes"] - 8),
             "offset_past_payload": lambda: last.update(offset=last["offset"] + 8),
+            "name_not_a_string": lambda: first.update(name=[first["name"]]),
+            # json.loads refuses an integer of more than 4,300 digits
+            "number_past_digit_limit": lambda: header["config"].update(seed="SEED"),
         }.get(case)
         if edit is not None:
             edit()
-            raw = json.dumps(header).encode("utf-8")
+            raw = json.dumps(header).replace('"SEED"', "9" * 5000).encode("utf-8")
             blob = blob[:8] + struct.pack("<Q", len(raw)) + raw + payload
         elif case == "short":
             blob = blob[:12]
