@@ -80,7 +80,7 @@ def pinyin_candidates(word: str, table: PinyinTable) -> list[ConfusionChoice]:
     if pinyin is None:
         return []
     return [ConfusionChoice(original=word, replacement=w, kind=ConfusionKind.PINYIN, score=1.0)
-            for w in sorted(table.by_pinyin[pinyin]) if w != word]
+            for w in table.by_pinyin[pinyin] if w != word]
 
 
 def sample_confusion(word: str, emb: WordEmbeddings, table: PinyinTable,

@@ -95,7 +95,6 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError, InputError, ParseError, ResourceError, TrainingError
 from .marker_encoder import Vocab
@@ -242,7 +241,11 @@ def _layernorm_dparams(dy, xhat):
 
 def _gelu_fwd(x, out):
     """gelu(x) = x * cdf(x), with the normal CDF, which ``_gelu_bwd``
-    reuses, written into ``out`` = (gelu, cdf)."""
+    reuses, written into ``out`` = (gelu, cdf). scipy is imported here, on
+    the first call, so that a process that never runs the model never
+    loads it."""
+    from scipy.special import erf
+
     act, cdf = out
     np.divide(x, _SQRT2, out=cdf)
     erf(cdf, out=cdf)

@@ -126,6 +126,50 @@ def _normalize_rows(rows: np.ndarray) -> np.ndarray:
     return usable[:, 0]
 
 
+def _gather_in_place(rows: np.ndarray, src: np.ndarray) -> None:
+    """``rows[:len(src)] = rows[src]`` without a second matrix: ``src``
+    holds distinct row indices, and the rows after ``len(src)`` take the
+    rows it leaves out, so that the rows are permuted.
+
+    Row ``i`` takes row ``perm[i]``, which takes row ``perm[perm[i]]``,
+    and so on around a cycle. Moving a cycle in that order reads each row
+    before it is overwritten, except the cycle's first row, which its last
+    move reads. The moves run about ``EMBEDDING_BLOCK_BYTES`` of rows at a
+    time, and a chunk reads all its rows before it writes, so only a cycle
+    that closes in a later chunk than it opened keeps its first row aside."""
+    left_out = np.ones(len(rows), dtype=bool)
+    left_out[src] = False
+    perm = np.concatenate([src, np.flatnonzero(left_out)])
+    step = max(1, EMBEDDING_BLOCK_BYTES // (rows.itemsize * rows.shape[1]))
+    succ = perm.tolist()
+    seen = bytearray((perm == np.arange(len(perm))).tobytes())  # a row that stays needs no move
+    moves: list[int] = []
+    append = moves.append
+    cycles = []  # (first, last) move of each cycle that spans chunks
+    start = seen.find(0)
+    while start >= 0:
+        first, i = len(moves), start
+        while not seen[i]:
+            seen[i] = 1
+            append(i)
+            i = succ[i]
+        if first // step != (len(moves) - 1) // step:
+            cycles.append((first, len(moves) - 1))
+        start = seen.find(0, start + 1)
+    dest = np.array(moves, dtype=np.intp)
+    sources = perm[dest]
+    opened = iter(cycles)
+    cycle = next(opened, None)
+    kept: dict[int, np.ndarray] = {}  # last move of an open cycle -> the row it takes
+    for a in range(0, len(dest), step):
+        while cycle and cycle[0] < a + step:
+            kept[cycle[1]] = rows[dest[cycle[0]]].copy()
+            cycle = next(opened, None)
+        rows[dest[a:a + step]] = rows[sources[a:a + step]]
+        for last in [m for m in kept if m < a + step]:
+            rows[dest[last]] = kept.pop(last)
+
+
 class WordEmbeddings:
     """Word vectors held as one float64 matrix of unit-norm rows, the form
     cosine lookups need.
@@ -142,14 +186,20 @@ class WordEmbeddings:
     def __init__(self, words: tuple[str, ...], rows: np.ndarray, picks: np.ndarray,
                  rejected: int, duplicates_skipped: int):
         """Keep the unit rows ``rows[picks]`` (``words[i]`` is the word of
-        ``rows[picks[i]]``), reordered by word length in one fancy index."""
+        ``rows[picks[i]]``), reordered by word length in place: the first
+        ``len(picks)`` rows of ``rows`` become the matrix. The rows after
+        them (rejected and duplicate entries) stay allocated behind it,
+        unless they outnumber it: then it is copied so that they are freed."""
         lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
         order = np.argsort(lengths, kind="stable")
         self.dim = rows.shape[1]
         self.words: tuple[str, ...] = tuple(words[i] for i in order)
         self.rejected = rejected
         self.duplicates_skipped = duplicates_skipped
-        self._unit = rows[picks[order]]
+        _gather_in_place(rows, picks[order])
+        self._unit = rows[:len(words)]
+        if len(rows) > 2 * len(words):
+            self._unit = self._unit.copy()
         self._unit.flags.writeable = False  # ``vector`` hands out views of its rows
         self._index = {w: i for i, w in enumerate(self.words)}
         sizes, starts = np.unique(lengths[order], return_index=True)
@@ -200,24 +250,16 @@ def load_embeddings(path: str | Path) -> WordEmbeddings:
     """
     try:
         with open(path, "rb") as file:
-            parsed = _parse_embeddings(file, path)
+            words, rows, usable, rejected = _parse_embeddings(file, path)
     except OSError as exc:
         raise ResourceError(f"cannot read {path}: {exc}") from exc
-    return _embeddings_from_rows(*parsed)
-
-
-def _embeddings_from_rows(words: list[str], rows: np.ndarray, rejected: int) -> WordEmbeddings:
-    """The embeddings of parsed ``rows`` (``words[i]`` names ``rows[i]``):
-    rows with a zero or non-finite norm are rejected, the rest normalized
-    in place, and each word keeps its first usable row."""
-    usable = _normalize_rows(rows)
-    rejected += len(words) - int(usable.sum())
     first: dict[str, int] = {}
     for i in np.flatnonzero(usable):
         first.setdefault(words[i], int(i))
-    duplicates = int(usable.sum()) - len(first)
+    n_usable = int(usable.sum())
     picks = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-    return WordEmbeddings(tuple(first), rows, picks, rejected, duplicates)
+    return WordEmbeddings(tuple(first), rows, picks, rejected + len(words) - n_usable,
+                          n_usable - len(first))
 
 
 def _embedding_header(line: str) -> tuple[int, int]:
@@ -251,8 +293,12 @@ def _decoded_blocks(file: BinaryIO, path: str | Path) -> Iterator[tuple[int, lis
         lineno += len(lines)
 
 
-def _parse_embeddings(file: BinaryIO, path: str | Path) -> tuple[list[str], np.ndarray, int]:
-    """Words, rows and the rejected count of the embeddings ``file``.
+def _parse_embeddings(file: BinaryIO, path: str | Path
+                      ) -> tuple[list[str], np.ndarray, np.ndarray, int]:
+    """Words, rows, the mask of usable rows and the count of rows of the
+    wrong length of the embeddings ``file``: ``words[i]`` names ``rows[i]``,
+    and the rows after ``len(words)`` are unused. Each block's rows are
+    normalized as soon as they are parsed (:func:`_normalize_rows`).
 
     A block whose data lines are all regular is one ``np.loadtxt`` call
     (:func:`_loadtxt_block`); any other is parsed line by line
@@ -277,6 +323,7 @@ def _parse_embeddings(file: BinaryIO, path: str | Path) -> tuple[list[str], np.n
             pass
         raise
     rows = np.empty((min(count, size // (2 * dim)), dim))
+    usable = np.empty(len(rows), dtype=bool)
     words: list[str] = []
     rejected = found = 0
     value_error = None
@@ -285,16 +332,18 @@ def _parse_embeddings(file: BinaryIO, path: str | Path) -> tuple[list[str], np.n
         found += len(data)
         if not data or found > count or value_error:
             continue  # nothing to parse, or the count or a value is wrong: only decode
+        parsed = len(words)
         if not _loadtxt_block(data, dim, rows, words):
             try:
                 rejected += _parse_lines(lines, lineno, dim, rows, words)
             except ParseError as exc:
                 value_error = exc
+        usable[parsed:len(words)] = _normalize_rows(rows[parsed:len(words)])
     if found != count:
         raise ParseError(f"header declares {count} entries but file has {found} rows")
     if value_error:
         raise value_error
-    return words, rows[:len(words)], rejected
+    return words, rows, usable[:len(words)], rejected
 
 
 def _loadtxt_block(data: list[str], dim: int, rows: np.ndarray, words: list[str]) -> bool:
@@ -343,18 +392,19 @@ def _parse_lines(lines: list[str], lineno: int, dim: int, rows: np.ndarray,
 
 @dataclass(frozen=True)
 class PinyinTable:
-    """Tone-stripped pinyin for words, plus the exact inverse index."""
+    """Tone-stripped pinyin for words, plus the exact inverse index: the
+    words of each pinyin, sorted."""
 
     by_word: dict[str, str]
     rejected: int = 0
     duplicates_skipped: int = 0
-    by_pinyin: dict[str, frozenset[str]] = field(init=False, repr=False, compare=False)
+    by_pinyin: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        inverse: dict[str, set[str]] = {}
+        inverse: dict[str, list[str]] = {}
         for word, pinyin in self.by_word.items():
-            inverse.setdefault(pinyin, set()).add(word)
-        object.__setattr__(self, "by_pinyin", {p: frozenset(ws) for p, ws in inverse.items()})
+            inverse.setdefault(pinyin, []).append(word)
+        object.__setattr__(self, "by_pinyin", {p: tuple(sorted(ws)) for p, ws in inverse.items()})
 
     def pinyin_of(self, word: str) -> str | None:
         return self.by_word.get(word)

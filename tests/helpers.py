@@ -10,8 +10,7 @@ import numpy as np
 from markkit.errors import ParseError
 from markkit.model import _gelu_bwd, _layernorm_dx
 from markkit.ner import EntitySpan
-from markkit.resources import (EMBEDDING_MAX_DIM, _embeddings_from_rows, load_embeddings,
-                                read_text)
+from markkit.resources import EMBEDDING_MAX_DIM, WordEmbeddings, load_embeddings, read_text
 from markkit.segmenter import Segmentation, WordSpan
 
 ENTITY_TYPES = ("LOC", "ORG", "PER")
@@ -94,8 +93,9 @@ def reference_synonyms(word, emb, k):
 def reference_embeddings(path):
     """Reference: the whole-file loader. Decode the whole text, check the
     header against the non-blank lines, parse every line with ``float``
-    (a row of the wrong length is rejected), then normalize and drop
-    duplicates through the same tail as ``load_embeddings``."""
+    (a row of the wrong length is rejected), normalize the whole matrix at
+    once, keep each word's first usable row and sort by word length with
+    :func:`reference_length_sort`."""
     lines = read_text(path).splitlines()
     if not lines:
         raise ParseError("missing header line", 1)
@@ -125,7 +125,27 @@ def reference_embeddings(path):
             continue
         rows.append(values)
         words.append(parts[0])
-    return _embeddings_from_rows(words, np.array(rows, dtype=float).reshape(-1, dim), rejected)
+    matrix = np.array(rows, dtype=float).reshape(-1, dim)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(matrix, axis=1, keepdims=True)
+    usable = (norms > 0.0) & (norms < np.inf)
+    np.divide(matrix, norms, out=matrix, where=usable)
+    first: dict[str, int] = {}
+    for i in np.flatnonzero(usable):
+        first.setdefault(words[i], int(i))
+    return reference_length_sort(tuple(first), matrix, np.array(list(first.values()), dtype=int),
+                                 rejected + len(words) - int(usable.sum()),
+                                 int(usable.sum()) - len(first))
+
+
+def reference_length_sort(words, rows, picks, rejected=0, duplicates_skipped=0):
+    """Reference: the embeddings of the unit rows ``rows[picks]``
+    (``words[i]`` names ``rows[picks[i]]``) sorted by word length with one
+    stable argsort and one fancy-index copy, ``rows[picks[order]]``, as
+    the loader did before it sorted in place. ``rows`` is left as it is."""
+    order = np.argsort([len(w) for w in words], kind="stable")
+    return WordEmbeddings(tuple(words[i] for i in order), rows[picks[order]],
+                          np.arange(len(words)), rejected, duplicates_skipped)
 
 
 def dense_mlm_logits(model, out):

@@ -286,6 +286,32 @@ class TestPretrainCommand:
             checkpoints.append(ckpt.read_bytes())
         assert checkpoints[0] == checkpoints[1]
 
+    def test_scipy_loads_with_the_model_only(self, env, tmp_path):
+        """Only the model's GELU needs scipy: `import markkit` and
+        `build-corpus` leave it unloaded, and `pretrain` loads it with its
+        first step and writes the checkpoint of a run that had it loaded."""
+        root, _ = env
+        examples, ckpt = tmp_path / "ex.jsonl", tmp_path / "fresh.ckpt"
+        build = ["build-corpus", *res_args(root), "--in", str(root / "corpus.txt"),
+                 "--out", str(examples), "--max-len", "48", "--seed", "7"]
+        train = ["pretrain", "--vocab", str(root / "res/vocab.txt"), "--in", str(examples),
+                 "--steps", "3", "--log-every", "0", "--hidden-dim", "16", "--ffn-dim", "24",
+                 "--num-heads", "2"]
+        script = ("import json, sys\n"
+                  "import markkit\n"
+                  "from markkit.cli import main\n"
+                  "build, train = json.loads(sys.argv[1])\n"
+                  "assert 'scipy' not in sys.modules\n"
+                  "assert main(build) == 0 and 'scipy' not in sys.modules\n"
+                  "assert main(train) == 0 and 'scipy' in sys.modules\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps([build, [*train, "--out", str(ckpt)]])],
+            env={**os.environ, "PYTHONPATH": str(Path(markkit.__file__).parents[1])},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert main([*train, "--out", str(tmp_path / "loaded.ckpt")]) == 0
+        assert ckpt.read_bytes() == (tmp_path / "loaded.ckpt").read_bytes()
+
 
 class TestBinaryRwdPipeline:
     def test_two_class_training_end_to_end(self, env, tmp_path, capsys):

@@ -1,6 +1,6 @@
-"""Property tests: mutated example records, mutated ``pretrain`` flags and
-mutated checkpoints end in a documented exit code with exactly one JSON
-error line, never a traceback.
+"""Property tests: mutated example records, mutated ``pretrain`` flags,
+mutated checkpoints and mutated embeddings and pinyin files end in a
+documented exit code with exactly one JSON error line, never a traceback.
 
 Every run goes through ``cli.main`` in-process, so an exception that is not
 a ``MarkkitError`` fails the test, and so does a numpy RuntimeWarning (the
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from markkit.cli import main
 from markkit.model import MarkBert, ModelConfig, save_checkpoint
 from markkit.pretrain import ExampleMeta, PretrainingExample, RwdLabel, example_to_json
-from markkit.toy import write_toy_resources
+from markkit.toy import write_toy_corpus, write_toy_resources
 
 FUZZ = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
@@ -45,6 +45,8 @@ def world(tmp_path_factory):
     toy = write_toy_resources(root / "res", seed=0)
     (root / "valid.jsonl").write_text(json.dumps(VALID) + "\n", encoding="utf-8")
     (root / "words.txt").write_text(" ".join(toy.words[:4]) + "\n", encoding="utf-8")
+    (root / "lines.txt").write_text("\n".join(toy.words[:40]) + "\n", encoding="utf-8")
+    write_toy_corpus(root / "corpus.txt", toy.words, 12, seed=3)
     save_checkpoint(MarkBert(ModelConfig(vocab_size=len(toy.vocab), hidden_dim=8, num_layers=1,
                                          num_heads=2, ffn_dim=8, max_positions=16)),
                     root / "valid.ckpt")
@@ -190,3 +192,52 @@ def test_mutated_checkpoint(world, data):
     path.write_bytes(data.draw(mutated_checkpoints((world / "valid.ckpt").read_bytes())))
     assert_clean(*run(["attn-dump", "--ckpt", path, "--vocab", world / "res/vocab.txt",
                        "--pretokenized", "--in", world / "words.txt"]), allowed=(0, 4))
+
+
+@st.composite
+def mutated_text_files(draw, blob: bytes, header: bool):
+    """``blob``, a text resource file, with one to three mutations in turn:
+    byte flips, a truncation, CRLF line ends, and, when the file has a
+    ``<count> <dim>`` header, a huge or negative number in it."""
+    kinds = ("flip", "truncate", "crlf") + (("header",) if header else ())
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        if kind == "flip" and blob:
+            data = bytearray(blob)
+            for _ in range(draw(st.integers(1, 3))):
+                data[draw(st.integers(0, len(data) - 1))] ^= draw(st.integers(1, 255))
+            blob = bytes(data)
+        elif kind == "truncate" and blob:
+            blob = blob[:draw(st.integers(0, len(blob) - 1))]
+        elif kind == "crlf":
+            blob = blob.replace(b"\n", b"\r\n")
+        elif kind == "header":
+            first, newline, rest = blob.partition(b"\n")
+            fields = first.split(b" ")
+            fields[draw(st.integers(0, len(fields) - 1))] = str(draw(st.sampled_from(HUGE))).encode()
+            blob = b" ".join(fields) + newline + rest
+    return blob
+
+
+RESOURCE_FILES = {"--embeddings": "res/embeddings.txt", "--pinyin": "res/pinyin.tsv"}
+
+
+@pytest.mark.parametrize("flag", sorted(RESOURCE_FILES))
+@FUZZ
+@given(data=st.data())
+@example(data=None)
+def test_mutated_resource_file(world, flag, data):
+    """``confusions`` and ``build-corpus`` at ``--workers`` 1 and 2 on a
+    mutated toy embeddings file or pinyin table exit 0 or 4 (the example is
+    the file unchanged)."""
+    blob = (world / RESOURCE_FILES[flag]).read_bytes()
+    if data is not None:
+        blob = data.draw(mutated_text_files(blob, header=flag == "--embeddings"))
+    path = world / "mutated-resource"
+    path.write_bytes(blob)
+    files = [arg for other, name in RESOURCE_FILES.items()
+             for arg in (other, path if other == flag else world / name)]
+    assert_clean(*run(["confusions", *files, "--in", world / "lines.txt"]), allowed=(0, 4))
+    for workers in (1, 2):
+        assert_clean(*run(["build-corpus", *files, "--vocab", world / "res/vocab.txt",
+                           "--lexicon", world / "res/lexicon.tsv", "--in", world / "corpus.txt",
+                           "--max-len", "48", "--workers", workers]), allowed=(0, 4))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import reference_embeddings
+from helpers import reference_embeddings, reference_length_sort
 from markkit import resources
 from markkit.confusion import synonym_candidates
 from markkit.errors import ParseError, ResourceError
@@ -142,12 +142,23 @@ class TestLoadEmbeddings:
         assert load_embeddings(path) == load_embeddings(path)
 
 
+def length_slices(emb):
+    """``emb.length_slice(n)`` for every length up to one past the longest
+    word, each checked to hold exactly the words of its length."""
+    longest = max(map(len, emb.words), default=0)
+    slices = [emb.length_slice(n) for n in range(longest + 2)]
+    for n, s in enumerate(slices):
+        assert emb.words[s] == tuple(w for w in emb.words if len(w) == n)
+    return slices
+
+
 def outcome(load, path):
     try:
         emb = load(path)
     except ParseError as exc:
         return str(exc), exc.line
-    return emb.dim, emb.words, emb.unit_rows().tobytes(), emb.rejected, emb.duplicates_skipped
+    return (emb.dim, emb.words, emb.unit_rows().tobytes(), emb.rejected, emb.duplicates_skipped,
+            length_slices(emb))
 
 
 # (file text or bytes, whether no block of it reaches the line-by-line parser)
@@ -249,29 +260,77 @@ def test_embeddings_paths_agree_on_generated_files(tmp_path_factory, text, block
         assert outcome(load_embeddings, path) == outcome(reference_embeddings, path)
 
 
-def vectors_text(ending=""):
-    """An embeddings file of 4,000 random 50-dim rows, each line ending in
-    ``ending``: about 2 MB, eight default blocks."""
+def words_of_lengths(lengths):
+    """Distinct words, one of each length in ``lengths``."""
+    return tuple(chr(0x4E00 + i) + "好" * (n - 1) for i, n in enumerate(lengths))
+
+
+def assert_sorts_as_the_copy(lengths, unused, block, seed, dim=3):
+    """``WordEmbeddings`` sorts random rows picked for words of ``lengths``,
+    with ``unused`` rows that no word picks (as rejected and duplicate rows
+    are), in place in moves of ``block`` bytes, to the reference's
+    fancy-index copy, bit for bit."""
+    words = words_of_lengths(lengths)
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(len(words) + unused, dim))
+    picks = rng.permutation(len(rows))[:len(words)]
+    expected = reference_length_sort(words, rows, picks)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(resources, "EMBEDDING_BLOCK_BYTES", block)
+        got = resources.WordEmbeddings(words, rows, picks, 0, 0)
+    assert got.words == expected.words
+    assert got.unit_rows().tobytes() == expected.unit_rows().tobytes()
+    assert length_slices(got) == length_slices(expected)
+
+
+@given(lengths=st.one_of(st.lists(st.integers(1, 5), max_size=60),
+                         st.integers(0, 60).map(lambda n: [2] * n),
+                         st.permutations(range(1, 41))),
+       unused=st.integers(0, 5), block=st.sampled_from([1, 48, 240, 1 << 18]),
+       seed=st.integers(0, 2**32 - 1))
+def test_length_sort_in_place_matches_the_copy(lengths, unused, block, seed):
+    """Random lengths, one length only and every row a different length;
+    moves of one row, two, ten and the whole matrix."""
+    assert_sorts_as_the_copy(lengths, unused, block, seed)
+
+
+def test_length_sort_in_place_matches_the_copy_at_scale():
+    """Cycles that span many 32-row moves, at the benchmark's mix of lengths."""
+    lengths = np.random.default_rng(1).choice([1, 2, 3, 4], size=20000, p=[.08, .58, .23, .11])
+    assert_sorts_as_the_copy(lengths.tolist(), 100, 32 * 4 * 8, seed=2, dim=4)
+
+
+def vectors_text(rows=4000, dim=50, ending="", tail=()):
+    """An embeddings file of ``rows`` random ``dim``-dim rows, each line
+    ending in ``ending``, then the lines ``tail``. The words have one to
+    three characters, mixed, so that the load sorts them. At 4,000 × 50 it
+    is about 2 MB, eight default blocks."""
     rng = np.random.default_rng(0)
-    lines = [f"{chr(0x4E00 + i // 64)}{chr(0x4E00 + i % 64)} "
-             + " ".join(f"{v:.6f}" for v in row) + ending
-             for i, row in enumerate(rng.normal(size=(4000, 50)))]
-    return "\n".join(["4000 50", *lines]) + "\n"
+    lines = [f"{chr(0x4E00 + i)}{'好' * (i % 3)} " + " ".join(f"{v:.6f}" for v in row) + ending
+             for i, row in enumerate(rng.normal(size=(rows, dim)))]
+    lines += tail
+    return "\n".join([f"{len(lines)} {dim}", *lines]) + "\n"
 
 
-def assert_loads_in_bounded_memory(path):
-    """The traced peak of a load stays within the file's size plus twice
-    the final matrix (the parsed matrix and its length-sorted copy).
-    Holding the decoded text and its lines at once, as a whole-file parse
-    does, takes about four times the file."""
+def assert_loads_in_bounded_memory(path, rows=4000):
+    """The traced peak of a load stays within one matrix, twice what the
+    loaded embeddings hold beside it (their words and word index; while
+    the rows are picked, the parse's word list and each word's first row
+    are alive too) and eight blocks (one block's bytes, decoded text, lines
+    and values, and the chunks of the in-place length sort). A second
+    matrix, such as a length-sorted copy or a whole-matrix temporary, does
+    not fit once the matrix dwarfs a block; nor does holding the decoded
+    text and its lines at once, as a whole-file parse does (about four
+    times the file)."""
     tracemalloc.start()
     try:
         emb = load_embeddings(path)
-        peak = tracemalloc.get_traced_memory()[1]
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(emb) == 4000
-    assert peak <= path.stat().st_size + 2 * emb.unit_rows().nbytes
+    matrix = emb.unit_rows().nbytes
+    assert len(emb) == rows
+    assert peak <= matrix + 2 * (held - matrix) + 8 * resources.EMBEDDING_BLOCK_BYTES
 
 
 def test_regular_file_loads_in_bounded_memory(tmp_path):
@@ -281,12 +340,37 @@ def test_regular_file_loads_in_bounded_memory(tmp_path):
 def test_irregular_file_loads_in_bounded_memory(tmp_path):
     """A trailing space on every line (a common word2vec text style) sends
     every block to the line-by-line parser, which is bounded too."""
-    assert_loads_in_bounded_memory(write(tmp_path, "e.txt", vectors_text(" ")))
+    assert_loads_in_bounded_memory(write(tmp_path, "e.txt", vectors_text(ending=" ")))
+
+
+def test_large_matrix_loads_in_one_matrix(tmp_path):
+    """At 20,000 × 100 the matrix (15 MiB) dwarfs a block, so the bound is
+    about one matrix: the parsed rows are normalized and length-sorted in
+    place."""
+    assert_loads_in_bounded_memory(write(tmp_path, "e.txt", vectors_text(20000, 100)), 20000)
+
+
+def test_mostly_rejected_file_frees_its_rows(tmp_path):
+    """Rows of the wrong length or with a zero norm that outnumber the kept
+    rows are not held behind the matrix."""
+    tail = [f"{chr(0x6000 + i)} " + " ".join(["0"] * 50) for i in range(3000)]
+    tail += [f"{chr(0x7000 + i)} 1 2" for i in range(3000)]
+    path = write(tmp_path, "e.txt", vectors_text(1000, tail=tail))
+    tracemalloc.start()
+    try:
+        emb = load_embeddings(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert (len(emb), emb.rejected) == (1000, 6000)
+    assert held < 2 * emb.unit_rows().nbytes
 
 
 def test_fifo_loads_as_the_regular_file(tmp_path):
-    """A pipe, which cannot report its size, gives the regular file's result."""
-    text = vectors_text()
+    """A pipe, which cannot report its size, gives the reference's result,
+    with a zero row, a duplicate word and a row of the wrong length."""
+    text = vectors_text(tail=["丁 " + " ".join(["0"] * 50), "一 " + " ".join(["1"] * 50),
+                              "乙 1 2"])
     fifo = tmp_path / "e.fifo"
     os.mkfifo(fifo)
     writer = threading.Thread(target=fifo.write_text, args=(text,),
@@ -297,7 +381,8 @@ def test_fifo_loads_as_the_regular_file(tmp_path):
     finally:
         writer.join(timeout=10)
     assert not writer.is_alive()
-    assert got == outcome(load_embeddings, write(tmp_path, "e.txt", text))
+    assert got == outcome(reference_embeddings, write(tmp_path, "e.txt", text))
+    assert got[3:5] == (2, 1)
 
 
 def unmemoized_by_word(text):
@@ -315,7 +400,7 @@ def unmemoized_by_word(text):
 class TestLoadPinyinTable:
     def test_inverse_index(self, tmp_path):
         table = load_pinyin_table(write(tmp_path, "p.tsv", "附近\tfu jin\n富金\tfu jin\n"))
-        assert table.by_pinyin["fu jin"] == frozenset({"附近", "富金"})
+        assert table.by_pinyin["fu jin"] == ("富金", "附近")
         assert table.by_word["附近"] == "fu jin"
 
     def test_empty_file(self, tmp_path):
@@ -368,7 +453,7 @@ def test_pinyin_inverse_property(tmp_path_factory, entries):
     for word, pinyin in table.by_word.items():
         assert word in table.by_pinyin[pinyin]
     for pinyin, words in table.by_pinyin.items():
-        assert words == frozenset(w for w, p in table.by_word.items() if p == pinyin)
+        assert words == tuple(sorted(w for w, p in table.by_word.items() if p == pinyin))
 
 
 def test_strip_tone_variants():
