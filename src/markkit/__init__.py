@@ -34,7 +34,7 @@ from .pretrain import (ExampleMeta, MaskingConfig, MaskingStats, PackedSegment,
                        build_packed_example, corpus_stats, derive_seed,
                        example_from_json, example_to_json, generate_examples,
                        pack_corpus, pack_documents, plain_example, read_documents)
-from .resources import (Lexicon, LexiconEntry, PinyinTable, Resources,
+from .resources import (Lexicon, PinyinTable, Resources,
                         WordEmbeddings, load_embeddings, load_lexicon,
                         load_pinyin_table)
 from .segmenter import (Segmentation, Segmenter, WordSpan, make_lexicon_segmenter,

@@ -30,16 +30,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .confusion import ConfusionPolicy, pinyin_candidates, synonym_candidates
+from .confusion import ConfusionPolicy, check_k, pinyin_candidates, synonym_candidates
 from .errors import (ConfigError, InputError, MarkkitError, ParseError,
                      ResourceError, TrainingError)
-from .marker_encoder import encode_marked, load_vocab
+from .marker_encoder import check_max_len, encode_marked, load_vocab
 from .model import (MarkBert, ModelConfig, export_attention, load_checkpoint,
                     save_checkpoint, train_step)
 from .ner import SpanF1Counter, extract_spans, read_conll
 from .pretrain import (MaskingConfig, MaskingStats, corpus_stats, example_from_json,
                        example_to_json, generate_examples, pack_corpus, plain_example,
-                       read_documents)
+                       read_documents, usable_cpus)
 from .resources import (Resources, decode_text, load_embeddings, load_lexicon,
                         load_pinyin_table, read_text)
 from .segmenter import (Segmentation, Segmenter, make_lexicon_segmenter,
@@ -74,12 +74,12 @@ def _check_readable(path: Path) -> None:
         raise ResourceError(f"cannot read {path}: {exc}") from exc
 
 
-def clamp_workers(requested: int, cpus: int | None) -> int:
+def clamp_workers(requested: int, cpus: int) -> int:
     """The worker count for ``--workers``: at least 1 (a smaller request is a
-    ConfigError) and at most ``cpus``, the machine's CPU count when known."""
+    ConfigError) and at most ``cpus`` (:func:`usable_cpus`)."""
     if requested < 1:
         raise ConfigError(f"--workers must be positive, got {requested}")
-    return min(requested, cpus) if cpus else requested
+    return min(requested, cpus)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -117,10 +117,9 @@ def _segment_line(seg_fn: Segmenter, line: str, lineno: int) -> Segmentation:
         raise ParseError(str(exc), lineno) from None
 
 
-def _encoded_lines(args, vocab, max_len: int, add_cls_sep: bool = True):
-    """Each non-blank line of ``--in``, segmented (``--lexicon`` or
-    ``--pretokenized``) and encoded as the marker flags say."""
-    seg_fn = _segmenter_from_args(args)
+def _encoded_lines(args, seg_fn: Segmenter, vocab, max_len: int, add_cls_sep: bool = True):
+    """Each non-blank line of ``--in``, segmented by ``seg_fn`` and encoded
+    as the marker flags say."""
     for lineno, line in enumerate(_read_lines(args.infile), start=1):
         if line.strip():
             yield encode_marked(_segment_line(seg_fn, line.strip(), lineno), vocab,
@@ -142,6 +141,15 @@ def _flag_error(exc: ConfigError, args) -> ConfigError:
     if exc.setting is None or not hasattr(args, exc.setting):
         return exc
     return ConfigError(exc.reason, "--" + exc.setting.replace("_", "-"))
+
+
+def _model_config(args, vocab_size: int = 1, max_positions: int = 1) -> ModelConfig:
+    """The model the ``pretrain`` flags give for a vocabulary of
+    ``vocab_size``, with ``max_positions`` unless ``--max-positions`` is set."""
+    return ModelConfig(vocab_size=vocab_size, hidden_dim=args.hidden_dim,
+                       num_layers=args.num_layers, num_heads=args.num_heads,
+                       ffn_dim=args.ffn_dim, max_positions=args.max_positions or max_positions,
+                       rwd_classes=args.rwd_classes, dropout=args.dropout, seed=args.seed)
 
 
 def _masking_config(args) -> MaskingConfig:
@@ -168,16 +176,19 @@ def cmd_segment(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    check_max_len(args.max_len, add_cls_sep=not args.no_cls_sep)
+    seg_fn = _segmenter_from_args(args)
     vocab = load_vocab(_resource_path(args.vocab))
     _write_lines(args.out, (json.dumps({"ids": list(marked.ids),
                                         "marker_positions": list(marked.marker_positions),
                                         "truncated": marked.truncated}, separators=(",", ":"))
-                            for marked in _encoded_lines(args, vocab, args.max_len,
+                            for marked in _encoded_lines(args, seg_fn, vocab, args.max_len,
                                                          add_cls_sep=not args.no_cls_sep)))
     return 0
 
 
 def cmd_confusions(args) -> int:
+    check_k(args.k)
     emb = load_embeddings(_resource_path(args.embeddings))
     table = load_pinyin_table(_resource_path(args.pinyin))
     rows = []
@@ -194,8 +205,9 @@ def cmd_confusions(args) -> int:
 
 
 def cmd_build_corpus(args) -> int:
-    workers = clamp_workers(args.workers, os.cpu_count())
+    workers = clamp_workers(args.workers, usable_cpus())
     cfg = _masking_config(args)
+    seg_fn = _segmenter_from_args(args)
     vocab = load_vocab(_resource_path(args.vocab))
     embeddings, pinyin = _resource_path(args.embeddings), _resource_path(args.pinyin)
     if cfg.p_replace_word == 0:
@@ -207,7 +219,6 @@ def cmd_build_corpus(args) -> int:
     else:
         resources = Resources(embeddings=load_embeddings(embeddings),
                               pinyin=load_pinyin_table(pinyin))
-    seg_fn = _segmenter_from_args(args)
     lines = _read_lines(args.infile)
     try:
         examples = generate_examples(list(read_documents(lines)), seg_fn, vocab, resources,
@@ -233,6 +244,7 @@ def cmd_pretrain(args) -> int:
         raise ConfigError(f"--lr must be finite and >= 0, got {args.lr}")
     if args.log_every < 0:
         raise ConfigError(f"--log-every must be >= 0, got {args.log_every}")
+    _model_config(args)  # the model flags' own rules, before any file is read
     vocab = load_vocab(_resource_path(args.vocab))
     examples = list(_read_examples(args.infile))
     if not examples:
@@ -240,11 +252,7 @@ def cmd_pretrain(args) -> int:
     max_positions = args.max_positions or max(ex.attention_len for ex in examples)
     if not max_positions:
         raise InputError(f"--in {args.infile}: every example has empty input_ids")
-    model = MarkBert(ModelConfig(vocab_size=len(vocab), hidden_dim=args.hidden_dim,
-                                 num_layers=args.num_layers, num_heads=args.num_heads,
-                                 ffn_dim=args.ffn_dim, max_positions=max_positions,
-                                 rwd_classes=args.rwd_classes, dropout=args.dropout,
-                                 seed=args.seed))
+    model = MarkBert(_model_config(args, len(vocab), max_positions))
     batches = [examples[i:i + args.batch_size]
                for i in range(0, len(examples), args.batch_size)]
     metrics = None
@@ -307,16 +315,16 @@ def cmd_eval_ner(args) -> int:
 
 
 def cmd_attn_dump(args) -> int:
+    check_max_len(args.max_len)
+    seg_fn = _segmenter_from_args(args)
     model = load_checkpoint(args.ckpt)  # run artifact, not under MARKKIT_RESOURCES
-    vocab = load_vocab(_resource_path(args.vocab))
-    # the checkpoint's positions bound the length when they are fewer than --max-len
-    max_len = min(args.max_len, model.cfg.max_positions)
-    try:
-        batch = [plain_example(marked) for marked in _encoded_lines(args, vocab, max_len)]
+    try:  # its positions bound the length where they are fewer than --max-len
+        check_max_len(model.cfg.max_positions)
     except ConfigError as exc:
-        if exc.setting != "max_len" or max_len == args.max_len:
-            raise
         raise ConfigError(exc.reason, "checkpoint max_positions") from None
+    vocab = load_vocab(_resource_path(args.vocab))
+    max_len = min(args.max_len, model.cfg.max_positions)
+    batch = [plain_example(marked) for marked in _encoded_lines(args, seg_fn, vocab, max_len)]
     if not batch:
         raise InputError(f"no non-empty lines in {args.infile}")
     # overflowing parameters show as non-finite weights: one error line, no numpy warnings
@@ -439,14 +447,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--lr", type=float, default=0.2)
-    p.add_argument("--hidden-dim", type=int, default=64)
-    p.add_argument("--num-layers", type=int, default=2)
-    p.add_argument("--num-heads", type=int, default=4)
-    p.add_argument("--ffn-dim", type=int, default=128)
+    p.add_argument("--hidden-dim", type=int, default=ModelConfig.hidden_dim)
+    p.add_argument("--num-layers", type=int, default=ModelConfig.num_layers)
+    p.add_argument("--num-heads", type=int, default=ModelConfig.num_heads)
+    p.add_argument("--ffn-dim", type=int, default=ModelConfig.ffn_dim)
     p.add_argument("--max-positions", type=int, default=0,
                    help="0: infer from the longest example")
-    p.add_argument("--rwd-classes", type=int, default=3, choices=(2, 3))
-    p.add_argument("--dropout", type=float, default=0.0)
+    p.add_argument("--rwd-classes", type=int, default=ModelConfig.rwd_classes, choices=(2, 3))
+    p.add_argument("--dropout", type=float, default=ModelConfig.dropout)
     p.add_argument("--log-every", type=int, default=50)
     _add_common(p, out_help="checkpoint path (required; a checkpoint is not written to stdout)")
     p.set_defaults(func=cmd_pretrain)

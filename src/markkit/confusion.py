@@ -44,16 +44,21 @@ class ConfusionPolicy:
     def __post_init__(self):
         if not 0.0 <= self.p_pinyin <= 1.0:
             raise ConfigError(f"must be in [0, 1], got {self.p_pinyin}", "p_pinyin")
-        if self.k_syn < 1:
-            raise ConfigError(f"must be >= 1, got {self.k_syn}", "k_syn")
+        check_k(self.k_syn, "k_syn")
+
+
+def check_k(k: int, setting: str = "k") -> None:
+    """The rule on a synonym candidate count: ``k`` below 1 is a
+    ConfigError naming ``setting``."""
+    if k < 1:
+        raise ConfigError(f"must be >= 1, got {k}", setting)
 
 
 def synonym_candidates(word: str, emb: WordEmbeddings, k: int) -> list[ConfusionChoice]:
     """Top-k words by cosine similarity, restricted to the same character
     length, excluding the word itself. Ties break lexicographically.
     A word absent from the embeddings yields an empty list."""
-    if k < 1:
-        raise ConfigError(f"must be >= 1, got {k}", "k")
+    check_k(k)
     if word not in emb:
         return []
     row = emb.row_index(word)
@@ -76,7 +81,7 @@ def synonym_candidates(word: str, emb: WordEmbeddings, k: int) -> list[Confusion
 def pinyin_candidates(word: str, table: PinyinTable) -> list[ConfusionChoice]:
     """All other table words sharing this word's full pinyin sequence
     (same character length by table invariant), sorted lexicographically."""
-    pinyin = table.pinyin_of(word)
+    pinyin = table.by_word.get(word)
     if pinyin is None:
         return []
     return [ConfusionChoice(original=word, replacement=w, kind=ConfusionKind.PINYIN, score=1.0)

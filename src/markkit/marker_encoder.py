@@ -58,6 +58,8 @@ class Vocab:
                 pos_markers[tok[len(_POS_MARKER_PREFIX):-1]] = i
         reserved = {*pos_markers.values(), *(mapping[t] for t in REQUIRED_TOKENS)}
         chars = tuple(i for i in range(len(self.tokens)) if i not in reserved)
+        if not chars:  # masking draws its random replacements from them
+            raise ConfigError("vocabulary has no character tokens")
         object.__setattr__(self, "token_to_id", mapping)
         object.__setattr__(self, "pos_marker_ids", pos_markers)
         object.__setattr__(self, "char_ids", chars)
@@ -145,6 +147,16 @@ class MarkedSequence:
         return len(self.char_alignment)
 
 
+def check_max_len(max_len: int, add_cls_sep: bool = True) -> None:
+    """The rule on a sequence length: room for CLS, SEP and content when
+    ``add_cls_sep`` is set, else for one token; a shorter ``max_len`` is a
+    ConfigError."""
+    if add_cls_sep and max_len < 3:
+        raise ConfigError(f"must be >= 3 to hold CLS, SEP and content, got {max_len}", "max_len")
+    if max_len < 1:
+        raise ConfigError(f"must be positive, got {max_len}", "max_len")
+
+
 def encode_marked(seg: Segmentation, vocab: Vocab, *,
                   insert_markers: bool = True,
                   pos_markers: bool = False,
@@ -158,10 +170,7 @@ def encode_marked(seg: Segmentation, vocab: Vocab, *,
     at a word boundary; a word that cannot fit the remaining budget ends
     the sequence (never split mid-word).
     """
-    if add_cls_sep and max_len < 3:
-        raise ConfigError(f"must be >= 3 to hold CLS, SEP and content, got {max_len}", "max_len")
-    if max_len < 1:
-        raise ConfigError(f"must be positive, got {max_len}", "max_len")
+    check_max_len(max_len, add_cls_sep)
     budget = max_len - (2 if add_cls_sep else 0)
 
     included: list[WordSpan] = []

@@ -98,7 +98,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError, ParseError, ResourceError, TrainingError
 from .marker_encoder import Vocab
-from .pretrain import PretrainingExample, RwdLabel
+from .pretrain import PretrainingExample, RwdLabel, usable_cpus
 
 _NEG_INF = -1e30
 _SQRT2 = np.sqrt(2.0)
@@ -322,10 +322,8 @@ def _pool(elements: int, minimum: int) -> ThreadPoolExecutor | None:
         return None
     with _POOL_LOCK:
         if not _POOL:
-            cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                     else os.cpu_count() or 1)
             _POOL.append(ThreadPoolExecutor(1, thread_name_prefix="markkit-model")
-                         if cores > 1 else None)
+                         if usable_cpus() > 1 else None)
         return _POOL[0]
 
 

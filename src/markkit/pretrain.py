@@ -47,13 +47,14 @@ import enum
 import functools
 import json
 import math
+import os
 import random
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .confusion import ConfusionKind, ConfusionPolicy, sample_confusion
 from .errors import ConfigError, ParseError
-from .marker_encoder import MarkedSequence, Vocab, encode_marked
+from .marker_encoder import MarkedSequence, Vocab, check_max_len, encode_marked
 from .resources import Resources
 from .segmenter import Segmentation, Segmenter, WordSpan
 
@@ -89,8 +90,7 @@ class MaskingConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"must be in [0, 1], got {value}", name)
-        if self.max_len < 3:
-            raise ConfigError(f"must be >= 3, got {self.max_len}", "max_len")
+        check_max_len(self.max_len)
 
 
 @dataclass(frozen=True)
@@ -567,6 +567,15 @@ def build_document(doc_id: int, lines: Sequence[str], part: int = 0, parts: int 
     n = len(packed)
     return [build_packed_example(p, vocab, resources, cfg, corpus_seed)
             for p in packed[part * n // parts:(part + 1) * n // parts]]
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity, where the platform
+    reports one): the cap on ``build-corpus`` workers and on the train
+    step's second thread."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def generate_examples(documents: Sequence[Sequence[str]], segmenter: Segmenter,

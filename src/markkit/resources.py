@@ -61,16 +61,10 @@ def decode_text(data: bytes, source: str | Path, start: int = 0, line: int = 1) 
 
 
 @dataclass(frozen=True)
-class LexiconEntry:
-    pos: str | None = None
-    freq: int | None = None
-
-
-@dataclass(frozen=True)
 class Lexicon:
-    """Word inventory with optional POS tags and frequencies."""
+    """Word inventory: each word's POS tag, or None where it has none."""
 
-    entries: dict[str, LexiconEntry]
+    entries: dict[str, str | None]
     duplicates_skipped: int = 0
     max_word_len: int = field(init=False)
 
@@ -85,10 +79,11 @@ class Lexicon:
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    """Parse a lexicon TSV. Duplicate words keep the first occurrence;
-    the number of skipped duplicates is recorded on the result.
-    Blank lines are ignored."""
-    entries: dict[str, LexiconEntry] = {}
+    """Parse a lexicon TSV. A frequency must be a non-negative integer, but
+    it is not kept: markkit reads only the POS tags. Duplicate words keep
+    the first occurrence; the number of skipped duplicates is recorded on
+    the result. Blank lines are ignored."""
+    entries: dict[str, str | None] = {}
     duplicates = 0
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
@@ -99,8 +94,6 @@ def load_lexicon(path: str | Path) -> Lexicon:
         word = fields[0]
         if not word:
             raise ParseError("empty word", lineno)
-        pos = fields[1] if len(fields) > 1 and fields[1] else None
-        freq: int | None = None
         if len(fields) > 2 and fields[2]:
             try:
                 freq = int(fields[2])
@@ -111,7 +104,7 @@ def load_lexicon(path: str | Path) -> Lexicon:
         if word in entries:
             duplicates += 1
             continue
-        entries[word] = LexiconEntry(pos=pos, freq=freq)
+        entries[word] = fields[1] if len(fields) > 1 and fields[1] else None
     return Lexicon(entries=entries, duplicates_skipped=duplicates)
 
 
@@ -126,48 +119,32 @@ def _normalize_rows(rows: np.ndarray) -> np.ndarray:
     return usable[:, 0]
 
 
-def _gather_in_place(rows: np.ndarray, src: np.ndarray) -> None:
+def _gather_in_place(rows: np.ndarray, src: list[int]) -> None:
     """``rows[:len(src)] = rows[src]`` without a second matrix: ``src``
-    holds distinct row indices, and the rows after ``len(src)`` take the
-    rows it leaves out, so that the rows are permuted.
+    holds distinct row indices.
 
-    Row ``i`` takes row ``perm[i]``, which takes row ``perm[perm[i]]``,
-    and so on around a cycle. Moving a cycle in that order reads each row
-    before it is overwritten, except the cycle's first row, which its last
-    move reads. The moves run about ``EMBEDDING_BLOCK_BYTES`` of rows at a
-    time, and a chunk reads all its rows before it writes, so only a cycle
-    that closes in a later chunk than it opened keeps its first row aside."""
-    left_out = np.ones(len(rows), dtype=bool)
-    left_out[src] = False
-    perm = np.concatenate([src, np.flatnonzero(left_out)])
-    step = max(1, EMBEDDING_BLOCK_BYTES // (rows.itemsize * rows.shape[1]))
-    succ = perm.tolist()
-    seen = bytearray((perm == np.arange(len(perm))).tobytes())  # a row that stays needs no move
-    moves: list[int] = []
-    append = moves.append
-    cycles = []  # (first, last) move of each cycle that spans chunks
-    start = seen.find(0)
-    while start >= 0:
-        first, i = len(moves), start
-        while not seen[i]:
-            seen[i] = 1
-            append(i)
-            i = succ[i]
-        if first // step != (len(moves) - 1) // step:
-            cycles.append((first, len(moves) - 1))
-        start = seen.find(0, start + 1)
-    dest = np.array(moves, dtype=np.intp)
-    sources = perm[dest]
-    opened = iter(cycles)
-    cycle = next(opened, None)
-    kept: dict[int, np.ndarray] = {}  # last move of an open cycle -> the row it takes
-    for a in range(0, len(dest), step):
-        while cycle and cycle[0] < a + step:
-            kept[cycle[1]] = rows[dest[cycle[0]]].copy()
-            cycle = next(opened, None)
-        rows[dest[a:a + step]] = rows[sources[a:a + step]]
-        for last in [m for m in kept if m < a + step]:
-            rows[dest[last]] = kept.pop(last)
+    Row ``i`` takes row ``src[i]``, which takes row ``src[src[i]]``, and so
+    on, until a row after ``len(src)`` ends the chain or the chain closes a
+    cycle. Moving a chain in that order reads each row before it is
+    overwritten, if it starts at a row that no move reads; a cycle has no
+    such row, so its first row is set aside for its last move. Rows that
+    stay need no move."""
+    n = len(src)
+    read = bytearray(n)  # whether a move reads the row
+    for j in src:
+        if j < n:
+            read[j] = 1
+    done = bytearray(n)
+    for start in itertools.chain((i for i in range(n) if not read[i]), range(n)):
+        if done[start] or src[start] == start:
+            continue
+        first = rows[start].copy() if read[start] else None
+        i = start
+        while i < n and not done[i]:
+            done[i] = 1
+            j = src[i]
+            rows[i] = first if j == start else rows[j]
+            i = j
 
 
 class WordEmbeddings:
@@ -183,26 +160,19 @@ class WordEmbeddings:
     dimensionality or a zero or non-finite norm are rejected at load time.
     """
 
-    def __init__(self, words: tuple[str, ...], rows: np.ndarray, picks: np.ndarray,
-                 rejected: int, duplicates_skipped: int):
-        """Keep the unit rows ``rows[picks]`` (``words[i]`` is the word of
-        ``rows[picks[i]]``), reordered by word length in place: the first
-        ``len(picks)`` rows of ``rows`` become the matrix. The rows after
-        them (rejected and duplicate entries) stay allocated behind it,
-        unless they outnumber it: then it is copied so that they are freed."""
-        lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
-        order = np.argsort(lengths, kind="stable")
+    def __init__(self, words: tuple[str, ...], rows: np.ndarray, rejected: int,
+                 duplicates_skipped: int):
+        """``rows[i]`` is the unit row of ``words[i]``, and the words come
+        in ascending length: the matrix is ``rows`` itself, made read-only."""
         self.dim = rows.shape[1]
-        self.words: tuple[str, ...] = tuple(words[i] for i in order)
+        self.words = words
         self.rejected = rejected
         self.duplicates_skipped = duplicates_skipped
-        _gather_in_place(rows, picks[order])
-        self._unit = rows[:len(words)]
-        if len(rows) > 2 * len(words):
-            self._unit = self._unit.copy()
+        self._unit = rows
         self._unit.flags.writeable = False  # ``vector`` hands out views of its rows
-        self._index = {w: i for i, w in enumerate(self.words)}
-        sizes, starts = np.unique(lengths[order], return_index=True)
+        self._index = {w: i for i, w in enumerate(words)}
+        lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+        sizes, starts = np.unique(lengths, return_index=True)
         stops = np.append(starts[1:], len(words))
         self._slices = {int(n): slice(int(a), int(b)) for n, a, b in zip(sizes, starts, stops)}
 
@@ -254,11 +224,13 @@ def load_embeddings(path: str | Path) -> WordEmbeddings:
     except OSError as exc:
         raise ResourceError(f"cannot read {path}: {exc}") from exc
     first: dict[str, int] = {}
-    for i in np.flatnonzero(usable):
-        first.setdefault(words[i], int(i))
+    for i in np.flatnonzero(usable).tolist():
+        first.setdefault(words[i], i)
     n_usable = int(usable.sum())
-    picks = np.fromiter(first.values(), dtype=np.intp, count=len(first))
-    return WordEmbeddings(tuple(first), rows, picks, rejected + len(words) - n_usable,
+    by_length = sorted(first, key=len)  # stable: file order within a length
+    _gather_in_place(rows, [first[w] for w in by_length])
+    rows.resize((len(by_length), rows.shape[1]))  # in place: the rows after them are freed
+    return WordEmbeddings(tuple(by_length), rows, rejected + len(words) - n_usable,
                           n_usable - len(first))
 
 
@@ -405,9 +377,6 @@ class PinyinTable:
         for word, pinyin in self.by_word.items():
             inverse.setdefault(pinyin, []).append(word)
         object.__setattr__(self, "by_pinyin", {p: tuple(sorted(ws)) for p, ws in inverse.items()})
-
-    def pinyin_of(self, word: str) -> str | None:
-        return self.by_word.get(word)
 
 
 def strip_tone(syllable: str) -> str:

@@ -76,9 +76,8 @@ def segment(text: str, lexicon: Lexicon) -> Segmentation:
         taken = False
         for length in range(limit, 0, -1):
             word = text[i:i + length]
-            entry = lexicon.entries.get(word)
-            if entry is not None:
-                spans.append(WordSpan(i, i + length, pos=entry.pos))
+            if word in lexicon.entries:
+                spans.append(WordSpan(i, i + length, pos=lexicon.entries[word]))
                 i += length
                 taken = True
                 break

@@ -144,8 +144,8 @@ def reference_length_sort(words, rows, picks, rejected=0, duplicates_skipped=0):
     stable argsort and one fancy-index copy, ``rows[picks[order]]``, as
     the loader did before it sorted in place. ``rows`` is left as it is."""
     order = np.argsort([len(w) for w in words], kind="stable")
-    return WordEmbeddings(tuple(words[i] for i in order), rows[picks[order]],
-                          np.arange(len(words)), rejected, duplicates_skipped)
+    return WordEmbeddings(tuple(words[i] for i in order), rows[picks[order]], rejected,
+                          duplicates_skipped)
 
 
 def dense_mlm_logits(model, out):

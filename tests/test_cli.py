@@ -423,10 +423,48 @@ def test_clamp_workers():
     assert clamp_workers(4, 2) == 2
     assert clamp_workers(1, 64) == 1
     assert clamp_workers(3, 3) == 3
-    assert clamp_workers(5, None) == 5
     for requested in (0, -3):
         with pytest.raises(ConfigError, match="--workers must be positive"):
             clamp_workers(requested, 2)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two CPUs to narrow the process to one")
+def test_one_cpu_of_affinity_runs_one_thread(env, tmp_path):
+    """A process allowed one CPU of a larger machine builds `--workers 2`
+    without a worker pool, and its train step has no second thread."""
+    root, _ = env
+    script = "\n".join([
+        "import multiprocessing, os, sys",
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})",
+        "def refuse(*args, **kwargs): raise AssertionError('a worker pool was started')",
+        "multiprocessing.Pool = refuse",
+        "from markkit import cli, model",
+        "assert model._pool(1, 0) is None",
+        "sys.exit(cli.main(sys.argv[1:]))"])
+    out = tmp_path / "w2.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "build-corpus", *res_args(root),
+         "--in", str(root / "corpus.txt"), "--out", str(out), "--max-len", "48", "--seed", "7",
+         "--workers", "2"], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(markkit.__file__).parents[1])})
+    assert proc.returncode == 0, proc.stderr
+    assert run_build(root, tmp_path / "w1.jsonl") == 0
+    assert out.read_bytes() == (tmp_path / "w1.jsonl").read_bytes()
+
+
+# flags that break a rule of their own, whatever the files: each exits 5
+FILE_FREE_FLAG_ERRORS = [
+    ("pretrain", "--lr", "nan"), ("pretrain", "--lr", "inf"),
+    ("pretrain", "--log-every", "-1"),
+    ("build-corpus", "--workers", "0"), ("build-corpus", "--workers", "-3"),
+    ("build-corpus", "--p-pinyin", "1.5"), ("build-corpus", "--k-syn", "0"),
+    ("build-corpus", "--mask-ratio", "2"), ("build-corpus", "--max-len", "2"),
+    ("pretrain", "--hidden-dim", "0"), ("pretrain", "--dropout", "1.5"),
+    ("pretrain", "--num-heads", "5"), ("pretrain", "--max-positions", "-1"),
+    ("encode", "--max-len", "2"), ("attn-dump", "--max-len", "2"),
+    ("confusions", "--k", "0"), ("pretrain", "--seed", "-1"),
+]
 
 
 class TestErrorHandling:
@@ -515,16 +553,46 @@ class TestErrorHandling:
         assert err["error"] == "config" and flag in err["message"]
         assert not (tmp_path / "m.ckpt").exists()
 
+    @staticmethod
+    def flag_test_argv(root, tmp_path, command, infile=None):
+        """``command`` on the toy world, reading ``infile`` (by default the
+        toy corpus, or built examples for ``pretrain``)."""
+        vocab, corpus = str(root / "res/vocab.txt"), str(infile or root / "corpus.txt")
+        if command == "pretrain":
+            if infile is None:
+                corpus = str(tmp_path / "ex.jsonl")
+                run_build(root, corpus)
+            return ["pretrain", "--vocab", vocab, "--in", corpus, "--steps", "2",
+                    "--log-every", "0"]
+        if command == "build-corpus":
+            return ["build-corpus", *res_args(root), "--in", corpus]
+        if command == "confusions":
+            return ["confusions", "--embeddings", str(root / "res/embeddings.txt"),
+                    "--pinyin", str(root / "res/pinyin.tsv"), "--in", corpus]
+        argv = [command, "--vocab", vocab, "--lexicon", str(root / "res/lexicon.tsv"),
+                "--in", corpus]
+        if command == "attn-dump":
+            ckpt = tmp_path / "model.ckpt"
+            save_checkpoint(MarkBert(ModelConfig(vocab_size=len(load_vocab(vocab)),
+                                                 hidden_dim=8, num_heads=2, ffn_dim=8,
+                                                 max_positions=16)), ckpt)
+            argv += ["--ckpt", str(ckpt)]
+        return argv
+
+    @staticmethod
+    def assert_flag_error(capsys, argv, flag, value, out):
+        """``argv`` with ``flag value`` exits 5 with one JSON line naming
+        ``flag`` first, and writes no ``out``."""
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out), flag, value]) == 5
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "config" and err["message"].startswith(f"{flag} ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command,flag,value", [
-        ("pretrain", "--lr", "nan"), ("pretrain", "--lr", "inf"),
-        ("pretrain", "--log-every", "-1"),
-        ("build-corpus", "--workers", "0"), ("build-corpus", "--workers", "-3"),
-        ("build-corpus", "--p-pinyin", "1.5"), ("build-corpus", "--k-syn", "0"),
-        ("build-corpus", "--mask-ratio", "2"), ("build-corpus", "--max-len", "2"),
-        ("pretrain", "--hidden-dim", "0"), ("pretrain", "--dropout", "1.5"),
-        ("pretrain", "--num-heads", "5"), ("pretrain", "--max-positions", "-1"),
-        ("encode", "--max-len", "2"), ("attn-dump", "--max-len", "2"),
-        ("confusions", "--k", "0"), ("pretrain", "--seed", "-1"),
+        *FILE_FREE_FLAG_ERRORS,
         # parameter tables numpy refuses before it allocates: the byte count overflows
         ("pretrain", "--max-positions", str(2**60)), ("pretrain", "--ffn-dim", str(2**60)),
         ("pretrain", "--hidden-dim", str(2**62)),
@@ -532,35 +600,21 @@ class TestErrorHandling:
         ("pretrain", "--num-layers", "1000000000"),
     ])
     def test_bad_numeric_flag_exit_5(self, env, tmp_path, capsys, command, flag, value):
-        root, _ = env
-        vocab, corpus = str(root / "res/vocab.txt"), str(root / "corpus.txt")
-        if command == "pretrain":
-            examples = tmp_path / "ex.jsonl"
-            run_build(root, examples)
-            argv = ["pretrain", "--vocab", vocab, "--in", str(examples),
-                    "--steps", "2", "--log-every", "0"]
-        elif command == "build-corpus":
-            argv = ["build-corpus", *res_args(root), "--in", corpus]
-        elif command == "confusions":
-            argv = ["confusions", "--embeddings", str(root / "res/embeddings.txt"),
-                    "--pinyin", str(root / "res/pinyin.tsv"), "--in", corpus]
-        else:
-            argv = [command, "--vocab", vocab, "--lexicon", str(root / "res/lexicon.tsv"),
-                    "--in", corpus]
-            if command == "attn-dump":
-                ckpt = tmp_path / "model.ckpt"
-                save_checkpoint(MarkBert(ModelConfig(vocab_size=len(load_vocab(vocab)),
-                                                     hidden_dim=8, num_heads=2, ffn_dim=8,
-                                                     max_positions=16)), ckpt)
-                argv += ["--ckpt", str(ckpt)]
-        capsys.readouterr()
-        out = tmp_path / "out"
-        assert main([*argv, "--out", str(out), flag, value]) == 5
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert len(lines) == 1
-        err = json.loads(lines[0])
-        assert err["error"] == "config" and err["message"].startswith(f"{flag} ")
-        assert not out.exists()
+        argv = self.flag_test_argv(env[0], tmp_path, command)
+        self.assert_flag_error(capsys, argv, flag, value, tmp_path / "out")
+
+    @pytest.mark.parametrize("files", ["missing", "empty --in"])
+    @pytest.mark.parametrize("command,flag,value", FILE_FREE_FLAG_ERRORS)
+    def test_bad_flag_exit_5_before_any_file(self, env, tmp_path, capsys, command, flag, value,
+                                            files):
+        """A flag that breaks a rule of its own exits 5 before any file is
+        read: whether every file it names is missing, or ``--in`` is empty."""
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        argv = self.flag_test_argv(env[0], tmp_path, command, infile=empty)
+        if files == "missing":
+            argv = [str(tmp_path / "missing") if os.path.isfile(a) else a for a in argv]
+        self.assert_flag_error(capsys, argv, flag, value, tmp_path / "out")
 
     def test_attn_dump_names_checkpoint_positions_exit_5(self, env, tmp_path, capsys):
         """A checkpoint too short for CLS, SEP and content is blamed, not the

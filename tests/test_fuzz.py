@@ -1,6 +1,7 @@
 """Property tests: mutated example records, mutated ``pretrain`` flags,
-mutated checkpoints and mutated embeddings and pinyin files end in a
-documented exit code with exactly one JSON error line, never a traceback.
+mutated checkpoints, mutated resource files (embeddings, pinyin, lexicon
+and vocabulary) and mutated CoNLL files end in a documented exit code with
+exactly one JSON error line, never a traceback.
 
 Every run goes through ``cli.main`` in-process, so an exception that is not
 a ``MarkkitError`` fails the test, and so does a numpy RuntimeWarning (the
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from markkit.cli import main
 from markkit.model import MarkBert, ModelConfig, save_checkpoint
+from markkit.ner import NerExample, write_conll
 from markkit.pretrain import ExampleMeta, PretrainingExample, RwdLabel, example_to_json
 from markkit.toy import write_toy_corpus, write_toy_resources
 
@@ -50,6 +52,8 @@ def world(tmp_path_factory):
     save_checkpoint(MarkBert(ModelConfig(vocab_size=len(toy.vocab), hidden_dim=8, num_layers=1,
                                          num_heads=2, ffn_dim=8, max_positions=16)),
                     root / "valid.ckpt")
+    write_conll([NerExample("北京欢迎你", ("B-LOC", "E-LOC", "O", "O", "S-PER")),
+                 NerExample("上海", ("B-LOC", "E-LOC"))], root / "gold.tsv")
     return root
 
 
@@ -218,7 +222,8 @@ def mutated_text_files(draw, blob: bytes, header: bool):
     return blob
 
 
-RESOURCE_FILES = {"--embeddings": "res/embeddings.txt", "--pinyin": "res/pinyin.tsv"}
+RESOURCE_FILES = {"--embeddings": "res/embeddings.txt", "--lexicon": "res/lexicon.tsv",
+                  "--pinyin": "res/pinyin.tsv", "--vocab": "res/vocab.txt"}
 
 
 @pytest.mark.parametrize("flag", sorted(RESOURCE_FILES))
@@ -226,18 +231,45 @@ RESOURCE_FILES = {"--embeddings": "res/embeddings.txt", "--pinyin": "res/pinyin.
 @given(data=st.data())
 @example(data=None)
 def test_mutated_resource_file(world, flag, data):
-    """``confusions`` and ``build-corpus`` at ``--workers`` 1 and 2 on a
-    mutated toy embeddings file or pinyin table exit 0 or 4 (the example is
-    the file unchanged)."""
+    """``build-corpus`` at ``--workers`` 1 and 2, and ``confusions``,
+    ``encode`` or ``segment`` where they read the file, on one mutated toy
+    resource file exit 0 or 4, or 5 for a vocabulary that repeats a token
+    or lacks a required one (the example is the file unchanged)."""
     blob = (world / RESOURCE_FILES[flag]).read_bytes()
     if data is not None:
         blob = data.draw(mutated_text_files(blob, header=flag == "--embeddings"))
     path = world / "mutated-resource"
     path.write_bytes(blob)
-    files = [arg for other, name in RESOURCE_FILES.items()
-             for arg in (other, path if other == flag else world / name)]
-    assert_clean(*run(["confusions", *files, "--in", world / "lines.txt"]), allowed=(0, 4))
-    for workers in (1, 2):
-        assert_clean(*run(["build-corpus", *files, "--vocab", world / "res/vocab.txt",
-                           "--lexicon", world / "res/lexicon.tsv", "--in", world / "corpus.txt",
-                           "--max-len", "48", "--workers", workers]), allowed=(0, 4))
+
+    def files(*flags):
+        return [arg for other in flags
+                for arg in (other, path if other == flag else world / RESOURCE_FILES[other])]
+
+    corpus = world / "corpus.txt"
+    runs = [["build-corpus", *files(*RESOURCE_FILES), "--in", corpus, "--max-len", "48",
+             "--pos-markers", "--workers", workers] for workers in (1, 2)]
+    if flag in ("--embeddings", "--pinyin"):
+        runs.append(["confusions", *files("--embeddings", "--pinyin"),
+                     "--in", world / "lines.txt"])
+    else:
+        runs.append(["encode", *files("--lexicon", "--vocab"), "--in", corpus, "--pos-markers"])
+    if flag == "--lexicon":
+        runs.append(["segment", *files("--lexicon"), "--in", corpus, "--pos"])
+    for argv in runs:
+        assert_clean(*run(argv), allowed=(0, 4, 5) if flag == "--vocab" else (0, 4))
+
+
+@FUZZ
+@given(data=st.data())
+@example(data=None)
+def test_mutated_conll_file(world, data):
+    """``eval-ner`` with a mutated CoNLL file as the prediction, and as the
+    gold, exits 0 or 4 (the example is the file unchanged)."""
+    gold = world / "gold.tsv"
+    blob = gold.read_bytes()
+    if data is not None:
+        blob = data.draw(mutated_text_files(blob, header=False))
+    path = world / "mutated.tsv"
+    path.write_bytes(blob)
+    assert_clean(*run(["eval-ner", "--pred", path, "--gold", gold]), allowed=(0, 4))
+    assert_clean(*run(["eval-ner", "--pred", gold, "--gold", path]), allowed=(0, 4))

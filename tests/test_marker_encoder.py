@@ -140,6 +140,13 @@ class TestVocab:
         with pytest.raises(ConfigError, match="天"):
             load_vocab(path)
 
+    def test_no_character_token(self, tmp_path):
+        """Masking draws random replacements from the character tokens."""
+        path = tmp_path / "vocab.txt"
+        path.write_text("[PAD]\n[UNK]\n[CLS]\n[SEP]\n[MASK]\n[S]\n[S:NN]\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="no character tokens"):
+            load_vocab(path)
+
     def test_ids_dense_and_bijective(self, tiny_vocab):
         for token, tid in tiny_vocab.token_to_id.items():
             assert tiny_vocab.tokens[tid] == token

@@ -2,14 +2,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from markkit.errors import ParseError
-from markkit.resources import Lexicon, LexiconEntry
+from markkit.resources import Lexicon
 from markkit.segmenter import (Segmentation, WordSpan, parse_pretokenized,
                                render_spaced, segment)
 
 
 def make_lexicon(*words, pos=None):
-    entries = {w: LexiconEntry(pos=pos) for w in words}
-    return Lexicon(entries=entries)
+    return Lexicon(entries=dict.fromkeys(words, pos))
 
 
 def spans_of(seg):
@@ -48,7 +47,7 @@ class TestSegment:
         assert seg.spans[0].pos is None
 
     def test_pos_copied_from_lexicon(self):
-        lex = Lexicon(entries={"地球": LexiconEntry(pos="NN"), "好": LexiconEntry(pos="VA")})
+        lex = Lexicon(entries={"地球": "NN", "好": "VA"})
         seg = segment("地球好", lex)
         assert [s.pos for s in seg.spans] == ["NN", "VA"]
 
