@@ -12,10 +12,11 @@ machine-parseable JSON line to stderr:
 If the ``MARKKIT_RESOURCES`` environment variable is set, relative
 ``--lexicon/--embeddings/--pinyin/--vocab`` paths are resolved under it.
 
-All randomness flows from ``--seed`` (default 12345) through documented
-derivations, so every subcommand is reproducible; ``--deterministic`` is
-accepted for interface stability (deterministic behavior is the default
-and only mode; see ``markkit`` for the BLAS thread count).
+All randomness flows from ``--seed`` (default 12345; below 0 it is a
+configuration error on every subcommand) through documented derivations,
+so every subcommand is reproducible; ``--deterministic`` is accepted for
+interface stability (deterministic behavior is the default and only mode;
+see ``markkit`` for the BLAS thread count).
 """
 
 from __future__ import annotations
@@ -364,7 +365,7 @@ def print_stats(stats: MaskingStats) -> str:
 def _add_common(p: argparse.ArgumentParser,
                 out_help: str = "output path ('-' or omitted: stdout)") -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"master RNG seed (default {DEFAULT_SEED})")
+                   help=f"master RNG seed, >= 0 (default {DEFAULT_SEED})")
     p.add_argument("--deterministic", action="store_true",
                    help="accepted for interface stability; all pipelines are "
                         "deterministic by construction, and BLAS runs on one thread "
@@ -492,6 +493,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:
+        if args.seed < 0:  # one rule for every subcommand, before any file is read
+            raise ConfigError(f"must be >= 0, got {args.seed}", "seed")
         return args.func(args)
     except ResourceError as exc:
         _emit_error("resource", 3, exc)

@@ -24,7 +24,6 @@ class ConfusionKind(enum.Enum):
 
 @dataclass(frozen=True)
 class ConfusionChoice:
-    original: str
     replacement: str
     kind: ConfusionKind
     score: float
@@ -74,7 +73,7 @@ def synonym_candidates(word: str, emb: WordEmbeddings, k: int) -> list[Confusion
     kth = np.partition(sims, len(sims) - n)[len(sims) - n]
     scored = sorted(((float(sims[j]), emb.words[span.start + j])
                      for j in np.flatnonzero(sims >= kth)), key=lambda t: (-t[0], t[1]))
-    return [ConfusionChoice(original=word, replacement=w, kind=ConfusionKind.SYNONYM, score=s)
+    return [ConfusionChoice(replacement=w, kind=ConfusionKind.SYNONYM, score=s)
             for s, w in scored[:k]]
 
 
@@ -84,7 +83,7 @@ def pinyin_candidates(word: str, table: PinyinTable) -> list[ConfusionChoice]:
     pinyin = table.by_word.get(word)
     if pinyin is None:
         return []
-    return [ConfusionChoice(original=word, replacement=w, kind=ConfusionKind.PINYIN, score=1.0)
+    return [ConfusionChoice(replacement=w, kind=ConfusionKind.PINYIN, score=1.0)
             for w in table.by_pinyin[pinyin] if w != word]
 
 

@@ -201,9 +201,3 @@ def encode_marked(seg: Segmentation, vocab: Vocab, *,
     return MarkedSequence(ids=tuple(ids), marker_positions=tuple(marker_positions),
                           words=tuple(included), char_alignment=char_alignment,
                           truncated=truncated, has_cls_sep=add_cls_sep)
-
-
-def strip_markers(marked: MarkedSequence) -> list[int]:
-    """Token ids with every marker position removed, order preserved."""
-    markers = set(marked.marker_positions)
-    return [tid for i, tid in enumerate(marked.ids) if i not in markers]

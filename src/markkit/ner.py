@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InputError, ParseError
 from .marker_encoder import MarkedSequence
@@ -209,13 +209,6 @@ class SpanF1Counter:
         return self.token_hits / self.tokens if self.tokens else None
 
 
-def span_f1(pred: set[EntitySpan], gold: set[EntitySpan]) -> tuple[float, float, float]:
-    """Precision/recall/F1 of one sentence's spans (see :class:`SpanF1Counter`)."""
-    counter = SpanF1Counter()
-    counter.add(pred, gold)
-    return counter.precision, counter.recall, counter.f1
-
-
 def read_conll(path: str | Path) -> list[NerExample]:
     """CoNLL-style TSV: ``char<TAB>tag`` per line, blank line between
     sentences."""
@@ -239,11 +232,3 @@ def read_conll(path: str | Path) -> list[NerExample]:
     if chars:
         examples.append(NerExample(tuple(chars), tuple(labels)))
     return examples
-
-
-def write_conll(examples: Iterable[NerExample], path: str | Path) -> None:
-    lines: list[str] = []
-    for ex in examples:
-        lines.extend(f"{c}\t{t}" for c, t in zip(ex.chars, ex.labels))
-        lines.append("")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")

@@ -71,12 +71,6 @@ class Lexicon:
     def __post_init__(self):
         object.__setattr__(self, "max_word_len", max(map(len, self.entries), default=0))
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def load_lexicon(path: str | Path) -> Lexicon:
     """Parse a lexicon TSV. A frequency must be a non-negative integer, but
@@ -155,9 +149,10 @@ class WordEmbeddings:
     a length), so the words of one length are the contiguous row slice
     ``length_slice(n)``.
 
-    Only directions are kept: ``vector`` returns the word's unit-norm row.
-    Vectors must have a finite, non-zero norm; entries with a wrong
-    dimensionality or a zero or non-finite norm are rejected at load time.
+    Only directions are kept: ``unit_rows()[row_index(word)]`` is the
+    word's unit-norm row. Vectors must have a finite, non-zero norm;
+    entries with a wrong dimensionality or a zero or non-finite norm are
+    rejected at load time.
     """
 
     def __init__(self, words: tuple[str, ...], rows: np.ndarray, rejected: int,
@@ -169,7 +164,7 @@ class WordEmbeddings:
         self.rejected = rejected
         self.duplicates_skipped = duplicates_skipped
         self._unit = rows
-        self._unit.flags.writeable = False  # ``vector`` hands out views of its rows
+        self._unit.flags.writeable = False  # ``unit_rows`` hands out the matrix itself
         self._index = {w: i for i, w in enumerate(words)}
         lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
         sizes, starts = np.unique(lengths, return_index=True)
@@ -178,18 +173,6 @@ class WordEmbeddings:
 
     def __contains__(self, word: str) -> bool:
         return word in self._index
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WordEmbeddings):
-            return NotImplemented
-        return (self.dim == other.dim and self.words == other.words
-                and np.array_equal(self._unit, other._unit))
-
-    def vector(self, word: str) -> np.ndarray:
-        return self._unit[self._index[word]]
 
     def unit_rows(self) -> np.ndarray:
         return self._unit

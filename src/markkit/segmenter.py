@@ -50,9 +50,6 @@ class Segmentation:
         if expected != len(self.text):
             raise ValueError(f"spans cover [0, {expected}) but text has length {len(self.text)}")
 
-    def words(self) -> list[str]:
-        return [self.text[s.start:s.end] for s in self.spans]
-
     def __len__(self) -> int:
         return len(self.spans)
 

@@ -9,7 +9,7 @@ import numpy as np
 
 from markkit.errors import ParseError
 from markkit.model import _gelu_bwd, _layernorm_dx
-from markkit.ner import EntitySpan
+from markkit.ner import EntitySpan, SpanF1Counter
 from markkit.resources import EMBEDDING_MAX_DIM, WordEmbeddings, load_embeddings, read_text
 from markkit.segmenter import Segmentation, WordSpan
 
@@ -32,6 +32,20 @@ def random_bmeso_tags(rng: random.Random, length: int) -> list[str]:
             tags.extend(f"M-{entity}" for _ in range(span_len - 2))
             tags.append(f"E-{entity}")
     return tags
+
+
+def without_markers(marked):
+    """The token ids of ``marked`` with every marker position removed."""
+    markers = set(marked.marker_positions)
+    return [tid for i, tid in enumerate(marked.ids) if i not in markers]
+
+
+def write_conll(examples, path):
+    """Write ``examples`` as the CoNLL text ``read_conll`` reads: one
+    ``char<TAB>tag`` line per character, a blank line after each sentence."""
+    text = "".join("".join(f"{c}\t{t}\n" for c, t in zip(ex.chars, ex.labels)) + "\n"
+                   for ex in examples)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def random_segmentation(rng: random.Random, text: str) -> Segmentation:
@@ -64,6 +78,14 @@ def brute_force_span_f1(pred, gold):
         recall = 1.0 if not pred_list else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     return precision, recall, f1
+
+
+def span_scores(pred, gold):
+    """Precision, recall and F1 of one sentence's spans, as ``eval-ner``
+    counts them."""
+    counter = SpanF1Counter()
+    counter.add(pred, gold)
+    return counter.precision, counter.recall, counter.f1
 
 
 def random_span_set(rng: random.Random, length: int, count: int) -> set[EntitySpan]:

@@ -10,14 +10,15 @@ import time
 
 import numpy as np
 
-from helpers import brute_force_span_f1, random_bmeso_tags, random_segmentation
+from helpers import (brute_force_span_f1, random_bmeso_tags, random_segmentation, span_scores,
+                     without_markers)
 from markkit.cli import main
 from markkit.confusion import ConfusionKind, ConfusionPolicy, sample_confusion
-from markkit.marker_encoder import encode_marked, strip_markers
+from markkit.marker_encoder import encode_marked
 from markkit.model import (ForwardOutput, MarkBert, ModelConfig, analytic_grads,
                            compute_loss, finite_difference_grads, train_step)
 from markkit.ner import (NerExample, align_labels_with_markers, extract_spans,
-                         span_f1, strip_marker_labels)
+                         strip_marker_labels)
 from markkit.pretrain import (ExampleMeta, MaskingConfig, MaskingStats,
                               PretrainingExample, RwdLabel, build_example,
                               derive_seed)
@@ -38,7 +39,7 @@ def test_criterion_1_marker_round_trip(toy_world):
         seg = parse_pretokenized(line)
         marked = encode_marked(seg, toy_world.vocab)
         plain = encode_marked(seg, toy_world.vocab, insert_markers=False)
-        assert strip_markers(marked) == list(plain.ids)
+        assert without_markers(marked) == list(plain.ids)
     elapsed = time.monotonic() - start
     assert elapsed < 10.0, f"took {elapsed:.1f}s"
     report(1, "marker round-trip on 10,000 lines")
@@ -73,8 +74,8 @@ def test_criterion_2_schedule_conformance(toy_world, toy_resources):
 def test_criterion_3_confusion_soundness(toy_world):
     start = time.monotonic()
     emb, table = toy_world.embeddings, toy_world.pinyin
-    assert len(emb) <= 10_000
-    unit = {w: emb.vector(w) / np.linalg.norm(emb.vector(w)) for w in emb.words}
+    assert len(emb.words) <= 10_000
+    unit = {w: row / np.linalg.norm(row) for w, row in zip(emb.words, emb.unit_rows())}
     policy = ConfusionPolicy(p_pinyin=0.5, k_syn=5)
     checked_pinyin = checked_synonym = 0
     for trial, word in enumerate(toy_world.words * 3):
@@ -212,7 +213,7 @@ def test_criterion_7_ner_alignment(toy_world):
         assert extract_spans(stripped) == extract_spans(labels)  # spans unchanged
         pred = extract_spans(tuple(random_bmeso_tags(rng, length)))
         gold = extract_spans(labels)
-        assert span_f1(pred, gold) == brute_force_span_f1(pred, gold)
+        assert span_scores(pred, gold) == brute_force_span_f1(pred, gold)
         cases += 1
     assert cases == 1000
     report(7, "align/strip identity, span preservation, F1 oracle on 1000 cases")

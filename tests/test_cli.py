@@ -11,15 +11,15 @@ import pytest
 
 import markkit
 import markkit.cli
-from helpers import reference_synonyms
+from helpers import reference_synonyms, write_conll
 from markkit.cli import _masking_config, build_parser, clamp_workers, main, print_stats
 from markkit.confusion import ConfusionPolicy
 from markkit.errors import ConfigError
 from markkit.marker_encoder import load_vocab
 from markkit.model import MarkBert, ModelConfig, save_checkpoint
-from markkit.ner import NerExample, write_conll
+from markkit.ner import NerExample
 from markkit.pretrain import (MaskingConfig, MaskingStats, PretrainingExample,
-                              corpus_stats, example_from_json, example_to_json)
+                              corpus_stats, example_from_json, example_to_json, usable_cpus)
 from markkit.toy import write_toy_corpus, write_toy_resources
 
 
@@ -353,11 +353,11 @@ class TestConfusionsCommand:
         words.write_text("\n".join(world.words[:5]) + "\n", encoding="utf-8")
         code = main(["confusions", "--embeddings", str(root / "res/embeddings.txt"),
                      "--pinyin", str(root / "res/pinyin.tsv"),
-                     "--in", str(words), "--k", str(len(emb) + 3)])
+                     "--in", str(words), "--k", str(len(emb.words) + 3)])
         assert code == 0
         rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
         for word in world.words[:5]:
-            expected = reference_synonyms(word, emb, len(emb) + 3)
+            expected = reference_synonyms(word, emb, len(emb.words) + 3)
             assert len(expected) == sum(len(w) == len(word) for w in emb.words) - 1
             assert [(r[2], r[3]) for r in rows if r[0] == word and r[1] == "SYNONYM"] == \
                 [(w, f"{score:.6f}") for score, w in expected]
@@ -428,6 +428,18 @@ def test_clamp_workers():
             clamp_workers(requested, 2)
 
 
+@pytest.mark.parametrize("flag", ["--k-syn", "--max-len", "--workers"])
+def test_huge_build_corpus_flag_exit_0(env, tmp_path, capsys, flag):
+    """A value far past any corpus or machine is a valid request: no more
+    synonyms, sequence room or workers than there are. At most the usable
+    CPUs' worth of workers start."""
+    assert clamp_workers(10**20, usable_cpus()) == usable_cpus()
+    out = tmp_path / "huge.jsonl"
+    assert run_build(env[0], out, [flag, str(10**20)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text(encoding="utf-8").splitlines()
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs two CPUs to narrow the process to one")
 def test_one_cpu_of_affinity_runs_one_thread(env, tmp_path):
@@ -453,6 +465,9 @@ def test_one_cpu_of_affinity_runs_one_thread(env, tmp_path):
     assert out.read_bytes() == (tmp_path / "w1.jsonl").read_bytes()
 
 
+SUBCOMMANDS = ("segment", "encode", "confusions", "build-corpus", "pretrain", "eval-ner",
+               "attn-dump", "stats")
+
 # flags that break a rule of their own, whatever the files: each exits 5
 FILE_FREE_FLAG_ERRORS = [
     ("pretrain", "--lr", "nan"), ("pretrain", "--lr", "inf"),
@@ -463,7 +478,7 @@ FILE_FREE_FLAG_ERRORS = [
     ("pretrain", "--hidden-dim", "0"), ("pretrain", "--dropout", "1.5"),
     ("pretrain", "--num-heads", "5"), ("pretrain", "--max-positions", "-1"),
     ("encode", "--max-len", "2"), ("attn-dump", "--max-len", "2"),
-    ("confusions", "--k", "0"), ("pretrain", "--seed", "-1"),
+    ("confusions", "--k", "0"), *((command, "--seed", "-1") for command in SUBCOMMANDS),
 ]
 
 
@@ -556,14 +571,20 @@ class TestErrorHandling:
     @staticmethod
     def flag_test_argv(root, tmp_path, command, infile=None):
         """``command`` on the toy world, reading ``infile`` (by default the
-        toy corpus, or built examples for ``pretrain``)."""
+        toy corpus, or built examples for ``pretrain`` and ``stats``)."""
         vocab, corpus = str(root / "res/vocab.txt"), str(infile or root / "corpus.txt")
+        if command in ("pretrain", "stats") and infile is None:
+            corpus = str(tmp_path / "ex.jsonl")
+            run_build(root, corpus)
         if command == "pretrain":
-            if infile is None:
-                corpus = str(tmp_path / "ex.jsonl")
-                run_build(root, corpus)
             return ["pretrain", "--vocab", vocab, "--in", corpus, "--steps", "2",
                     "--log-every", "0"]
+        if command == "stats":
+            return ["stats", "--in", corpus]
+        if command == "segment":
+            return ["segment", "--lexicon", str(root / "res/lexicon.tsv"), "--in", corpus]
+        if command == "eval-ner":
+            return ["eval-ner", "--pred", corpus, "--gold", corpus]
         if command == "build-corpus":
             return ["build-corpus", *res_args(root), "--in", corpus]
         if command == "confusions":

@@ -16,12 +16,13 @@ def table_of(**by_word):
 def brute_force_synonyms(word, emb, k):
     """Oracle: raw cosine over the whole vocabulary, same-length filter,
     sort by descending similarity then lexicographic word."""
-    query = emb.vector(word)
+    unit = emb.unit_rows()
+    query = unit[emb.row_index(word)]
     scored = []
     for other in emb.words:
         if other == word or len(other) != len(word):
             continue
-        v = emb.vector(other)
+        v = unit[emb.row_index(other)]
         cos = float(np.dot(query, v) / (np.linalg.norm(query) * np.linalg.norm(v)))
         scored.append((cos, other))
     scored.sort(key=lambda t: (-t[0], t[1]))
@@ -64,7 +65,7 @@ class TestSynonymCandidates:
             scores = [r.score for r in result]
             assert scores == sorted(scores, reverse=True)
             for r in result:
-                a, b = emb.vector(word), emb.vector(r.replacement)
+                a, b = emb.unit_rows()[[emb.row_index(word), emb.row_index(r.replacement)]]
                 cos = float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
                 assert abs(r.score - cos) < 1e-6
                 assert len(r.replacement) == len(word)
@@ -91,7 +92,7 @@ class TestSynonymCandidates:
     def test_cosine_rounding_above_one_is_clipped(self):
         v = np.array([0.75, 0.57, 0.38])
         emb = embeddings_of(a=v, b=3.0 * v, c=(-1, 0, 0))
-        assert (emb.unit_rows() @ emb.vector("a")).max() > 1.0
+        assert (emb.unit_rows() @ emb.unit_rows()[emb.row_index("a")]).max() > 1.0
         result = synonym_candidates("a", emb, 2)
         assert [(r.replacement, r.score) for r in result] == \
             [("b", 1.0), ("c", reference_synonyms("a", emb, 2)[1][0])]

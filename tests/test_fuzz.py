@@ -1,7 +1,7 @@
 """Property tests: mutated example records, mutated ``pretrain`` flags,
 mutated checkpoints, mutated resource files (embeddings, pinyin, lexicon
-and vocabulary) and mutated CoNLL files end in a documented exit code with
-exactly one JSON error line, never a traceback.
+and vocabulary), mutated text corpora and mutated CoNLL files end in a
+documented exit code with exactly one JSON error line, never a traceback.
 
 Every run goes through ``cli.main`` in-process, so an exception that is not
 a ``MarkkitError`` fails the test, and so does a numpy RuntimeWarning (the
@@ -17,9 +17,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import write_conll
 from markkit.cli import main
 from markkit.model import MarkBert, ModelConfig, save_checkpoint
-from markkit.ner import NerExample, write_conll
+from markkit.ner import NerExample
 from markkit.pretrain import ExampleMeta, PretrainingExample, RwdLabel, example_to_json
 from markkit.toy import write_toy_corpus, write_toy_resources
 
@@ -49,6 +50,7 @@ def world(tmp_path_factory):
     (root / "words.txt").write_text(" ".join(toy.words[:4]) + "\n", encoding="utf-8")
     (root / "lines.txt").write_text("\n".join(toy.words[:40]) + "\n", encoding="utf-8")
     write_toy_corpus(root / "corpus.txt", toy.words, 12, seed=3)
+    write_toy_corpus(root / "corpus_tok.txt", toy.words, 12, seed=3, pretokenized=True)
     save_checkpoint(MarkBert(ModelConfig(vocab_size=len(toy.vocab), hidden_dim=8, num_layers=1,
                                          num_heads=2, ffn_dim=8, max_positions=16)),
                     root / "valid.ckpt")
@@ -199,11 +201,14 @@ def test_mutated_checkpoint(world, data):
 
 
 @st.composite
-def mutated_text_files(draw, blob: bytes, header: bool):
-    """``blob``, a text resource file, with one to three mutations in turn:
-    byte flips, a truncation, CRLF line ends, and, when the file has a
-    ``<count> <dim>`` header, a huge or negative number in it."""
-    kinds = ("flip", "truncate", "crlf") + (("header",) if header else ())
+def mutated_text_files(draw, blob: bytes, header: bool = False, corpus: bool = False):
+    """``blob``, a text file, with one to three mutations in turn: byte
+    flips, a truncation, CRLF line ends; when the file has a ``<count>
+    <dim>`` header, a huge or negative number in it; and for a ``corpus``,
+    a NUL character, a very long line (one line repeated, with or without a
+    space between the copies) or a line of spaces."""
+    kinds = (("flip", "truncate", "crlf") + (("header",) if header else ())
+             + (("nul", "long", "spaces") if corpus else ()))
     for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
         if kind == "flip" and blob:
             data = bytearray(blob)
@@ -219,6 +224,20 @@ def mutated_text_files(draw, blob: bytes, header: bool):
             fields = first.split(b" ")
             fields[draw(st.integers(0, len(fields) - 1))] = str(draw(st.sampled_from(HUGE))).encode()
             blob = b" ".join(fields) + newline + rest
+        elif kind in ("nul", "long", "spaces"):
+            lines = blob.split(b"\n")
+            at = draw(st.integers(0, len(lines) - 1))
+            if kind == "nul":  # at a character boundary, so the text stays UTF-8
+                starts = [i for i, byte in enumerate(lines[at]) if byte & 0xC0 != 0x80]
+                cut = draw(st.sampled_from(starts + [len(lines[at])]))
+                lines[at] = lines[at][:cut] + b"\x00" + lines[at][cut:]
+            elif kind == "long":
+                copy = draw(st.sampled_from(lines))
+                lines.insert(at, draw(st.sampled_from([b" ", b""])).join([copy] * 100))
+            else:
+                space = draw(st.sampled_from([b" ", b"\t", "\u3000".encode()]))
+                lines.insert(at, space * draw(st.integers(1, 200)))
+            blob = b"\n".join(lines)
     return blob
 
 
@@ -268,8 +287,40 @@ def test_mutated_conll_file(world, data):
     gold = world / "gold.tsv"
     blob = gold.read_bytes()
     if data is not None:
-        blob = data.draw(mutated_text_files(blob, header=False))
+        blob = data.draw(mutated_text_files(blob))
     path = world / "mutated.tsv"
     path.write_bytes(blob)
     assert_clean(*run(["eval-ner", "--pred", path, "--gold", gold]), allowed=(0, 4))
     assert_clean(*run(["eval-ner", "--pred", gold, "--gold", path]), allowed=(0, 4))
+
+
+@pytest.mark.parametrize("segmenter", ["--lexicon", "--pretokenized"])
+@settings(FUZZ, max_examples=25)  # each case runs five commands
+@given(data=st.data())
+@example(data=None)
+def test_mutated_corpus(world, segmenter, data):
+    """``segment``, ``encode`` and ``build-corpus`` at ``--workers`` 1 and
+    2 on one mutated toy corpus exit 0 or 4; the two worker counts agree
+    (the example is the corpus unchanged)."""
+    corpus = world / ("corpus.txt" if segmenter == "--lexicon" else "corpus_tok.txt")
+    blob = corpus.read_bytes()
+    if data is not None:
+        blob = data.draw(mutated_text_files(blob, corpus=True))
+    path = world / "mutated-corpus.txt"
+    path.write_bytes(blob)
+    seg = ["--lexicon", world / "res/lexicon.tsv"] if segmenter == "--lexicon" else [segmenter]
+    vocab = ["--vocab", world / "res/vocab.txt"]
+    if segmenter == "--lexicon":
+        assert_clean(*run(["segment", *seg, "--in", path, "--pos"]), allowed=(0, 4))
+    assert_clean(*run(["encode", *seg, *vocab, "--in", path]), allowed=(0, 4))
+    outcomes = []
+    for workers in (1, 2):
+        out = world / f"mutated-corpus-{workers}.jsonl"
+        out.unlink(missing_ok=True)
+        code, lines = run(["build-corpus", *seg, *vocab,
+                           "--embeddings", world / "res/embeddings.txt",
+                           "--pinyin", world / "res/pinyin.tsv", "--in", path, "--out", out,
+                           "--max-len", "48", "--workers", workers])
+        assert_clean(code, lines, allowed=(0, 4))
+        outcomes.append((code, out.read_bytes() if code == 0 else None))
+    assert outcomes[0] == outcomes[1]

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import without_markers
 from markkit.errors import ConfigError
-from markkit.marker_encoder import (build_vocab, encode_marked, load_vocab,
-                                    save_vocab, strip_markers)
+from markkit.marker_encoder import build_vocab, encode_marked, load_vocab, save_vocab
 from markkit.segmenter import Segmentation, WordSpan, parse_pretokenized
 
 SEG = parse_pretokenized("天气 很 好")
@@ -73,17 +73,17 @@ class TestEncodeMarked:
 class TestStripMarkers:
     def test_removal_trace(self, tiny_vocab):
         marked = encode_marked(SEG, tiny_vocab)
-        assert strip_markers(marked) == [2, 6, 7, 8, 9, 3]
+        assert without_markers(marked) == [2, 6, 7, 8, 9, 3]
 
     def test_identity_without_markers(self, tiny_vocab):
         marked = encode_marked(SEG, tiny_vocab, insert_markers=False)
-        assert strip_markers(marked) == list(marked.ids)
+        assert without_markers(marked) == list(marked.ids)
 
     def test_degenerate_all_marker_body(self, tiny_vocab):
         seg = parse_pretokenized("天")
         marked = encode_marked(seg, tiny_vocab)
         assert list(marked.ids) == [2, 6, 5, 3]
-        assert strip_markers(marked) == [2, 6, 3]
+        assert without_markers(marked) == [2, 6, 3]
 
 
 segs = st.lists(st.text(alphabet="天气很好", min_size=1, max_size=3),
@@ -96,7 +96,7 @@ def test_round_trip_property(tiny_vocab, seg, cls_sep):
     plain = encode_marked(seg, tiny_vocab, insert_markers=False, add_cls_sep=cls_sep)
     marked = encode_marked(seg, tiny_vocab, add_cls_sep=cls_sep)
     if not marked.truncated:
-        assert strip_markers(marked) == list(plain.ids)
+        assert without_markers(marked) == list(plain.ids)
         assert len(marked.marker_positions) == len(seg.spans)
 
 

@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import (brute_force_span_f1, random_bmeso_tags, random_segmentation,
-                     random_span_set)
+                     random_span_set, span_scores, write_conll)
 from markkit.errors import InputError
 from markkit.marker_encoder import build_vocab, encode_marked
 from markkit.ner import (EntitySpan, NerExample, SpanF1Counter,
                          align_labels_with_markers, bio_to_bmeso, extract_spans,
-                         read_conll, span_f1, strip_marker_labels, write_conll)
+                         read_conll, strip_marker_labels)
 from markkit.segmenter import parse_pretokenized
 
 VOCAB = build_vocab("北京在人民地球天气很好")
@@ -121,24 +121,24 @@ class TestExtractSpans:
 class TestSpanF1:
     def test_perfect_match(self):
         s = {EntitySpan(0, 2, "LOC")}
-        assert span_f1(s, s) == (1.0, 1.0, 1.0)
+        assert span_scores(s, s) == (1.0, 1.0, 1.0)
 
     def test_vacuous_perfection(self):
-        assert span_f1(set(), set()) == (1.0, 1.0, 1.0)
+        assert span_scores(set(), set()) == (1.0, 1.0, 1.0)
 
     def test_partial(self):
         pred = {EntitySpan(0, 2, "LOC"), EntitySpan(3, 4, "PER")}
         gold = {EntitySpan(0, 2, "LOC")}
-        p, r, f1 = span_f1(pred, gold)
+        p, r, f1 = span_scores(pred, gold)
         assert (p, r) == (0.5, 1.0)
         assert f1 == pytest.approx(2 / 3)
 
     def test_empty_pred_nonempty_gold(self):
-        assert span_f1(set(), {EntitySpan(0, 1, "LOC")}) == (0.0, 0.0, 0.0)
-        assert span_f1({EntitySpan(0, 1, "LOC")}, set()) == (0.0, 0.0, 0.0)
+        assert span_scores(set(), {EntitySpan(0, 1, "LOC")}) == (0.0, 0.0, 0.0)
+        assert span_scores({EntitySpan(0, 1, "LOC")}, set()) == (0.0, 0.0, 0.0)
 
     def test_type_must_match(self):
-        p, r, f1 = span_f1({EntitySpan(0, 2, "LOC")}, {EntitySpan(0, 2, "PER")})
+        p, r, f1 = span_scores({EntitySpan(0, 2, "LOC")}, {EntitySpan(0, 2, "PER")})
         assert (p, r, f1) == (0.0, 0.0, 0.0)
 
     @given(st.integers(0, 10 ** 6))
@@ -146,14 +146,14 @@ class TestSpanF1:
         rng = random.Random(seed)
         pred = random_span_set(rng, 12, rng.randint(0, 5))
         gold = random_span_set(rng, 12, rng.randint(0, 5))
-        assert span_f1(pred, gold) == brute_force_span_f1(pred, gold)
+        assert span_scores(pred, gold) == brute_force_span_f1(pred, gold)
 
     @given(st.integers(0, 10 ** 6))
     def test_metric_bounds(self, seed):
         rng = random.Random(seed)
         pred = random_span_set(rng, 10, rng.randint(0, 4))
         gold = random_span_set(rng, 10, rng.randint(0, 4))
-        p, r, f1 = span_f1(pred, gold)
+        p, r, f1 = span_scores(pred, gold)
         assert 0.0 <= p <= 1.0 and 0.0 <= r <= 1.0 and 0.0 <= f1 <= 1.0
         assert f1 <= max(p, r) + 1e-12
 

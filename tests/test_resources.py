@@ -26,19 +26,19 @@ class TestLoadLexicon:
     def test_three_entries_max_len(self, tmp_path):
         path = write(tmp_path, "lex.tsv", "地球\tNN\t100\n地\tNN\t50\n球\tNN\t40\n")
         lex = load_lexicon(path)
-        assert len(lex) == 3
+        assert len(lex.entries) == 3
         assert lex.max_word_len == 2
         assert lex.entries["地球"] == "NN"
 
     def test_empty_file(self, tmp_path):
         lex = load_lexicon(write(tmp_path, "lex.tsv", ""))
-        assert len(lex) == 0
+        assert len(lex.entries) == 0
         assert lex.max_word_len == 0
 
     def test_duplicate_first_wins(self, tmp_path):
         path = write(tmp_path, "lex.tsv", "地球\tNN\t100\n地球\tVV\t7\n")
         lex = load_lexicon(path)
-        assert len(lex) == 1
+        assert len(lex.entries) == 1
         assert lex.duplicates_skipped == 1
         assert lex.entries["地球"] == "NN"
 
@@ -68,17 +68,17 @@ class TestLoadEmbeddings:
     def test_two_vectors(self, tmp_path):
         emb = load_embeddings(write(tmp_path, "e.txt", "2 2\n好 1.0 0.0\n佳 1.0 0.0\n"))
         assert emb.dim == 2
-        assert len(emb) == 2
-        assert np.array_equal(emb.vector("好"), [1.0, 0.0])
+        assert len(emb.words) == 2
+        assert np.array_equal(emb.unit_rows()[emb.row_index("好")], [1.0, 0.0])
 
     def test_length_mismatch_rejected(self, tmp_path):
         emb = load_embeddings(write(tmp_path, "e.txt", "1 3\n好 1 0\n"))
-        assert len(emb) == 0
+        assert len(emb.words) == 0
         assert emb.rejected == 1
 
     def test_zero_norm_rejected(self, tmp_path):
         emb = load_embeddings(write(tmp_path, "e.txt", "1 2\n好 0 0\n"))
-        assert len(emb) == 0
+        assert len(emb.words) == 0
         assert emb.rejected == 1
 
     def test_non_finite_norm_rejected(self, tmp_path):
@@ -94,7 +94,7 @@ class TestLoadEmbeddings:
     @pytest.mark.filterwarnings("error")
     def test_overflowing_norm_rejected(self, tmp_path):
         emb = load_embeddings(write(tmp_path, "e.txt", "2 2\n好 1 0\n佳 1e200 1e200\n"))
-        assert emb.rejected == 1 and len(emb) == 1
+        assert emb.rejected == 1 and len(emb.words) == 1
 
     def test_header_row_count_mismatch(self, tmp_path):
         with pytest.raises(ParseError):
@@ -111,14 +111,14 @@ class TestLoadEmbeddings:
     def test_duplicate_first_wins(self, tmp_path):
         emb = load_embeddings(write(tmp_path, "e.txt", "2 2\n好 1 0\n好 0 1\n"))
         assert emb.duplicates_skipped == 1
-        assert np.array_equal(emb.vector("好"), [1.0, 0.0])
+        assert np.array_equal(emb.unit_rows()[emb.row_index("好")], [1.0, 0.0])
 
     def test_rejected_first_occurrence_then_valid_duplicate(self, tmp_path):
         emb = load_embeddings(write(tmp_path, "e.txt",
                                     "5 2\n好 0 0\n好 3 4\n佳 1\n佳 1 1\n好 1 0\n"))
         assert emb.words == ("好", "佳")
         assert emb.rejected == 2 and emb.duplicates_skipped == 1
-        assert np.array_equal(emb.vector("好"), np.array([3.0, 4.0]) / 5.0)
+        assert np.array_equal(emb.unit_rows()[emb.row_index("好")], np.array([3.0, 4.0]) / 5.0)
 
     def test_unit_rows_match_row_wise_normalization(self, toy_world):
         raw = [line.split() for line in
@@ -130,12 +130,13 @@ class TestLoadEmbeddings:
         assert np.array_equal(toy_world.embeddings.unit_rows(), expected[by_length])
 
     def test_all_norms_positive(self, toy_world):
-        for word in toy_world.embeddings.words:
-            assert np.linalg.norm(toy_world.embeddings.vector(word)) > 0
+        emb = toy_world.embeddings
+        for word in emb.words:
+            assert np.linalg.norm(emb.unit_rows()[emb.row_index(word)]) > 0
 
     def test_load_determinism(self, tmp_path):
         path = write(tmp_path, "e.txt", "2 2\n好 1.5 -0.25\n佳 0.5 2.0\n")
-        assert load_embeddings(path) == load_embeddings(path)
+        assert outcome(load_embeddings, path) == outcome(load_embeddings, path)
 
 
 def length_slices(emb):
@@ -323,7 +324,7 @@ def assert_loads_in_bounded_memory(path, rows=4000):
     finally:
         tracemalloc.stop()
     matrix = emb.unit_rows().nbytes
-    assert len(emb) == rows
+    assert len(emb.words) == rows
     assert peak <= matrix + 2 * (held - matrix) + 8 * resources.EMBEDDING_BLOCK_BYTES
 
 
@@ -359,7 +360,7 @@ def test_mostly_rejected_file_frees_its_rows(tmp_path):
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert (len(emb), emb.rejected) == (1000, zero_rows + short_rows)
+        assert (len(emb.words), emb.rejected) == (1000, zero_rows + short_rows)
         assert held < 1.5 * emb.unit_rows().nbytes
 
 
