@@ -12,8 +12,8 @@ machine-parseable JSON line to stderr:
 If the ``MARKKIT_RESOURCES`` environment variable is set, relative
 ``--lexicon/--embeddings/--pinyin/--vocab`` paths are resolved under it.
 
-All randomness flows from ``--seed`` (default 12345; below 0 it is a
-configuration error on every subcommand) through documented derivations,
+All randomness flows from ``--seed`` (default 12345; outside ``[0, 2**64)``
+it is a configuration error on every subcommand) through documented derivations,
 so every subcommand is reproducible; ``--deterministic`` is accepted for
 interface stability (deterministic behavior is the default and only mode;
 see ``markkit`` for the BLAS thread count).
@@ -42,7 +42,7 @@ from .pretrain import (MaskingConfig, MaskingStats, corpus_stats, example_from_j
                        example_to_json, generate_examples, pack_corpus, plain_example,
                        read_documents, usable_cpus)
 from .resources import (Resources, decode_text, load_embeddings, load_lexicon,
-                        load_pinyin_table, read_text)
+                        load_pinyin_table, opened, read_text, write_text)
 from .segmenter import (Segmentation, Segmenter, make_lexicon_segmenter,
                         parse_pretokenized, render_spaced)
 
@@ -60,19 +60,11 @@ def _resource_path(path: str | None) -> Path | None:
 
 
 def _read_lines(path: str) -> list[str]:
-    if path == "-":
-        return decode_text(sys.stdin.buffer.read(), "standard input").splitlines()
-    return read_text(path).splitlines()
-
-
-def _check_readable(path: Path) -> None:
-    """Open and close ``path``: a file that cannot be read raises
-    ResourceError, as :func:`read_text` would, without parsing it."""
-    try:
-        with open(path, "rb"):
-            pass
-    except OSError as exc:
-        raise ResourceError(f"cannot read {path}: {exc}") from exc
+    """The lines of ``--in`` (``-``: standard input), each stripped of the
+    whitespace around it: the one rule for a line of ``--in``."""
+    text = (decode_text(sys.stdin.buffer.read(), "standard input") if path == "-"
+            else read_text(path))
+    return [line.strip() for line in text.splitlines()]
 
 
 def clamp_workers(requested: int, cpus: int) -> int:
@@ -86,13 +78,8 @@ def clamp_workers(requested: int, cpus: int) -> int:
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-        if text and not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
-        try:
-            Path(path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise ResourceError(f"cannot write {path}: {exc}") from exc
+        write_text(path, text)
 
 
 def _write_lines(path: str | None, lines) -> None:
@@ -122,8 +109,8 @@ def _encoded_lines(args, seg_fn: Segmenter, vocab, max_len: int, add_cls_sep: bo
     """Each non-blank line of ``--in``, segmented by ``seg_fn`` and encoded
     as the marker flags say."""
     for lineno, line in enumerate(_read_lines(args.infile), start=1):
-        if line.strip():
-            yield encode_marked(_segment_line(seg_fn, line.strip(), lineno), vocab,
+        if line:
+            yield encode_marked(_segment_line(seg_fn, line, lineno), vocab,
                                 insert_markers=not args.no_markers,
                                 pos_markers=args.pos_markers, max_len=max_len,
                                 add_cls_sep=add_cls_sep)
@@ -132,7 +119,7 @@ def _encoded_lines(args, seg_fn: Segmenter, vocab, max_len: int, add_cls_sep: bo
 def _read_examples(path: str):
     """The examples of a JSONL file, one per non-blank line."""
     for lineno, line in enumerate(_read_lines(path), start=1):
-        if line.strip():
+        if line:
             yield example_from_json(line, lineno)
 
 
@@ -167,12 +154,8 @@ def _masking_config(args) -> MaskingConfig:
 def cmd_segment(args) -> int:
     lexicon = load_lexicon(_resource_path(args.lexicon))
     seg_fn = make_lexicon_segmenter(lexicon)
-    out_lines = []
-    for line in _read_lines(args.infile):
-        stripped = line.strip()
-        out_lines.append(render_spaced(seg_fn(stripped), include_pos=args.pos)
-                         if stripped else "")
-    _write_text(args.out, "\n".join(out_lines) + "\n")
+    _write_lines(args.out, (render_spaced(seg_fn(line), include_pos=args.pos) if line else ""
+                            for line in _read_lines(args.infile)))
     return 0
 
 
@@ -193,10 +176,7 @@ def cmd_confusions(args) -> int:
     emb = load_embeddings(_resource_path(args.embeddings))
     table = load_pinyin_table(_resource_path(args.pinyin))
     rows = []
-    for line in _read_lines(args.infile):
-        word = line.strip()
-        if not word:
-            continue
+    for word in filter(None, _read_lines(args.infile)):
         for choice in pinyin_candidates(word, table):
             rows.append(f"{word}\tPINYIN\t{choice.replacement}\t{choice.score:.6f}")
         for choice in synonym_candidates(word, emb, args.k):
@@ -214,8 +194,9 @@ def cmd_build_corpus(args) -> int:
     if cfg.p_replace_word == 0:
         # no word can be replaced, so no example reads the confusion resources;
         # the files are still opened, so a missing one fails as it would below
-        _check_readable(embeddings)
-        _check_readable(pinyin)
+        for path in (embeddings, pinyin):
+            with opened(path, "rb"):
+                pass
         resources = Resources()
     else:
         resources = Resources(embeddings=load_embeddings(embeddings),
@@ -270,10 +251,7 @@ def cmd_pretrain(args) -> int:
     if not all(np.isfinite(p.value).all() for p in model.params.values()):
         raise TrainingError(f"non-finite parameters after step {args.steps}; "
                             "check learning rate")
-    try:
-        save_checkpoint(model, args.out)
-    except OSError as exc:
-        raise ResourceError(f"cannot write {args.out}: {exc}") from exc
+    save_checkpoint(model, args.out)
     if metrics is not None:
         print(json.dumps({"steps": args.steps,
                           "mlm_loss": metrics.loss.mlm_loss,
@@ -365,7 +343,7 @@ def print_stats(stats: MaskingStats) -> str:
 def _add_common(p: argparse.ArgumentParser,
                 out_help: str = "output path ('-' or omitted: stdout)") -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"master RNG seed, >= 0 (default {DEFAULT_SEED})")
+                   help=f"master RNG seed, >= 0 and < 2**64 (default {DEFAULT_SEED})")
     p.add_argument("--deterministic", action="store_true",
                    help="accepted for interface stability; all pipelines are "
                         "deterministic by construction, and BLAS runs on one thread "
@@ -493,8 +471,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse handles usage errors and --help
         return int(exc.code or 0)
     try:
-        if args.seed < 0:  # one rule for every subcommand, before any file is read
-            raise ConfigError(f"must be >= 0, got {args.seed}", "seed")
+        if not 0 <= args.seed < 2**64:  # one rule for every subcommand, before any file is read
+            raise ConfigError(f"must be >= 0 and < 2**64, got {args.seed}", "seed")
         return args.func(args)
     except ResourceError as exc:
         _emit_error("resource", 3, exc)

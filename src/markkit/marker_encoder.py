@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .resources import read_text
+from .resources import read_text, write_text
 from .segmenter import Segmentation, WordSpan
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
@@ -121,7 +121,7 @@ def load_vocab(path: str | Path) -> Vocab:
 
 
 def save_vocab(vocab: Vocab, path: str | Path) -> None:
-    Path(path).write_text("\n".join(vocab.tokens) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(vocab.tokens) + "\n")
 
 
 @dataclass(frozen=True)

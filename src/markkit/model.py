@@ -96,9 +96,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InputError, ParseError, ResourceError, TrainingError
+from .errors import ConfigError, InputError, ParseError, TrainingError
 from .marker_encoder import Vocab
 from .pretrain import PretrainingExample, RwdLabel, usable_cpus
+from .resources import opened
 
 _NEG_INF = -1e30
 _SQRT2 = np.sqrt(2.0)
@@ -909,21 +910,21 @@ def export_attention(out: ForwardOutput, batch: Sequence[PretrainingExample],
 # float64 tensor payloads at the stated offsets (relative to payload start).
 
 def save_checkpoint(model: MarkBert, path: str | Path) -> None:
-    tensors = []
-    payload = bytearray()
-    for name, p in model.params.items():
-        raw = np.ascontiguousarray(p.value, dtype="<f8").tobytes()
-        tensors.append({"name": name, "shape": list(p.value.shape),
-                        "dtype": "<f8", "offset": len(payload), "nbytes": len(raw)})
-        payload.extend(raw)
+    """Write ``model`` to ``path``, each tensor straight from its parameter
+    array; a file that cannot be written raises ResourceError."""
+    values = [np.ascontiguousarray(p.value, dtype="<f8") for p in model.params.values()]
+    tensors, offset = [], 0
+    for name, value in zip(model.params, values):
+        tensors.append({"name": name, "shape": list(value.shape),
+                        "dtype": "<f8", "offset": offset, "nbytes": value.nbytes})
+        offset += value.nbytes
     header = json.dumps({"format": "markkit-checkpoint", "version": 1,
                          "config": asdict(model.cfg), "tensors": tensors},
                         ensure_ascii=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", len(header)))
-        fh.write(header)
-        fh.write(bytes(payload))
+    with opened(path, "wb") as fh:
+        fh.write(_MAGIC + struct.pack("<Q", len(header)) + header)
+        for value in values:
+            fh.write(value)
 
 
 def _checkpoint_model(config, payload_bytes: int) -> MarkBert:
@@ -949,11 +950,10 @@ def _checkpoint_model(config, payload_bytes: int) -> MarkBert:
 
 def load_checkpoint(path: str | Path) -> MarkBert:
     """Read a checkpoint, validating its whole layout: a malformed file of
-    any kind raises ParseError, an unreadable one ResourceError."""
-    try:
-        blob = Path(path).read_bytes()
-    except OSError as exc:
-        raise ResourceError(f"cannot read checkpoint {path}: {exc}") from exc
+    any kind raises ParseError, an unreadable one ResourceError. Each tensor
+    is copied from the file's bytes into the new model's own arrays."""
+    with opened(path, "rb") as fh:
+        blob = fh.read()
     if blob[:8] != _MAGIC:
         raise ParseError(f"{path} is not a markkit checkpoint (bad magic)")
     if len(blob) < 16:
@@ -966,7 +966,7 @@ def load_checkpoint(path: str | Path) -> MarkBert:
     if (not isinstance(header, dict) or header.get("format") != "markkit-checkpoint"
             or header.get("version") != 1):
         raise ParseError(f"unsupported checkpoint format/version in {path}")
-    payload = blob[16 + header_len:]
+    payload = memoryview(blob)[16 + header_len:]
     model = _checkpoint_model(header.get("config"), len(payload))
     tensors = header.get("tensors")
     if not isinstance(tensors, list) or not all(isinstance(t, dict) for t in tensors):
@@ -987,9 +987,7 @@ def load_checkpoint(path: str | Path) -> MarkBert:
                 and 0 <= offset <= len(payload) - nbytes):
             raise ParseError(f"tensor {name!r} at offset {offset!r} with {nbytes!r} bytes does "
                              f"not fit shape {shape} in a {len(payload)}-byte payload")
-        raw = payload[offset:offset + nbytes]
-        param.value = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-        param.grad = np.zeros_like(param.value)
+        param.value[...] = np.frombuffer(payload, "<f8", nbytes // 8, offset).reshape(shape)
         seen.add(name)
     missing = set(model.params) - seen
     if missing:

@@ -529,17 +529,15 @@ def corpus_stats(examples: Iterable[PretrainingExample]) -> MaskingStats:
 # --- corpus pipeline ----------------------------------------------------------
 
 def read_documents(lines: Iterable[str]) -> Iterator[list[str]]:
-    """Group corpus lines into documents (blank line = document boundary),
-    each a list of its lines without their line endings."""
+    """Group corpus lines, as ``--in`` gives them (stripped), into documents:
+    an empty line is a document boundary."""
     doc: list[str] = []
     for line in lines:
-        stripped = line.rstrip("\r\n")
-        if not stripped.strip():
-            if doc:
-                yield doc
-                doc = []
-            continue
-        doc.append(stripped)
+        if line:
+            doc.append(line)
+        elif doc:
+            yield doc
+            doc = []
     if doc:
         yield doc
 

@@ -20,6 +20,7 @@ import os
 import stat
 import unicodedata
 from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO
@@ -37,15 +38,33 @@ EMBEDDING_BLOCK_BYTES = 1 << 18
 EMBEDDING_MAX_DIM = np.iinfo(np.intp).max // 8
 
 
+@contextmanager
+def opened(path: str | Path, mode: str) -> Iterator[BinaryIO]:
+    """``path`` opened in the binary ``mode`` (``"rb"`` or ``"wb"``): the one
+    place markkit opens a file. An OSError, from opening the file or from
+    using it within the block, raises ResourceError naming the path."""
+    try:
+        with open(path, mode) as file:
+            yield file
+    except OSError as exc:
+        verb = "read" if mode.startswith("r") else "write"
+        raise ResourceError(f"cannot {verb} {path}: {exc}") from exc
+
+
 def read_text(path: str | Path) -> str:
     """The contents of a UTF-8 text file: the one reader behind every input
     file. A file that cannot be read raises ResourceError; bytes that are
     not UTF-8 raise ParseError (see :func:`decode_text`)."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise ResourceError(f"cannot read {path}: {exc}") from exc
+    with opened(path, "rb") as file:
+        data = file.read()
     return decode_text(data, path)
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` as UTF-8; a file that cannot be written
+    raises ResourceError."""
+    with opened(path, "wb") as file:
+        file.write(text.encode("utf-8"))
 
 
 def decode_text(data: bytes, source: str | Path, start: int = 0, line: int = 1) -> str:
@@ -201,11 +220,8 @@ def load_embeddings(path: str | Path) -> WordEmbeddings:
     The file is read once, block by block (see :func:`_parse_embeddings`),
     so its whole text is never held.
     """
-    try:
-        with open(path, "rb") as file:
-            words, rows, usable, rejected = _parse_embeddings(file, path)
-    except OSError as exc:
-        raise ResourceError(f"cannot read {path}: {exc}") from exc
+    with opened(path, "rb") as file:
+        words, rows, usable, rejected = _parse_embeddings(file, path)
     first: dict[str, int] = {}
     for i in np.flatnonzero(usable).tolist():
         first.setdefault(words[i], i)

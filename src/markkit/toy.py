@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .marker_encoder import Vocab, build_vocab, load_vocab, save_vocab
 from .resources import (Lexicon, PinyinTable, WordEmbeddings, load_embeddings,
-                        load_lexicon, load_pinyin_table)
+                        load_lexicon, load_pinyin_table, write_text)
 
 POS_TAGS = ("AD", "NN", "PN", "VV")
 _ONSETS = ("b", "ch", "d", "f", "g", "h", "j", "k", "l", "m",
@@ -90,21 +90,18 @@ def write_toy_resources(directory: str | Path, seed: int = 0,
     chars, partner, syllable, words = build_inventory(seed, n_char_pairs, n_base_words)
 
     lexicon_path = directory / "lexicon.tsv"
-    lexicon_path.write_text(
-        "".join(f"{w}\t{rng.choice(POS_TAGS)}\t{rng.randint(1, 9999)}\n" for w in words),
-        encoding="utf-8")
+    write_text(lexicon_path,
+               "".join(f"{w}\t{rng.choice(POS_TAGS)}\t{rng.randint(1, 9999)}\n" for w in words))
 
     emb_path = directory / "embeddings.txt"
     rows = [f"{len(words)} {emb_dim}"]
     for w in words:
         values = " ".join(f"{rng.gauss(0.0, 1.0):.6f}" for _ in range(emb_dim))
         rows.append(f"{w} {values}")
-    emb_path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_text(emb_path, "\n".join(rows) + "\n")
 
     pinyin_path = directory / "pinyin.tsv"
-    pinyin_path.write_text(
-        "".join(f"{w}\t{' '.join(syllable[c] for c in w)}\n" for w in words),
-        encoding="utf-8")
+    write_text(pinyin_path, "".join(f"{w}\t{' '.join(syllable[c] for c in w)}\n" for w in words))
 
     vocab_path = directory / "vocab.txt"
     save_vocab(build_vocab(chars, POS_TAGS), vocab_path)
@@ -144,5 +141,5 @@ def write_toy_corpus(path: str | Path, words: list[str], n_sentences: int,
                      seed: int = 0, **kwargs) -> Path:
     path = Path(path)
     lines = toy_corpus_lines(words, n_sentences, seed, **kwargs)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text(path, "\n".join(lines) + "\n")
     return path

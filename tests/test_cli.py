@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -12,14 +13,16 @@ import pytest
 import markkit
 import markkit.cli
 from helpers import reference_synonyms, write_conll
-from markkit.cli import _masking_config, build_parser, clamp_workers, main, print_stats
+from markkit.cli import (_masking_config, _read_lines, build_parser, clamp_workers, main,
+                         print_stats)
 from markkit.confusion import ConfusionPolicy
 from markkit.errors import ConfigError
 from markkit.marker_encoder import load_vocab
 from markkit.model import MarkBert, ModelConfig, save_checkpoint
 from markkit.ner import NerExample
 from markkit.pretrain import (MaskingConfig, MaskingStats, PretrainingExample,
-                              corpus_stats, example_from_json, example_to_json, usable_cpus)
+                              corpus_stats, example_from_json, example_to_json, read_documents,
+                              usable_cpus)
 from markkit.toy import write_toy_corpus, write_toy_resources
 
 
@@ -440,6 +443,90 @@ def test_huge_build_corpus_flag_exit_0(env, tmp_path, capsys, flag):
     assert out.read_text(encoding="utf-8").splitlines()
 
 
+def test_largest_seed_exit_0(env, tmp_path, capsys):
+    """The largest seed, 2**64 - 1, is valid; one more exits 5 (see
+    ``FILE_FREE_FLAG_ERRORS``), so no two seeds give the same corpus."""
+    out = tmp_path / "ex.jsonl"
+    assert main(["build-corpus", *res_args(env[0]), "--in", str(env[0] / "corpus.txt"),
+                 "--out", str(out), "--max-len", "48", "--seed", str(2**64 - 1)]) == 0
+    assert capsys.readouterr().err == ""
+    assert out.read_text(encoding="utf-8").splitlines()
+
+
+def padded(path: Path, out: Path) -> Path:
+    """``path`` with each non-blank line padded: two spaces before it, a tab
+    and U+3000 after it."""
+    lines = path.read_text(encoding="utf-8").split("\n")
+    out.write_text("\n".join(f"  {line}\t\u3000" if line else line for line in lines),
+                   encoding="utf-8")
+    return out
+
+
+class TestInLineRule:
+    """Every subcommand reads a line of ``--in`` stripped of the whitespace
+    around it."""
+
+    def test_read_lines_strips_every_line(self, tmp_path, monkeypatch):
+        """Line ends (CRLF too) and the whitespace around a line go, a
+        whitespace-only line is empty, and standard input reads the same."""
+        raw = "天气 很\r\n  人民 好\t\u3000\r\n \t\n\u3000\n地球".encode()
+        path = tmp_path / "in.txt"
+        path.write_bytes(raw)
+        expected = ["天气 很", "人民 好", "", "", "地球"]
+        assert _read_lines(str(path)) == expected
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
+        assert _read_lines("-") == expected
+        assert list(read_documents(expected)) == [["天气 很", "人民 好"], ["地球"]]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("corpus,segmenter", [("corpus.txt", "--lexicon"),
+                                                  ("corpus_tok.txt", "--pretokenized")])
+    def test_padded_in_builds_same_bytes(self, env, tmp_path, corpus, segmenter, workers):
+        root, _ = env
+        seg = [] if segmenter == "--lexicon" else ["--pretokenized"]
+        outs = []
+        for source in (root / corpus, padded(root / corpus, tmp_path / "padded.txt")):
+            outs.append(tmp_path / f"{len(outs)}.jsonl")
+            assert main(["build-corpus", *res_args(root), *seg, "--in", str(source),
+                         "--out", str(outs[-1]), "--max-len", "48", "--seed", "7",
+                         "--workers", workers]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @staticmethod
+    def pretokenized_argv(root, command):
+        vocab = ["--vocab", str(root / "res/vocab.txt")]
+        files = res_args(root) if command == "build-corpus" else vocab
+        return [command, *files, "--pretokenized"]
+
+    @pytest.mark.parametrize("command", ["encode", "build-corpus"])
+    def test_pretokenized_trailing_space(self, env, tmp_path, command):
+        root, _ = env
+        trailing = tmp_path / "trailing.txt"
+        trailing.write_text((root / "corpus_tok.txt").read_text(encoding="utf-8")
+                            .replace("\n", " \n"), encoding="utf-8")
+        argv = self.pretokenized_argv(root, command)
+        outs = [tmp_path / "plain.out", tmp_path / "trailing.out"]
+        for source, out in zip((root / "corpus_tok.txt", trailing), outs):
+            assert main([*argv, "--in", str(source), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    @pytest.mark.parametrize("command", ["encode", "build-corpus"])
+    def test_double_space_inside_padded_line_exit_4(self, env, tmp_path, capsys, command):
+        root, _ = env
+        bad = padded(root / "corpus_tok.txt", tmp_path / "padded.txt")
+        lines = bad.read_text(encoding="utf-8").split("\n")
+        at = next(i for i in range(3, len(lines)) if " " in lines[i].strip())
+        lines[at] = lines[at].replace(" ", "  ", 3)  # the first two are the padding
+        bad.write_text("\n".join(lines), encoding="utf-8")
+        argv = self.pretokenized_argv(root, command)
+        capsys.readouterr()
+        assert main([*argv, "--in", str(bad), "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err.splitlines() == [json.dumps({
+            "error": "input", "exit_code": 4,
+            "message": f"line {at + 1}: empty word token (double or trailing space?)"})]
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs two CPUs to narrow the process to one")
 def test_one_cpu_of_affinity_runs_one_thread(env, tmp_path):
@@ -479,6 +566,7 @@ FILE_FREE_FLAG_ERRORS = [
     ("pretrain", "--num-heads", "5"), ("pretrain", "--max-positions", "-1"),
     ("encode", "--max-len", "2"), ("attn-dump", "--max-len", "2"),
     ("confusions", "--k", "0"), *((command, "--seed", "-1") for command in SUBCOMMANDS),
+    *((command, "--seed", str(2**64)) for command in SUBCOMMANDS),
 ]
 
 

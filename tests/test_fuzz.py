@@ -1,6 +1,7 @@
 """Property tests: mutated example records, mutated ``pretrain`` flags,
 mutated checkpoints, mutated resource files (embeddings, pinyin, lexicon
-and vocabulary), mutated text corpora and mutated CoNLL files end in a
+and vocabulary), mutated text corpora, mutated CoNLL files and odd values
+of the ``build-corpus`` schedule flags and ``confusions --k`` end in a
 documented exit code with exactly one JSON error line, never a traceback.
 
 Every run goes through ``cli.main`` in-process, so an exception that is not
@@ -324,3 +325,59 @@ def test_mutated_corpus(world, segmenter, data):
         assert_clean(code, lines, allowed=(0, 4))
         outcomes.append((code, out.read_bytes() if code == 0 else None))
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.mark.parametrize("segmenter", ["--lexicon", "--pretokenized"])
+@settings(FUZZ, max_examples=25)
+@given(data=st.data())
+@example(data=None)
+def test_mutated_corpus_attn_dump(world, segmenter, data):
+    """``attn-dump`` on one mutated toy corpus, to which a line of 10**5
+    characters may be added, exits 0 or 4 (the example is the corpus
+    unchanged)."""
+    corpus = world / ("corpus.txt" if segmenter == "--lexicon" else "corpus_tok.txt")
+    blob = corpus.read_bytes()
+    if data is not None:
+        blob = data.draw(mutated_text_files(blob, corpus=True))
+        if data.draw(st.booleans()):
+            line = corpus.read_text(encoding="utf-8").split("\n")[0]
+            joint = " " if segmenter == "--pretokenized" else ""
+            blob += b"\n" + joint.join([line] * (10**5 // len(line) + 1)).encode()
+    path = world / "mutated-attn-corpus.txt"
+    path.write_bytes(blob)
+    seg = ["--lexicon", world / "res/lexicon.tsv"] if segmenter == "--lexicon" else [segmenter]
+    assert_clean(*run(["attn-dump", "--ckpt", world / "valid.ckpt",
+                       "--vocab", world / "res/vocab.txt", *seg, "--in", path,
+                       "--out", world / "attn.json"]), allowed=(0, 4))
+
+
+ODD_FLOATS = ("nan", "inf", "-inf", "-0.0", "1e-320", "1e308")
+
+
+@pytest.mark.parametrize("flag", ["--mask-ratio", "--p-no-marker", "--p-wwm", "--p-replace-word",
+                                  "--p-normal-marker-loss", "--p-pinyin"])
+def test_odd_schedule_flag(world, flag):
+    """Each ``build-corpus`` schedule flag at NaN, an infinity, -0.0, a
+    subnormal or a huge value exits 0, or 5 where the value is outside
+    ``[0, 1]``."""
+    for value in ODD_FLOATS:
+        code, lines = run(["build-corpus", "--lexicon", world / "res/lexicon.tsv",
+                           "--embeddings", world / "res/embeddings.txt",
+                           "--pinyin", world / "res/pinyin.tsv", "--vocab", world / "res/vocab.txt",
+                           "--in", world / "corpus.txt", "--out", world / "odd.jsonl",
+                           "--max-len", "48", f"{flag}={value}"])  # argparse reads "-inf" as a flag
+        assert_clean(code, lines, allowed=(0,) if 0 <= float(value) <= 1 else (5,))
+        if code:
+            assert json.loads(lines[0])["message"].startswith(f"{flag} ")
+
+
+def test_huge_confusions_k(world):
+    """``confusions --k 10**20`` lists every candidate there is."""
+    argv = ["confusions", "--embeddings", world / "res/embeddings.txt",
+            "--pinyin", world / "res/pinyin.tsv", "--in", world / "lines.txt"]
+    outs = []
+    for k in (10**20, 10**6):
+        out = world / f"confusions-{len(outs)}.tsv"
+        assert_clean(*run([*argv, "--k", k, "--out", out]), allowed=(0,))
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] and outs[0]

