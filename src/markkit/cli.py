@@ -3,7 +3,7 @@
 Subcommands: ``segment``, ``encode``, ``confusions``, ``build-corpus``,
 ``pretrain``, ``eval-ner``, ``attn-dump``, ``stats``.
 
-Exit codes: 0 success, 2 usage error (argparse, unknown subcommand),
+Exit codes: 0 success, 2 usage error (argparse: a flag or subcommand),
 3 missing/unreadable resource or unwritable output, 4 malformed input,
 5 bad configuration, 1 any other toolkit error. Failures print one
 machine-parseable JSON line to stderr:
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -32,19 +31,18 @@ import numpy as np
 
 from . import __version__
 from .confusion import ConfusionPolicy, check_k, pinyin_candidates, synonym_candidates
-from .errors import (ConfigError, InputError, MarkkitError, ParseError,
-                     ResourceError, TrainingError)
+from .errors import (ConfigError, InputError, MarkkitError, ParseError, ResourceError,
+                     TrainingError)
 from .marker_encoder import check_max_len, encode_marked, load_vocab
-from .model import (MarkBert, ModelConfig, export_attention, load_checkpoint,
+from .model import (MarkBert, ModelConfig, check_lr, export_attention, load_checkpoint,
                     save_checkpoint, train_step)
 from .ner import SpanF1Counter, extract_spans, read_conll
 from .pretrain import (MaskingConfig, MaskingStats, corpus_stats, example_from_json,
                        example_to_json, generate_examples, pack_corpus, plain_example,
-                       read_documents, usable_cpus)
+                       read_documents, segment_line, usable_cpus)
 from .resources import (Resources, decode_text, load_embeddings, load_lexicon,
                         load_pinyin_table, opened, read_text, write_text)
-from .segmenter import (Segmentation, Segmenter, make_lexicon_segmenter,
-                        parse_pretokenized, render_spaced)
+from .segmenter import Segmenter, make_lexicon_segmenter, parse_pretokenized, render_spaced
 
 DEFAULT_SEED = 12345
 
@@ -96,21 +94,12 @@ def _segmenter_from_args(args) -> Segmenter:
     return make_lexicon_segmenter(lexicon)
 
 
-def _segment_line(seg_fn: Segmenter, line: str, lineno: int) -> Segmentation:
-    """``seg_fn(line)``; a ParseError names ``lineno``, the line's 1-based
-    number in ``--in`` (a segmenter sees one line and cannot)."""
-    try:
-        return seg_fn(line)
-    except ParseError as exc:
-        raise ParseError(str(exc), lineno) from None
-
-
 def _encoded_lines(args, seg_fn: Segmenter, vocab, max_len: int, add_cls_sep: bool = True):
     """Each non-blank line of ``--in``, segmented by ``seg_fn`` and encoded
     as the marker flags say."""
     for lineno, line in enumerate(_read_lines(args.infile), start=1):
         if line:
-            yield encode_marked(_segment_line(seg_fn, line, lineno), vocab,
+            yield encode_marked(segment_line(seg_fn, line, lineno), vocab,
                                 insert_markers=not args.no_markers,
                                 pos_markers=args.pos_markers, max_len=max_len,
                                 add_cls_sep=add_cls_sep)
@@ -152,8 +141,7 @@ def _masking_config(args) -> MaskingConfig:
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_segment(args) -> int:
-    lexicon = load_lexicon(_resource_path(args.lexicon))
-    seg_fn = make_lexicon_segmenter(lexicon)
+    seg_fn = _segmenter_from_args(args)
     _write_lines(args.out, (render_spaced(seg_fn(line), include_pos=args.pos) if line else ""
                             for line in _read_lines(args.infile)))
     return 0
@@ -201,15 +189,9 @@ def cmd_build_corpus(args) -> int:
     else:
         resources = Resources(embeddings=load_embeddings(embeddings),
                               pinyin=load_pinyin_table(pinyin))
-    lines = _read_lines(args.infile)
-    try:
-        examples = generate_examples(list(read_documents(lines)), seg_fn, vocab, resources,
-                                     cfg, args.seed, workers=workers, pack=pack_corpus)
-    except ParseError:
-        if args.pretokenized:  # raised where the line number is unknown: find the line
-            for lineno, line in enumerate(lines, start=1):
-                _segment_line(seg_fn, line, lineno)
-        raise
+    examples = generate_examples(list(read_documents(_read_lines(args.infile))), seg_fn,
+                                 vocab, resources, cfg, args.seed, workers=workers,
+                                 pack=pack_corpus)
     _write_lines(args.out, map(example_to_json, examples))
     return 0
 
@@ -222,8 +204,7 @@ def cmd_pretrain(args) -> int:
         raise ConfigError(f"--batch-size must be positive, got {args.batch_size}")
     if args.steps < 0:
         raise ConfigError(f"--steps must be >= 0, got {args.steps}")
-    if not (math.isfinite(args.lr) and args.lr >= 0):
-        raise ConfigError(f"--lr must be finite and >= 0, got {args.lr}")
+    check_lr(args.lr)
     if args.log_every < 0:
         raise ConfigError(f"--log-every must be >= 0, got {args.log_every}")
     _model_config(args)  # the model flags' own rules, before any file is read
@@ -237,6 +218,8 @@ def cmd_pretrain(args) -> int:
     model = MarkBert(_model_config(args, len(vocab), max_positions))
     batches = [examples[i:i + args.batch_size]
                for i in range(0, len(examples), args.batch_size)]
+    for batch in batches:  # every batch, not only those the steps reach
+        model.check_batch(batch)
     metrics = None
     # a step that overflows shows as a non-finite loss or parameters below,
     # one error line, not as numpy warnings
@@ -379,8 +362,18 @@ def _add_masking_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k-syn", type=int, default=cfg.policy.k_syn)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error as one JSON error line and exit 2;
+    subparsers are made from this class too. ``--help`` and ``--version``
+    print as before."""
+
+    def error(self, message):
+        _emit_error("usage", 2, message)
+        self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="markkit",
         description="marker-aware Chinese pretraining toolkit")
     parser.add_argument("--version", action="version", version=f"markkit {__version__}")
@@ -459,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit_error(category: str, code: int, exc: Exception) -> None:
+def _emit_error(category: str, code: int, exc: Exception | str) -> None:
     sys.stderr.write(json.dumps({"error": category, "exit_code": code,
                                  "message": str(exc)}) + "\n")
 
@@ -468,7 +461,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse handles usage errors and --help
+    except SystemExit as exc:  # a usage error (see _Parser), --help or --version
         return int(exc.code or 0)
     try:
         if not 0 <= args.seed < 2**64:  # one rule for every subcommand, before any file is read
@@ -483,7 +476,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         _emit_error("config", 5, _flag_error(exc, args))
         return 5
-    except (TrainingError, MarkkitError) as exc:
+    except MarkkitError as exc:
         _emit_error("error", 1, exc)
         return 1
 

@@ -458,16 +458,24 @@ class MarkBert:
             return None
         return (self._dropout_rng.random(shape) >= rate) / (1.0 - rate)
 
-    def forward(self, batch: Sequence[PretrainingExample], *,
-                train: bool = False) -> ForwardOutput:
-        """Run the encoder and both heads (see :class:`ForwardOutput`)."""
+    def check_batch(self, batch: Sequence[PretrainingExample]) -> _BatchRows:
+        """The rows of ``batch``, or an InputError if an example is longer than
+        ``max_positions`` or an input or MLM label id is outside the vocabulary."""
         cfg = self.cfg
         rows = _batch_rows(batch, cfg.rwd_classes)
-        B, L = rows.ids.shape
+        L = rows.ids.shape[1]
         if L > cfg.max_positions:
             raise InputError(f"sequence length {L} exceeds max_positions={cfg.max_positions}")
         _check_token_ids("token id", rows.ids, cfg.vocab_size)
         _check_token_ids("MLM label token id", rows.mlm_labels, cfg.vocab_size)
+        return rows
+
+    def forward(self, batch: Sequence[PretrainingExample], *,
+                train: bool = False) -> ForwardOutput:
+        """Run the encoder and both heads (see :class:`ForwardOutput`)."""
+        cfg = self.cfg
+        rows = self.check_batch(batch)
+        B, L = rows.ids.shape
         cache: dict = {"layers": [], "train": train}
         if L == 0:
             return ForwardOutput(mlm_logits=np.zeros((0, cfg.vocab_size)),
@@ -809,6 +817,12 @@ def compute_loss(out: ForwardOutput, batch: Sequence[PretrainingExample],
                          rwd_loss=_cross_entropy(out.rwd_logits[rows.rwd], rows.rwd_labels))
 
 
+def check_lr(lr: float) -> None:
+    """The learning-rate rule of :func:`train_step` and ``pretrain --lr``."""
+    if not (np.isfinite(lr) and lr >= 0):
+        raise ConfigError(f"must be finite and >= 0, got {lr}", "lr")
+
+
 def train_step(model: MarkBert, batch: Sequence[PretrainingExample],
                lr: float) -> StepMetrics:
     """One full-batch gradient-descent update on the total loss.
@@ -819,8 +833,7 @@ def train_step(model: MarkBert, batch: Sequence[PretrainingExample],
     gradient itself at ``lr`` 0, where nothing is applied). Metrics (loss
     and accuracies) are computed from the pre-update forward pass.
     """
-    if not (np.isfinite(lr) and lr >= 0):
-        raise ConfigError(f"learning rate must be finite and >= 0, got {lr}")
+    check_lr(lr)
     model.zero_grads()
     out = model.forward(batch, train=True)
     metrics, dmlm, drwd = loss_and_gradients(out, batch, model.cfg.rwd_classes)

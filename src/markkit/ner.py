@@ -16,18 +16,15 @@ from typing import Sequence
 from .errors import InputError, ParseError
 from .marker_encoder import MarkedSequence
 from .resources import read_text
-from .segmenter import Segmentation
 
 OUTSIDE = "O"
-_BMESO_PREFIXES = frozenset("BMESO")
-_BIO_PREFIXES = frozenset("BIO")
+_PREFIXES = frozenset("BMESOI")  # BMESO's and BIO's
 
 
 @dataclass(frozen=True)
 class NerExample:
     chars: tuple[str, ...]
     labels: tuple[str, ...]
-    seg: Segmentation | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "chars", tuple(self.chars))
@@ -53,7 +50,7 @@ def _parse_tag(tag: str) -> tuple[str, str]:
     if not tag:
         raise InputError("empty tag")
     prefix, dash, entity = tag.partition("-")
-    if prefix not in _BMESO_PREFIXES and prefix not in _BIO_PREFIXES:
+    if prefix not in _PREFIXES:
         raise InputError(f"unparseable tag {tag!r}")
     if prefix == OUTSIDE:
         if dash:
@@ -89,58 +86,24 @@ def strip_marker_labels(tags: Sequence[str], marked: MarkedSequence) -> list[str
     return [tags[i] for i in sorted(marked.char_alignment)]
 
 
-def _detect_scheme(parsed: list[tuple[str, str]]) -> str:
-    prefixes = {p for p, _ in parsed}
-    if prefixes & {"M", "E", "S"}:
-        return "bmeso"
-    if "I" in prefixes:
-        return "bio"
-    return "bmeso"
-
-
-def bio_to_bmeso(tags: Sequence[str]) -> list[str]:
-    """Rewrite well-formed BIO runs as BMES; orphan I tags become M tags,
-    which the strict parser then discards."""
-    parsed = [_parse_tag(t) for t in tags]
-    out = list(tags)
-    i = 0
-    while i < len(parsed):
-        prefix, entity = parsed[i]
-        if prefix == "B":
-            j = i + 1
-            while j < len(parsed) and parsed[j] == ("I", entity):
-                j += 1
-            if j - i == 1:
-                out[i] = f"S-{entity}" if entity else "S"
-            else:
-                out[i] = f"B-{entity}" if entity else "B"
-                for k in range(i + 1, j - 1):
-                    out[k] = f"M-{entity}" if entity else "M"
-                out[j - 1] = f"E-{entity}" if entity else "E"
-            i = j
-        elif prefix == "I":
-            out[i] = f"M-{entity}" if entity else "M"
-            i += 1
-        else:
-            i += 1
-    return out
-
-
 def extract_spans(tags: Sequence[str], scheme: str = "auto") -> set[EntitySpan]:
-    """Entity spans from a per-character tag sequence.
+    """Entity spans from a per-character tag sequence, in one walk.
 
-    Well-formed runs (``B M* E``, or a single ``S``) become spans;
-    malformed runs are discarded entirely. BIO input is converted to
-    BMESO first. ``scheme`` is ``auto`` (detect), ``bmeso`` or ``bio``.
+    BMESO: a ``B M* E`` run of one type, or a single ``S``, is a span.
+    BIO: a ``B I*`` run of one type, or a single ``S``, is a span. Any
+    other tag is dropped (no partial credit), such as an ``I`` without its
+    ``B``, or a BMESO ``B`` whose run does not end in ``E``. ``scheme`` is
+    ``auto`` (BIO if an ``I`` is present and no ``M``, ``E`` or ``S``),
+    ``bmeso`` or ``bio``.
     """
     parsed = [_parse_tag(t) for t in tags]
     if scheme == "auto":
-        scheme = _detect_scheme(parsed)
-    if scheme == "bio":
-        parsed = [_parse_tag(t) for t in bio_to_bmeso(tags)]
-    elif scheme != "bmeso":
+        prefixes = {p for p, _ in parsed}
+        scheme = "bio" if "I" in prefixes and not prefixes & {"M", "E", "S"} else "bmeso"
+    if scheme not in ("bio", "bmeso"):
         raise InputError(f"unknown scheme {scheme!r}")
-
+    bio = scheme == "bio"
+    inner = "I" if bio else "M"
     spans: set[EntitySpan] = set()
     n = len(parsed)
     i = 0
@@ -151,13 +114,14 @@ def extract_spans(tags: Sequence[str], scheme: str = "auto") -> set[EntitySpan]:
             i += 1
         elif prefix == "B":
             j = i + 1
-            while j < n and parsed[j] == ("M", entity):
+            while j < n and parsed[j] == (inner, entity):
                 j += 1
-            if j < n and parsed[j] == ("E", entity):
-                spans.add(EntitySpan(i, j + 1, entity))
-                i = j + 1
-            else:
-                i += 1  # broken run: drop the B, rescan from the next tag
+            if bio:
+                spans.add(EntitySpan(i, j, entity))
+            elif j < n and parsed[j] == ("E", entity):
+                j += 1
+                spans.add(EntitySpan(i, j, entity))
+            i = j  # a broken BMESO run drops its B and Ms
         else:
             i += 1
     return spans

@@ -528,18 +528,28 @@ def corpus_stats(examples: Iterable[PretrainingExample]) -> MaskingStats:
 
 # --- corpus pipeline ----------------------------------------------------------
 
-def read_documents(lines: Iterable[str]) -> Iterator[list[str]]:
-    """Group corpus lines, as ``--in`` gives them (stripped), into documents:
-    an empty line is a document boundary."""
+Document = tuple[int, Sequence[str]]  # the number of its first line in --in, its lines
+
+
+def read_documents(lines: Iterable[str]) -> Iterator[Document]:
+    """Group corpus lines, as ``--in`` gives them (stripped), into documents
+    of consecutive lines: an empty line is a document boundary."""
     doc: list[str] = []
-    for line in lines:
+    for lineno, line in enumerate([*lines, ""], start=1):  # "" ends the last document
         if line:
             doc.append(line)
         elif doc:
-            yield doc
+            yield lineno - len(doc), doc
             doc = []
-    if doc:
-        yield doc
+
+
+def segment_line(segmenter: Segmenter, line: str, lineno: int) -> Segmentation:
+    """``segmenter(line)``; a ParseError names ``lineno``, the line's 1-based
+    number in ``--in`` (a segmenter sees one line and cannot)."""
+    try:
+        return segmenter(line)
+    except ParseError as exc:
+        raise ParseError(str(exc), lineno) from None
 
 
 def pack_corpus(documents: Iterable[Iterable[Segmentation]], cfg: MaskingConfig, *,
@@ -552,16 +562,18 @@ def pack_corpus(documents: Iterable[Iterable[Segmentation]], cfg: MaskingConfig,
     return packed
 
 
-def build_document(doc_id: int, lines: Sequence[str], part: int = 0, parts: int = 1, *,
+def build_document(doc_id: int, document: Document, part: int = 0, parts: int = 1, *,
                    segmenter: Segmenter, vocab: Vocab, resources: Resources,
                    cfg: MaskingConfig, corpus_seed: int,
                    pack: Callable[..., list[PackedSegment]] = pack_corpus
                    ) -> list[PretrainingExample]:
-    """Segment one document's lines with ``segmenter``, pack them with
-    ``pack`` (a :func:`pack_corpus`) and build the examples of the
-    ``part``-th of ``parts`` even runs of its packed sequences (by default
-    all of them)."""
-    packed = pack([map(segmenter, lines)], cfg, first_doc_id=doc_id)
+    """Segment the lines of one document (see :func:`read_documents`) with
+    :func:`segment_line`, pack them with ``pack`` (a :func:`pack_corpus`)
+    and build the examples of the ``part``-th of ``parts`` even runs of its
+    packed sequences (by default all of them)."""
+    first, lines = document
+    segs = (segment_line(segmenter, line, lineno) for lineno, line in enumerate(lines, first))
+    packed = pack([segs], cfg, first_doc_id=doc_id)
     n = len(packed)
     return [build_packed_example(p, vocab, resources, cfg, corpus_seed)
             for p in packed[part * n // parts:(part + 1) * n // parts]]
@@ -576,7 +588,7 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def generate_examples(documents: Sequence[Sequence[str]], segmenter: Segmenter,
+def generate_examples(documents: Sequence[Document], segmenter: Segmenter,
                       vocab: Vocab, resources: Resources, cfg: MaskingConfig,
                       corpus_seed: int, *, workers: int = 1,
                       pack: Callable[..., list[PackedSegment]] = pack_corpus
@@ -605,10 +617,10 @@ def generate_examples(documents: Sequence[Sequence[str]], segmenter: Segmenter,
         return [ex for examples in pool.imap(_worker_build_task, tasks) for ex in examples]
 
 
-def _worker_tasks(documents: Sequence[Sequence[str]],
-                  workers: int) -> list[list[tuple[int, Sequence[str], int, int]]]:
+def _worker_tasks(documents: Sequence[Document],
+                  workers: int) -> list[list[tuple[int, Document, int, int]]]:
     """Cut the corpus into tasks of :func:`build_document` arguments
-    ``(doc id, lines, part, parts)``, in document order, by line count.
+    ``(doc id, document, part, parts)``, in document order, by line count.
 
     A document with more than a worker's share of the lines (total /
     ``workers``) is split into up to ``workers`` parts, one task each, so
@@ -617,17 +629,17 @@ def _worker_tasks(documents: Sequence[Sequence[str]],
     sequences. Other documents are grouped into tasks of about an eighth
     of a worker's share.
     """
-    share = max(1, sum(map(len, documents))) / workers
-    tasks: list[list[tuple[int, Sequence[str], int, int]]] = []
+    share = max(1, sum(len(lines) for _, lines in documents)) / workers
+    tasks: list[list[tuple[int, Document, int, int]]] = []
     size = 0
-    for doc_id, lines in enumerate(documents):
-        parts = min(workers, math.ceil(len(lines) / share))
+    for doc_id, document in enumerate(documents):
+        parts = min(workers, math.ceil(len(document[1]) / share))
         for part in range(parts):
             if parts > 1 or not tasks or size >= share / 8:
                 tasks.append([])
                 size = 0
-            tasks[-1].append((doc_id, lines, part, parts))
-            size += len(lines)
+            tasks[-1].append((doc_id, document, part, parts))
+            size += len(document[1])
     return tasks
 
 

@@ -23,6 +23,9 @@ _ONSETS = ("b", "ch", "d", "f", "g", "h", "j", "k", "l", "m",
            "n", "p", "q", "r", "s", "sh", "t", "w", "x", "zh")
 _FINALS = ("a", "ai", "an", "ang", "ao", "e", "ei", "en", "eng", "i",
            "ia", "ian", "in", "ing", "o", "ong", "ou", "u", "uan", "un")
+N_CHAR_PAIRS = 48   # characters: two per pinyin syllable
+N_BASE_WORDS = 150  # sampled words, each added with its pair-partner word
+EMB_DIM = 16
 
 
 @dataclass
@@ -30,8 +33,6 @@ class ToyWorld:
     """The generated inventory plus loaded resource objects."""
 
     chars: list[str]
-    partner: dict[str, str]
-    syllable: dict[str, str]
     words: list[str]
     lexicon: Lexicon
     embeddings: WordEmbeddings
@@ -46,16 +47,15 @@ def _syllable_for(index: int) -> str:
     return onset + final
 
 
-def build_inventory(seed: int = 0, n_char_pairs: int = 48,
-                    n_base_words: int = 150) -> tuple[list[str], dict[str, str],
-                                                      dict[str, str], list[str]]:
-    """Characters (paired by shared syllable) and a word list closed under
-    the pair-partner map, with every character included as a word."""
+def build_inventory(seed: int = 0) -> tuple[list[str], dict[str, str], list[str]]:
+    """Characters (paired by shared syllable), each character's syllable,
+    and a word list closed under the pair-partner map, with every character
+    included as a word."""
     rng = random.Random(seed)
-    chars = [chr(0x4E00 + i) for i in range(2 * n_char_pairs)]
+    chars = [chr(0x4E00 + i) for i in range(2 * N_CHAR_PAIRS)]
     partner: dict[str, str] = {}
     syllable: dict[str, str] = {}
-    for pair in range(n_char_pairs):
+    for pair in range(N_CHAR_PAIRS):
         a, b = chars[2 * pair], chars[2 * pair + 1]
         partner[a], partner[b] = b, a
         syl = _syllable_for(pair % (len(_ONSETS) * len(_FINALS)))
@@ -71,32 +71,30 @@ def build_inventory(seed: int = 0, n_char_pairs: int = 48,
 
     for c in chars:
         add(c)
-    for _ in range(n_base_words):
+    for _ in range(N_BASE_WORDS):
         length = rng.choices((1, 2, 3), weights=(2, 5, 2))[0]
         word = "".join(rng.choice(chars) for _ in range(length))
         add(word)
         add("".join(partner[c] for c in word))
-    return chars, partner, syllable, words
+    return chars, syllable, words
 
 
-def write_toy_resources(directory: str | Path, seed: int = 0,
-                        n_char_pairs: int = 48, n_base_words: int = 150,
-                        emb_dim: int = 16) -> ToyWorld:
+def write_toy_resources(directory: str | Path, seed: int = 0) -> ToyWorld:
     """Write lexicon.tsv, embeddings.txt, pinyin.tsv and vocab.txt into
     ``directory`` and load them back through the production loaders."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     rng = random.Random(seed + 1)
-    chars, partner, syllable, words = build_inventory(seed, n_char_pairs, n_base_words)
+    chars, syllable, words = build_inventory(seed)
 
     lexicon_path = directory / "lexicon.tsv"
     write_text(lexicon_path,
                "".join(f"{w}\t{rng.choice(POS_TAGS)}\t{rng.randint(1, 9999)}\n" for w in words))
 
     emb_path = directory / "embeddings.txt"
-    rows = [f"{len(words)} {emb_dim}"]
+    rows = [f"{len(words)} {EMB_DIM}"]
     for w in words:
-        values = " ".join(f"{rng.gauss(0.0, 1.0):.6f}" for _ in range(emb_dim))
+        values = " ".join(f"{rng.gauss(0.0, 1.0):.6f}" for _ in range(EMB_DIM))
         rows.append(f"{w} {values}")
     write_text(emb_path, "\n".join(rows) + "\n")
 
@@ -108,7 +106,7 @@ def write_toy_resources(directory: str | Path, seed: int = 0,
 
     paths = {"lexicon": lexicon_path, "embeddings": emb_path,
              "pinyin": pinyin_path, "vocab": vocab_path}
-    return ToyWorld(chars=chars, partner=partner, syllable=syllable, words=words,
+    return ToyWorld(chars=chars, words=words,
                     lexicon=load_lexicon(lexicon_path),
                     embeddings=load_embeddings(emb_path),
                     pinyin=load_pinyin_table(pinyin_path),

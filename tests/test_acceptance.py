@@ -205,7 +205,7 @@ def test_criterion_7_ner_alignment(toy_world):
         text = "".join(rng.choice(toy_world.chars) for _ in range(length))
         seg = random_segmentation(rng, text)
         labels = tuple(random_bmeso_tags(rng, length))
-        ex = NerExample(chars=tuple(text), labels=labels, seg=seg)
+        ex = NerExample(chars=tuple(text), labels=labels)
         marked = encode_marked(seg, toy_world.vocab, add_cls_sep=bool(rng.randrange(2)))
         tags = align_labels_with_markers(ex, marked)
         stripped = strip_marker_labels(tags, marked)

@@ -216,6 +216,27 @@ class TestBuildCorpusCommand:
             "message": f"line {lineno}: empty word token (double or trailing space?)"}
         assert not out.exists()
 
+    def test_parse_error_in_a_split_document_names_its_line(self, env, tmp_path, capsys):
+        """One document without blank lines, which `--workers 2` splits into
+        parts, each segmenting the whole document: a bad pretokenized line in
+        its second half exits 4 naming that line, at 1 and 2 workers."""
+        root, _ = env
+        lines = [ln for ln in (root / "corpus_tok.txt").read_text(encoding="utf-8").splitlines()
+                 if ln]
+        lineno = 3 * len(lines) // 4
+        lines[lineno - 1] = lines[lineno - 1].replace(" ", "  ", 1)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for workers in ("1", "2"):
+            capsys.readouterr()
+            code = main(["build-corpus", *res_args(root), "--in", str(bad), "--pretokenized",
+                         "--out", str(tmp_path / "ex.jsonl"), "--max-len", "48",
+                         "--workers", workers])
+            assert code == 4 and not (tmp_path / "ex.jsonl").exists()
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "input", "exit_code": 4,
+                "message": f"line {lineno}: empty word token (double or trailing space?)"}
+
     @staticmethod
     def masking_config(*flags):
         return _masking_config(build_parser().parse_args(
@@ -476,7 +497,7 @@ class TestInLineRule:
         assert _read_lines(str(path)) == expected
         monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(raw)))
         assert _read_lines("-") == expected
-        assert list(read_documents(expected)) == [["天气 很", "人民 好"], ["地球"]]
+        assert list(read_documents(expected)) == [(1, ["天气 很", "人民 好"]), (5, ["地球"])]
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("corpus,segmenter", [("corpus.txt", "--lexicon"),
@@ -580,6 +601,26 @@ class TestErrorHandling:
 
     def test_unknown_subcommand_exit_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["frobnicate"],
+        ["stats"],                                              # missing required --in
+        ["pretrain", "--vocab", "v", "--in", "i", "--out", "o", "--rwd-classes", "4"],
+        ["pretrain", "--vocab", "v", "--in", "i", "--out", "o", "--lr", "-inf"],
+    ])
+    def test_usage_error_one_json_line(self, capsys, argv):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "usage" and record["exit_code"] == 2 and record["message"]
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_unchanged(self, capsys, flag):
+        assert main([flag]) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out.startswith("usage: markkit" if flag == "--help" else "markkit ")
 
     def test_malformed_input_exit_4(self, env, tmp_path, capsys):
         """`encode` and `attn-dump` name the line of --in that holds an empty
@@ -945,6 +986,49 @@ class TestErrorHandling:
             assert code == 4 and err["error"] == "input"
             assert err["message"].startswith(f"token id out of range for vocab_size="
                                              f"{len(world.vocab)}")
+
+    def late_bad_record(self, env, tmp_path, capsys, change, flags=()):
+        """Exit code and the one JSON error line of `pretrain --steps 1` on
+        the toy examples, with ``change`` applied to the last record (in the
+        last batch, which step 1 does not train)."""
+        root, _ = env
+        built = tmp_path / "built.jsonl"
+        assert run_build(root, built) == 0
+        records = [json.loads(line) for line in built.read_text().splitlines()]
+        assert len(records) > 8
+        change(records[-1])
+        examples = tmp_path / "ex.jsonl"
+        examples.write_text("".join(json.dumps(r) + "\n" for r in records))
+        capsys.readouterr()
+        code = main(["pretrain", "--vocab", str(root / "res/vocab.txt"), "--in", str(examples),
+                     "--out", str(tmp_path / "m.ckpt"), "--steps", "1", "--batch-size", "8",
+                     "--log-every", "0", "--hidden-dim", "16", "--ffn-dim", "16",
+                     "--num-heads", "2", *flags])
+        out, err = capsys.readouterr()
+        assert out == "" and not (tmp_path / "m.ckpt").exists()
+        err = err.strip().splitlines()
+        assert len(err) == 1
+        return code, json.loads(err[0])
+
+    def test_bad_id_in_last_batch_exit_4_before_step_1(self, env, tmp_path, capsys):
+        def change(record):
+            record["input_ids"][1] = 10**6
+
+        code, err = self.late_bad_record(env, tmp_path, capsys, change)
+        assert code == 4 and err["error"] == "input"
+        assert err["message"].startswith(f"token id out of range for vocab_size="
+                                         f"{len(env[1].vocab)}: ")
+
+    def test_long_example_in_last_batch_exit_4_before_step_1(self, env, tmp_path, capsys):
+        """An explicit --max-positions shorter than a late example."""
+        def change(record):
+            record["input_ids"] += [record["input_ids"][1]] * 60
+
+        code, err = self.late_bad_record(env, tmp_path, capsys, change,
+                                         flags=["--max-positions", "48"])
+        assert code == 4 and err["error"] == "input"
+        assert err["message"].startswith("sequence length ")
+        assert err["message"].endswith(" exceeds max_positions=48")
 
     @pytest.mark.parametrize("field,value,message", [
         ("n_chars", "3", "meta.n_chars '3' is not an integer"),

@@ -1,9 +1,10 @@
 """markkit opens a path in one place, ``resources.opened``.
 
-Everywhere else in ``src/markkit`` a file is read or written through it,
-or through ``read_text``/``write_text`` on top of it, so that one rule turns
-an OSError into ``ResourceError("cannot read|write <path>: ...")``. This
-test names each site that goes round it:
+Everywhere else in ``src/markkit`` and ``scripts/`` a file is read or
+written through it, or through ``read_text``/``write_text`` on top of it,
+so that one rule turns an OSError into
+``ResourceError("cannot read|write <path>: ...")``. This test names each
+site that goes round it:
 - a call of the builtin ``open``;
 - a call of ``.read_bytes``, ``.read_text``, ``.write_bytes`` or
   ``.write_text`` on an object (a ``pathlib.Path``);
@@ -15,6 +16,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "markkit"
+SCRIPTS = PACKAGE.parents[1] / "scripts"  # they use markkit's files, so its boundary too
 BOUNDARY = ("resources.py", "opened")  # the module and function allowed to open a path
 PATH_METHODS = {"read_bytes", "read_text", "write_bytes", "write_text"}
 
@@ -53,7 +55,7 @@ def boundary_breaches(source: str, module: str) -> list[str]:
 
 def test_every_path_is_opened_in_one_place():
     breaches = []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(SCRIPTS.glob("*.py")):
         breaches += boundary_breaches(path.read_text(encoding="utf-8"), path.name)
     assert breaches == []
 

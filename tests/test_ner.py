@@ -8,67 +8,59 @@ from helpers import (brute_force_span_f1, random_bmeso_tags, random_segmentation
 from markkit.errors import InputError
 from markkit.marker_encoder import build_vocab, encode_marked
 from markkit.ner import (EntitySpan, NerExample, SpanF1Counter,
-                         align_labels_with_markers, bio_to_bmeso, extract_spans,
+                         align_labels_with_markers, extract_spans,
                          read_conll, strip_marker_labels)
 from markkit.segmenter import parse_pretokenized
 
 VOCAB = build_vocab("北京在人民地球天气很好")
 
 
-def marked_of(ex: NerExample, add_cls_sep=False):
-    return encode_marked(ex.seg, VOCAB, add_cls_sep=add_cls_sep)
+def marked_of(words: str, add_cls_sep=False, insert_markers=True):
+    """The encoding of the pretokenized ``words``."""
+    return encode_marked(parse_pretokenized(words), VOCAB, add_cls_sep=add_cls_sep,
+                         insert_markers=insert_markers)
 
 
 class TestAlign:
     def test_marker_copies_former_token_tag(self):
-        ex = NerExample(chars=("北", "京", "在"), labels=("B-LOC", "E-LOC", "O"),
-                        seg=parse_pretokenized("北京 在"))
-        tags = align_labels_with_markers(ex, marked_of(ex))
+        ex = NerExample(chars=("北", "京", "在"), labels=("B-LOC", "E-LOC", "O"))
+        tags = align_labels_with_markers(ex, marked_of("北京 在"))
         assert tags == ["B-LOC", "E-LOC", "E-LOC", "O", "O"]
 
     def test_identity_without_markers(self):
-        ex = NerExample(chars=("北", "京"), labels=("B-LOC", "E-LOC"),
-                        seg=parse_pretokenized("北京"))
-        marked = encode_marked(ex.seg, VOCAB, insert_markers=False, add_cls_sep=False)
+        ex = NerExample(chars=("北", "京"), labels=("B-LOC", "E-LOC"))
+        marked = marked_of("北京", insert_markers=False)
         assert align_labels_with_markers(ex, marked) == ["B-LOC", "E-LOC"]
 
     def test_single_char_single_word(self):
-        ex = NerExample(chars=("人",), labels=("S-PER",), seg=parse_pretokenized("人"))
-        assert align_labels_with_markers(ex, marked_of(ex)) == ["S-PER", "S-PER"]
+        ex = NerExample(chars=("人",), labels=("S-PER",))
+        assert align_labels_with_markers(ex, marked_of("人")) == ["S-PER", "S-PER"]
 
     def test_cls_sep_get_outside(self):
-        ex = NerExample(chars=("北", "京"), labels=("B-LOC", "E-LOC"),
-                        seg=parse_pretokenized("北京"))
-        tags = align_labels_with_markers(ex, marked_of(ex, add_cls_sep=True))
+        ex = NerExample(chars=("北", "京"), labels=("B-LOC", "E-LOC"))
+        tags = align_labels_with_markers(ex, marked_of("北京", add_cls_sep=True))
         assert tags == ["O", "B-LOC", "E-LOC", "E-LOC", "O"]
 
     def test_length_mismatch_raises(self):
-        ex = NerExample(chars=("北", "京", "在"), labels=("B-LOC", "E-LOC", "O"),
-                        seg=parse_pretokenized("北京 在"))
-        short = NerExample(chars=("北", "京"), labels=("B-LOC", "E-LOC"),
-                           seg=parse_pretokenized("北京"))
+        ex = NerExample(chars=("北", "京", "在"), labels=("B-LOC", "E-LOC", "O"))
         with pytest.raises(InputError):
-            align_labels_with_markers(ex, marked_of(short))
+            align_labels_with_markers(ex, marked_of("北京"))
 
 
 class TestStrip:
     def test_inverse_of_align(self):
-        ex = NerExample(chars=("北", "京", "在"), labels=("B-LOC", "E-LOC", "O"),
-                        seg=parse_pretokenized("北京 在"))
-        marked = marked_of(ex)
+        ex = NerExample(chars=("北", "京", "在"), labels=("B-LOC", "E-LOC", "O"))
+        marked = marked_of("北京 在")
         tags = align_labels_with_markers(ex, marked)
         assert strip_marker_labels(tags, marked) == ["B-LOC", "E-LOC", "O"]
 
     def test_identity_without_markers(self):
-        ex = NerExample(chars=("北", "京"), labels=("B-LOC", "E-LOC"),
-                        seg=parse_pretokenized("北京"))
-        marked = encode_marked(ex.seg, VOCAB, insert_markers=False, add_cls_sep=False)
+        marked = marked_of("北京", insert_markers=False)
         assert strip_marker_labels(["B-LOC", "E-LOC"], marked) == ["B-LOC", "E-LOC"]
 
     def test_all_outside_preserved(self):
-        ex = NerExample(chars=("在", "在"), labels=("O", "O"),
-                        seg=parse_pretokenized("在 在"))
-        marked = marked_of(ex)
+        ex = NerExample(chars=("在", "在"), labels=("O", "O"))
+        marked = marked_of("在 在")
         tags = align_labels_with_markers(ex, marked)
         assert strip_marker_labels(tags, marked) == ["O", "O"]
 
@@ -113,9 +105,51 @@ class TestExtractSpans:
         assert extract_spans(["B-LOC", "O"], scheme="bmeso") == set()
         assert extract_spans(["B-LOC", "O"], scheme="bio") == {EntitySpan(0, 1, "LOC")}
 
-    def test_bio_to_bmeso_conversion(self):
-        assert bio_to_bmeso(["B-LOC", "I-LOC", "I-LOC", "O", "B-PER"]) == \
-            ["B-LOC", "M-LOC", "E-LOC", "O", "S-PER"]
+    def test_bio_runs(self):
+        assert extract_spans(["B-LOC", "I-LOC", "I-LOC", "O", "B-PER"], scheme="bio") == \
+            {EntitySpan(0, 3, "LOC"), EntitySpan(4, 5, "PER")}
+
+    # each row: tags, scheme, the spans as (start, end, type); pinned to the
+    # spans of the BIO-to-BMESO rewrite that the one walk replaced
+    MALFORMED_BIO = [
+        (["O", "I-LOC", "O"], "bio", set()),                        # orphan I
+        (["I-LOC", "B-LOC", "I-LOC"], "auto", {(1, 3, "LOC")}),     # orphan I, then a run
+        (["B-LOC", "I-PER"], "bio", {(0, 1, "LOC")}),              # type switch ends the run
+        (["B-LOC", "I-PER", "I-PER"], "auto", {(0, 1, "LOC")}),
+        (["B-LOC", "I-LOC", "I-PER", "I-LOC"], "bio", {(0, 2, "LOC")}),
+        (["S-LOC", "O"], "bio", {(0, 1, "LOC")}),                   # a lone S is a span
+        (["B-LOC", "M-LOC", "E-LOC"], "bio", {(0, 1, "LOC")}),     # M and E are not BIO
+        (["M-LOC", "E-LOC", "I-LOC"], "bio", set()),
+        (["B", "I", "O", "B"], "auto", {(0, 2, ""), (3, 4, "")}),  # untyped
+        (["B", "I-LOC"], "bio", {(0, 1, "")}),                      # untyped B, typed I
+        (["B-", "I"], "bio", {(0, 2, "")}),                         # "B-" is untyped
+    ]
+
+    @pytest.mark.parametrize("tags, scheme, spans", MALFORMED_BIO)
+    def test_malformed_bio(self, tags, scheme, spans):
+        assert extract_spans(tags, scheme=scheme) == {EntitySpan(*s) for s in spans}
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4),
+                              st.sampled_from(["", "LOC", "PER"])), max_size=6))
+    def test_bio_and_bmeso_renderings_agree(self, runs):
+        """Spans drawn as (gap before, length, type) and rendered in either
+        scheme are the spans extracted, under ``auto`` and the scheme."""
+        def tag(prefix, entity):
+            return f"{prefix}-{entity}" if entity else prefix
+
+        bio, bmeso, drawn = [], [], set()
+        for gap, length, entity in runs:
+            bio += ["O"] * gap
+            bmeso += ["O"] * gap
+            drawn.add(EntitySpan(len(bio), len(bio) + length, entity))
+            bio += [tag("B", entity)] + [tag("I", entity)] * (length - 1)
+            bmeso += [tag("S", entity)] if length == 1 else \
+                [tag("B", entity)] + [tag("M", entity)] * (length - 2) + [tag("E", entity)]
+        assert extract_spans(bio, scheme="bio") == drawn
+        assert extract_spans(bmeso, scheme="bmeso") == drawn
+        assert extract_spans(bmeso) == drawn
+        if any(length > 1 for _, length, _ in runs):  # auto reads B/O alone as BMESO
+            assert extract_spans(bio) == drawn
 
 
 class TestSpanF1:
@@ -164,7 +198,7 @@ def test_align_strip_round_trip_and_span_preservation(seed, length, cls_sep):
     text = "".join(rng.choice("北京在人民地球天气很好") for _ in range(length))
     seg = random_segmentation(rng, text)
     labels = tuple(random_bmeso_tags(rng, length))
-    ex = NerExample(chars=tuple(text), labels=labels, seg=seg)
+    ex = NerExample(chars=tuple(text), labels=labels)
     marked = encode_marked(seg, VOCAB, add_cls_sep=cls_sep)
     tags = align_labels_with_markers(ex, marked)
     assert strip_marker_labels(tags, marked) == list(labels)

@@ -14,7 +14,7 @@ from markkit.pretrain import (ExampleMeta, MaskingConfig, PackedSegment,
                               build_example, build_packed_example, corpus_stats,
                               derive_seed, example_from_json, example_to_json,
                               generate_examples, pack_corpus, pack_documents,
-                              read_documents, stochastic_round, _worker_tasks)
+                              read_documents, segment_line, stochastic_round, _worker_tasks)
 from markkit.segmenter import make_lexicon_segmenter, parse_pretokenized
 from markkit.toy import toy_corpus_lines
 
@@ -382,8 +382,8 @@ class TestGenerateExamples:
                 assert many == one
                 assert [example_to_json(e) for e in many] == [example_to_json(e) for e in one]
             # building per document numbers sequences as packing the whole corpus does
-            packed = pack_corpus(([parse_pretokenized(ln) for ln in doc] for doc in documents),
-                                 cfg)
+            packed = pack_corpus(([parse_pretokenized(ln) for ln in doc]
+                                  for _, doc in documents), cfg)
             assert one == [build_packed_example(p, toy_world.vocab, toy_resources, cfg, 99)
                            for p in packed]
 
@@ -394,21 +394,21 @@ class TestGenerateExamples:
                                   segmenter=make_lexicon_segmenter(toy_world.lexicon),
                                   vocab=toy_world.vocab, resources=toy_resources,
                                   cfg=MaskingConfig(max_len=48), corpus_seed=99)
-        lines = toy_corpus_lines(toy_world.words, 12, seed=5)
-        examples = build(3, lines)
+        document = (1, toy_corpus_lines(toy_world.words, 12, seed=5))
+        examples = build(3, document)
         assert examples and {ex.meta.doc_id for ex in examples} == {3}
-        assert pickle.loads(pickle.dumps(build))(3, lines) == examples
+        assert pickle.loads(pickle.dumps(build))(3, document) == examples
 
     def test_document_parts_cover_its_sequences(self, toy_world, toy_resources):
         build = functools.partial(build_document, segmenter=parse_pretokenized,
                                   vocab=toy_world.vocab, resources=toy_resources,
                                   cfg=MaskingConfig(max_len=48), corpus_seed=99)
-        lines = toy_corpus_lines(toy_world.words, 40, seed=5, pretokenized=True,
-                                 sentences_per_doc=(40, 40))
-        whole = build(2, lines)
+        document = (1, toy_corpus_lines(toy_world.words, 40, seed=5, pretokenized=True,
+                                        sentences_per_doc=(40, 40)))
+        whole = build(2, document)
         assert len(whole) > 3
         for parts in (2, 3, len(whole) + 1):
-            runs = [build(2, lines, part, parts) for part in range(parts)]
+            runs = [build(2, document, part, parts) for part in range(parts)]
             assert [ex for run in runs for ex in run] == whole
             assert max(map(len, runs)) - min(map(len, runs)) <= 1
 
@@ -425,7 +425,7 @@ class TestGenerateExamples:
 def test_worker_tasks_split_only_long_documents():
     """A document with more than a worker's share of the lines becomes one
     task per worker; the others are grouped by line count, in order."""
-    documents = [["a"] * 2, ["b"] * 30, ["c"] * 3, ["d"]]
+    documents = [(1, ["a"] * 2), (4, ["b"] * 30), (35, ["c"] * 3), (39, ["d"])]
 
     def shape(tasks):
         return [[(doc_id, part, parts) for doc_id, _, part, parts in task] for task in tasks]
@@ -434,10 +434,26 @@ def test_worker_tasks_split_only_long_documents():
                                                   [(2, 0, 1)], [(3, 0, 1)]]
     assert shape(_worker_tasks(documents, 1)) == [[(0, 0, 1), (1, 0, 1)],
                                                   [(2, 0, 1), (3, 0, 1)]]
-    assert shape(_worker_tasks([["a"] * 5], 4)) == [[(0, part, 4)] for part in range(4)]
+    assert shape(_worker_tasks([(1, ["a"] * 5)], 4)) == [[(0, part, 4)] for part in range(4)]
     assert _worker_tasks([], 2) == []
 
 
 def test_read_documents_blank_line_boundaries():
+    """Each document is the number of its first line and its lines."""
     lines = ["", "天气 很", "人民 好", "", "", "地球"]
-    assert list(read_documents(lines)) == [["天气 很", "人民 好"], ["地球"]]
+    assert list(read_documents(lines)) == [(2, ["天气 很", "人民 好"]), (6, ["地球"])]
+    assert list(read_documents(["a", "", "b", "c", ""])) == [(1, ["a"]), (3, ["b", "c"])]
+    assert list(read_documents(["", ""])) == []
+
+
+def test_segment_line_names_the_line(toy_world, toy_resources):
+    """A ParseError from a worker's segmenter names its line of ``--in``,
+    in a document that is built whole or in parts."""
+    build = functools.partial(build_document, segmenter=parse_pretokenized,
+                              vocab=toy_world.vocab, resources=toy_resources,
+                              cfg=MaskingConfig(max_len=48), corpus_seed=99)
+    document = (7, ["天 气", "人 民", "地  球", "好"])
+    for part in (0, 1):
+        with pytest.raises(ParseError, match=r"^line 9: empty word token"):
+            build(0, document, part, 2)
+    assert segment_line(parse_pretokenized, "天 气", 3).text == "天气"
