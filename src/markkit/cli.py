@@ -36,7 +36,7 @@ from .errors import (ConfigError, InputError, MarkkitError, ParseError, Resource
 from .marker_encoder import check_max_len, encode_marked, load_vocab
 from .model import (MarkBert, ModelConfig, check_lr, export_attention, load_checkpoint,
                     save_checkpoint, train_step)
-from .ner import SpanF1Counter, extract_spans, read_conll
+from .ner import SpanF1Counter, extract_spans, read_conll, scheme_of
 from .pretrain import (MaskingConfig, MaskingStats, corpus_stats, example_from_json,
                        example_to_json, generate_examples, pack_corpus, plain_example,
                        read_documents, segment_line, usable_cpus)
@@ -251,13 +251,13 @@ def cmd_eval_ner(args) -> int:
     gold = read_conll(args.gold)
     if len(pred) != len(gold):
         raise InputError(f"prediction has {len(pred)} sentences, gold has {len(gold)}")
+    scheme = scheme_of(ex.labels for ex in pred + gold) if args.scheme == "auto" else args.scheme
     counter = SpanF1Counter()
     for i, (p, g) in enumerate(zip(pred, gold)):
         if len(p.labels) != len(g.labels):
             raise InputError(f"sentence {i + 1}: prediction has {len(p.labels)} "
                              f"tokens, gold has {len(g.labels)}")
-        counter.add(extract_spans(p.labels, scheme=args.scheme),
-                    extract_spans(g.labels, scheme=args.scheme),
+        counter.add(extract_spans(p.labels, scheme), extract_spans(g.labels, scheme),
                     pred_tags=p.labels, gold_tags=g.labels)
     report = {"span_precision": counter.precision, "span_recall": counter.recall,
               "span_f1": counter.f1, "token_accuracy": counter.token_accuracy,

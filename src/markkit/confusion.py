@@ -88,8 +88,9 @@ def pinyin_candidates(word: str, table: PinyinTable) -> list[ConfusionChoice]:
 
 
 def sample_confusion(word: str, emb: WordEmbeddings, table: PinyinTable,
-                     rng: random.Random,
-                     policy: ConfusionPolicy = ConfusionPolicy()) -> ConfusionChoice | None:
+                     rng: random.Random, policy: ConfusionPolicy = ConfusionPolicy(),
+                     synonyms: dict[str, list[ConfusionChoice]] | None = None
+                     ) -> ConfusionChoice | None:
     """Draw one confusion for ``word`` or None when neither kind has
     candidates.
 
@@ -97,16 +98,23 @@ def sample_confusion(word: str, emb: WordEmbeddings, table: PinyinTable,
     1. one uniform decides the attempted kind (< p_pinyin means pinyin);
     2. if the attempted kind is empty, fall back to the other kind;
     3. one uniform choice among the selected kind's candidates.
+
+    ``synonyms`` maps each word already scanned with ``emb`` and
+    ``policy.k_syn`` to its :func:`synonym_candidates`: a word's first
+    lookup fills it, and later calls given the same dict read it instead
+    of scanning again. The draw is the same with or without it.
     """
-    attempt_pinyin = rng.random() < policy.p_pinyin
-    if attempt_pinyin:
-        candidates = pinyin_candidates(word, table)
-        if not candidates:
-            candidates = synonym_candidates(word, emb, policy.k_syn)
+    memo = {} if synonyms is None else synonyms
+
+    def synonyms_of() -> list[ConfusionChoice]:
+        if word not in memo:
+            memo[word] = synonym_candidates(word, emb, policy.k_syn)
+        return memo[word]
+
+    if rng.random() < policy.p_pinyin:
+        candidates = pinyin_candidates(word, table) or synonyms_of()
     else:
-        candidates = synonym_candidates(word, emb, policy.k_syn)
-        if not candidates:
-            candidates = pinyin_candidates(word, table)
+        candidates = synonyms_of() or pinyin_candidates(word, table)
     if not candidates:
         return None
     return rng.choice(candidates)

@@ -473,8 +473,11 @@ class MarkBert:
     def forward(self, batch: Sequence[PretrainingExample], *,
                 train: bool = False) -> ForwardOutput:
         """Run the encoder and both heads (see :class:`ForwardOutput`)."""
+        return self._forward(self.check_batch(batch), train)
+
+    def _forward(self, rows: _BatchRows, train: bool) -> ForwardOutput:
+        """:meth:`forward` on the rows :meth:`check_batch` returned."""
         cfg = self.cfg
-        rows = self.check_batch(batch)
         B, L = rows.ids.shape
         cache: dict = {"layers": [], "train": train}
         if L == 0:
@@ -862,10 +865,12 @@ def train_step(model: MarkBert, batch: Sequence[PretrainingExample],
 def finite_difference_grads(model: MarkBert, batch: Sequence[PretrainingExample],
                             step: float = 1e-3) -> dict[str, np.ndarray]:
     """Central-difference gradients of the total loss, parameter by
-    parameter. Quadratic cost; intended for toy configurations."""
+    parameter. Quadratic cost; intended for toy configurations. The batch's
+    rows are built once, for every forward pass."""
+    rows = model.check_batch(batch)
 
     def total() -> float:
-        out = model.forward(batch)
+        out = model._forward(rows, train=False)
         return compute_loss(out, batch, model.cfg.rwd_classes).total
 
     grads: dict[str, np.ndarray] = {}

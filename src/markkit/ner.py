@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError, ParseError
 from .marker_encoder import MarkedSequence
@@ -86,20 +86,24 @@ def strip_marker_labels(tags: Sequence[str], marked: MarkedSequence) -> list[str
     return [tags[i] for i in sorted(marked.char_alignment)]
 
 
-def extract_spans(tags: Sequence[str], scheme: str = "auto") -> set[EntitySpan]:
+def scheme_of(tag_sequences: Iterable[Sequence[str]]) -> str:
+    """The one scheme for every sequence of a run (``eval-ner --scheme
+    auto``): ``bio`` when an ``I`` tag appears in any of them and no ``M``,
+    ``E`` or ``S`` tag does, else ``bmeso``."""
+    prefixes = {tag.partition("-")[0] for tags in tag_sequences for tag in tags}
+    return "bio" if "I" in prefixes and not prefixes & {"M", "E", "S"} else "bmeso"
+
+
+def extract_spans(tags: Sequence[str], scheme: str) -> set[EntitySpan]:
     """Entity spans from a per-character tag sequence, in one walk.
 
     BMESO: a ``B M* E`` run of one type, or a single ``S``, is a span.
     BIO: a ``B I*`` run of one type, or a single ``S``, is a span. Any
     other tag is dropped (no partial credit), such as an ``I`` without its
     ``B``, or a BMESO ``B`` whose run does not end in ``E``. ``scheme`` is
-    ``auto`` (BIO if an ``I`` is present and no ``M``, ``E`` or ``S``),
-    ``bmeso`` or ``bio``.
+    ``bmeso`` or ``bio`` (see :func:`scheme_of`).
     """
     parsed = [_parse_tag(t) for t in tags]
-    if scheme == "auto":
-        prefixes = {p for p, _ in parsed}
-        scheme = "bio" if "I" in prefixes and not prefixes & {"M", "E", "S"} else "bmeso"
     if scheme not in ("bio", "bmeso"):
         raise InputError(f"unknown scheme {scheme!r}")
     bio = scheme == "bio"

@@ -52,7 +52,7 @@ import random
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .confusion import ConfusionKind, ConfusionPolicy, sample_confusion
+from .confusion import ConfusionChoice, ConfusionKind, ConfusionPolicy, sample_confusion
 from .errors import ConfigError, ParseError
 from .marker_encoder import MarkedSequence, Vocab, check_max_len, encode_marked
 from .resources import Resources
@@ -242,12 +242,15 @@ def stochastic_round(rng: random.Random, value: float) -> int:
 
 def build_example(seg: Segmentation, vocab: Vocab, resources: Resources,
                   cfg: MaskingConfig, rng: random.Random, *,
-                  meta: ExampleMeta | None = None) -> PretrainingExample:
+                  meta: ExampleMeta | None = None,
+                  synonyms: dict[str, list[ConfusionChoice]] | None = None
+                  ) -> PretrainingExample:
     """Apply the full schedule to one packed segmentation.
 
     See the module docstring for the exact RNG draw order. ``meta``
     carries provenance (doc id, seq index, seed); the drawn strategy
-    flags and character count are filled in here.
+    flags and character count are filled in here. ``synonyms`` is the
+    synonym memo passed to :func:`markkit.confusion.sample_confusion`.
     """
     no_marker = rng.random() < cfg.p_no_marker
     wwm = rng.random() < cfg.p_wwm
@@ -273,7 +276,7 @@ def build_example(seg: Segmentation, vocab: Vocab, resources: Resources,
             continue
         span = marked.words[w]
         choice = sample_confusion(seg.text[span.start:span.end], resources.embeddings,
-                                  resources.pinyin, rng, cfg.policy)
+                                  resources.pinyin, rng, cfg.policy, synonyms)
         if choice is None:
             continue
         for offset, pos in enumerate(word_positions[w]):
@@ -344,13 +347,16 @@ def build_example(seg: Segmentation, vocab: Vocab, resources: Resources,
 
 
 def build_packed_example(packed: PackedSegment, vocab: Vocab, resources: Resources,
-                         cfg: MaskingConfig, corpus_seed: int) -> PretrainingExample:
+                         cfg: MaskingConfig, corpus_seed: int, *,
+                         synonyms: dict[str, list[ConfusionChoice]] | None = None
+                         ) -> PretrainingExample:
     """Build one example with its RNG seeded from (corpus seed, doc id,
     sequence index), so generation parallelizes deterministically."""
     seed = derive_seed(corpus_seed, packed.doc_id, packed.seq_index)
     meta = ExampleMeta(doc_id=packed.doc_id, seq_index=packed.seq_index,
                        seed=seed, truncated=packed.truncated)
-    return build_example(packed.seg, vocab, resources, cfg, random.Random(seed), meta=meta)
+    return build_example(packed.seg, vocab, resources, cfg, random.Random(seed), meta=meta,
+                         synonyms=synonyms)
 
 
 def plain_example(marked: MarkedSequence) -> PretrainingExample:
@@ -565,17 +571,19 @@ def pack_corpus(documents: Iterable[Iterable[Segmentation]], cfg: MaskingConfig,
 def build_document(doc_id: int, document: Document, part: int = 0, parts: int = 1, *,
                    segmenter: Segmenter, vocab: Vocab, resources: Resources,
                    cfg: MaskingConfig, corpus_seed: int,
-                   pack: Callable[..., list[PackedSegment]] = pack_corpus
+                   pack: Callable[..., list[PackedSegment]] = pack_corpus,
+                   synonyms: dict[str, list[ConfusionChoice]] | None = None
                    ) -> list[PretrainingExample]:
     """Segment the lines of one document (see :func:`read_documents`) with
     :func:`segment_line`, pack them with ``pack`` (a :func:`pack_corpus`)
     and build the examples of the ``part``-th of ``parts`` even runs of its
-    packed sequences (by default all of them)."""
+    packed sequences (by default all of them), sharing the synonym memo
+    ``synonyms`` (see :func:`build_example`)."""
     first, lines = document
     segs = (segment_line(segmenter, line, lineno) for lineno, line in enumerate(lines, first))
     packed = pack([segs], cfg, first_doc_id=doc_id)
     n = len(packed)
-    return [build_packed_example(p, vocab, resources, cfg, corpus_seed)
+    return [build_packed_example(p, vocab, resources, cfg, corpus_seed, synonyms=synonyms)
             for p in packed[part * n // parts:(part + 1) * n // parts]]
 
 
@@ -602,10 +610,15 @@ def generate_examples(documents: Sequence[Document], segmenter: Segmenter,
     Each example depends only on (corpus seed, doc id, seq index), and
     results are merged in document order, so the output is identical for
     any worker count.
+
+    Each word's synonym candidates are scanned once per call, or once per
+    pool worker: the build callable carries one empty synonym memo (see
+    :func:`build_example`), and each worker gets its own copy with the
+    callable. No memo outlives the call.
     """
     build = functools.partial(build_document, segmenter=segmenter, vocab=vocab,
                               resources=resources, cfg=cfg, corpus_seed=corpus_seed,
-                              pack=pack)
+                              pack=pack, synonyms={})
     tasks = _worker_tasks(documents, workers)
     if workers <= 1 or len(tasks) < 2:
         return [ex for task in tasks for ex in _build_task(build, task)]

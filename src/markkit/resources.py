@@ -252,15 +252,22 @@ def _embedding_header(line: str) -> tuple[int, int]:
 def _decoded_blocks(file: BinaryIO, path: str | Path) -> Iterator[tuple[int, list[str]]]:
     """``(number of the first line, lines)`` of each block of ``file``:
     about ``EMBEDDING_BLOCK_BYTES``, cut after a newline, and decoded as
-    :func:`decode_text` decodes the whole file."""
-    start = newlines = 0
+    :func:`decode_text` decodes the whole file. The newlines before a
+    block are counted only for the message of a block that is not UTF-8."""
+    start = 0
     lineno = 1
     while block := file.read(EMBEDDING_BLOCK_BYTES):
         block += file.readline()
-        lines = decode_text(block, path, start, newlines + 1).splitlines()
+        try:
+            text = block.decode("utf-8")
+        except UnicodeDecodeError:
+            file.seek(0)
+            newlines = sum(file.read(min(EMBEDDING_BLOCK_BYTES, start - file.tell())).count(b"\n")
+                           for _ in range(0, start, EMBEDDING_BLOCK_BYTES))
+            text = decode_text(block, path, start, newlines + 1)  # raises, naming the line
+        lines = text.splitlines()
         yield lineno, lines
         start += len(block)
-        newlines += block.count(b"\n")
         lineno += len(lines)
 
 
@@ -319,21 +326,26 @@ def _parse_embeddings(file: BinaryIO, path: str | Path
 
 def _loadtxt_block(data: list[str], dim: int, rows: np.ndarray, words: list[str]) -> bool:
     """Whether every line of ``data`` is regular: a word without
-    whitespace, then exactly ``dim`` single spaces before values that
-    ``np.loadtxt`` parses (it gives the same double as ``float``, and
+    whitespace, then exactly ``dim`` values, each after a single space,
+    that ``np.loadtxt`` parses (it gives the same double as ``float``, and
     raises on the values only ``float`` takes: ``1_0``, full-width digits).
     If so, the values fill the rows after the first ``len(words)`` and the
-    words are appended to ``words``."""
-    if any(ln.count(" ") != dim for ln in data):
-        return False
+    words are appended to ``words``.
+
+    ``np.loadtxt`` raises on an empty value (a double or trailing space)
+    and on a line whose value count differs from the first line's; a line
+    without values, which it would skip, is irregular here."""
     block_words = [ln.partition(" ")[0] for ln in data]
-    if " ".join(block_words).split() != block_words:
+    values = [ln[len(word) + 1:] for ln, word in zip(data, block_words)]
+    if "" in values or " ".join(block_words).split() != block_words:
         return False
     try:
-        rows[len(words):len(words) + len(data)] = np.loadtxt(
-            data, delimiter=" ", comments=None, usecols=range(1, dim + 1), ndmin=2)
+        parsed = np.loadtxt(values, delimiter=" ", comments=None, ndmin=2)
     except ValueError:
         return False
+    if parsed.shape != (len(data), dim):
+        return False
+    rows[len(words):len(words) + len(data)] = parsed
     words += block_words
     return True
 
@@ -397,24 +409,26 @@ def load_pinyin_table(path: str | Path) -> PinyinTable:
     rejected = 0
     duplicates = 0
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        if not line.strip():
-            continue
-        if "\t" not in line:
-            raise ParseError("expected 'word<TAB>syllables'", lineno)
-        word, _, syllable_part = line.partition("\t")
-        if not word:
-            raise ParseError("empty word", lineno)
-        syllables = [toneless[s] if s in toneless else toneless.setdefault(s, strip_tone(s))
-                     for s in syllable_part.split()]
-        if not syllables or any(not s for s in syllables):
+        word, tab, syllable_part = line.partition("\t")
+        syllables = syllable_part.split()
+        if not (word and syllables):  # a blank or malformed line
+            if not line.strip():
+                continue
+            if not tab:
+                raise ParseError("expected 'word<TAB>syllables'", lineno)
+            if not word:
+                raise ParseError("empty word", lineno)
             raise ParseError(f"empty syllable in {line!r}", lineno)
-        if len(syllables) != len(word):
+        pinyin = [toneless[s] if s in toneless else toneless.setdefault(s, strip_tone(s))
+                  for s in syllables]
+        if "" in pinyin:
+            raise ParseError(f"empty syllable in {line!r}", lineno)
+        if len(pinyin) != len(word):
             rejected += 1
-            continue
-        if word in by_word:
+        elif word in by_word:
             duplicates += 1
-            continue
-        by_word[word] = " ".join(syllables)
+        else:
+            by_word[word] = " ".join(pinyin)
     return PinyinTable(by_word=by_word, rejected=rejected, duplicates_skipped=duplicates)
 
 

@@ -210,9 +210,9 @@ def test_criterion_7_ner_alignment(toy_world):
         tags = align_labels_with_markers(ex, marked)
         stripped = strip_marker_labels(tags, marked)
         assert stripped == list(labels)                       # identity, exact
-        assert extract_spans(stripped) == extract_spans(labels)  # spans unchanged
-        pred = extract_spans(tuple(random_bmeso_tags(rng, length)))
-        gold = extract_spans(labels)
+        assert extract_spans(stripped, "bmeso") == extract_spans(labels, "bmeso")  # unchanged
+        pred = extract_spans(tuple(random_bmeso_tags(rng, length)), "bmeso")
+        gold = extract_spans(labels, "bmeso")
         assert span_scores(pred, gold) == brute_force_span_f1(pred, gold)
         cases += 1
     assert cases == 1000

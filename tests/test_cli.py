@@ -400,6 +400,27 @@ class TestEvalNerCommand:
         assert report["span_precision"] == report["span_recall"] == report["span_f1"] == 1.0
         assert report["token_accuracy"] == 1.0
 
+    @pytest.mark.parametrize("scheme", ["auto", "bio"])
+    def test_auto_decides_one_scheme_per_run(self, env, tmp_path, capsys, scheme):
+        """The second sentence alone has no ``I`` and would read as BMESO,
+        which drops its lone ``B``; ``auto`` reads the whole run as BIO."""
+        gold = tmp_path / "g.tsv"
+        gold.write_text("北\tB-LOC\n京\tI-LOC\n在\tO\n\n人\tB-PER\n们\tO\n", encoding="utf-8")
+        assert main(["eval-ner", "--pred", str(gold), "--gold", str(gold),
+                     "--scheme", scheme]) == 0
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert (report["gold_spans"], report["span_f1"]) == (2, 1.0)
+
+    def test_auto_reads_both_files(self, env, tmp_path, capsys):
+        """An ``E`` in the prediction makes the whole run BMESO, so the
+        gold's BIO ``B I`` run, which does not end in ``E``, is dropped."""
+        pred, gold = tmp_path / "p.tsv", tmp_path / "g.tsv"
+        write_conll([NerExample(chars=("北", "京"), labels=("B-LOC", "E-LOC"))], pred)
+        write_conll([NerExample(chars=("北", "京"), labels=("B-LOC", "I-LOC"))], gold)
+        assert main(["eval-ner", "--pred", str(pred), "--gold", str(gold)]) == 0
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert (report["pred_spans"], report["gold_spans"]) == (1, 0)
+
     def test_length_mismatch_exit_code(self, env, tmp_path, capsys):
         pred, gold = tmp_path / "p.tsv", tmp_path / "g.tsv"
         write_conll([NerExample(chars=("北",), labels=("O",))], pred)

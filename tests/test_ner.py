@@ -9,7 +9,7 @@ from markkit.errors import InputError
 from markkit.marker_encoder import build_vocab, encode_marked
 from markkit.ner import (EntitySpan, NerExample, SpanF1Counter,
                          align_labels_with_markers, extract_spans,
-                         read_conll, strip_marker_labels)
+                         read_conll, scheme_of, strip_marker_labels)
 from markkit.segmenter import parse_pretokenized
 
 VOCAB = build_vocab("北京在人民地球天气很好")
@@ -67,38 +67,49 @@ class TestStrip:
 
 class TestExtractSpans:
     def test_minimal_span(self):
-        assert extract_spans(["B-LOC", "E-LOC", "O"]) == {EntitySpan(0, 2, "LOC")}
+        assert extract_spans(["B-LOC", "E-LOC", "O"], "bmeso") == {EntitySpan(0, 2, "LOC")}
 
     def test_orphan_middle_discarded(self):
-        assert extract_spans(["M-LOC", "E-LOC"]) == set()
+        assert extract_spans(["M-LOC", "E-LOC"], "bmeso") == set()
 
     def test_hand_parse(self):
         tags = ["S-PER", "O", "B-ORG", "M-ORG", "E-ORG"]
-        assert extract_spans(tags) == {EntitySpan(0, 1, "PER"), EntitySpan(2, 5, "ORG")}
+        assert extract_spans(tags, "bmeso") == {EntitySpan(0, 1, "PER"), EntitySpan(2, 5, "ORG")}
 
     def test_dangling_b_at_end(self):
-        assert extract_spans(["O", "B-LOC"]) == set()
+        assert extract_spans(["O", "B-LOC"], "bmeso") == set()
 
     def test_type_switch_breaks_run(self):
-        assert extract_spans(["B-LOC", "M-PER", "E-LOC"]) == set()
-        assert extract_spans(["B-LOC", "E-PER"]) == set()
+        assert extract_spans(["B-LOC", "M-PER", "E-LOC"], "bmeso") == set()
+        assert extract_spans(["B-LOC", "E-PER"], "bmeso") == set()
 
     def test_back_to_back_runs(self):
         tags = ["B-LOC", "E-LOC", "B-LOC", "E-LOC"]
-        assert extract_spans(tags) == {EntitySpan(0, 2, "LOC"), EntitySpan(2, 4, "LOC")}
+        assert extract_spans(tags, "bmeso") == {EntitySpan(0, 2, "LOC"), EntitySpan(2, 4, "LOC")}
 
     def test_bio_input(self):
         tags = ["B-LOC", "I-LOC", "O", "B-PER"]
-        assert extract_spans(tags) == {EntitySpan(0, 2, "LOC"), EntitySpan(3, 4, "PER")}
+        assert scheme_of([tags]) == "bio"
+        assert extract_spans(tags, "bio") == {EntitySpan(0, 2, "LOC"), EntitySpan(3, 4, "PER")}
 
     def test_bio_orphan_i_discarded(self):
-        assert extract_spans(["O", "I-LOC", "I-LOC"]) == set()
+        tags = ["O", "I-LOC", "I-LOC"]
+        assert scheme_of([tags]) == "bio"
+        assert extract_spans(tags, "bio") == set()
 
     def test_unparseable_tag_named(self):
         with pytest.raises(InputError, match="X-LOC"):
-            extract_spans(["X-LOC"])
+            extract_spans(["X-LOC"], "bmeso")
         with pytest.raises(InputError, match="O-LOC"):
-            extract_spans(["O-LOC"])
+            extract_spans(["O-LOC"], "bio")
+
+    def test_scheme_of_reads_every_sequence(self):
+        """BIO when an ``I`` appears in any sequence and no ``M``, ``E`` or
+        ``S`` in any; a sequence of ``B`` and ``O`` alone decides nothing."""
+        assert scheme_of([["B-LOC", "I-LOC"], ["B-PER", "O"]]) == "bio"
+        assert scheme_of([["B-LOC", "I-LOC"], ["S-PER"]]) == "bmeso"
+        assert scheme_of([["B-LOC", "O"]]) == "bmeso"
+        assert scheme_of([]) == "bmeso"
 
     def test_explicit_scheme_overrides_detection(self):
         # B/O only: ambiguous; strict BMESO discards, BIO keeps a singleton
@@ -127,13 +138,16 @@ class TestExtractSpans:
 
     @pytest.mark.parametrize("tags, scheme, spans", MALFORMED_BIO)
     def test_malformed_bio(self, tags, scheme, spans):
+        if scheme == "auto":
+            scheme = scheme_of([tags])
         assert extract_spans(tags, scheme=scheme) == {EntitySpan(*s) for s in spans}
 
     @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4),
                               st.sampled_from(["", "LOC", "PER"])), max_size=6))
     def test_bio_and_bmeso_renderings_agree(self, runs):
         """Spans drawn as (gap before, length, type) and rendered in either
-        scheme are the spans extracted, under ``auto`` and the scheme."""
+        scheme are the spans extracted, under the scheme and under the one
+        :func:`scheme_of` picks for the rendering."""
         def tag(prefix, entity):
             return f"{prefix}-{entity}" if entity else prefix
 
@@ -147,9 +161,9 @@ class TestExtractSpans:
                 [tag("B", entity)] + [tag("M", entity)] * (length - 2) + [tag("E", entity)]
         assert extract_spans(bio, scheme="bio") == drawn
         assert extract_spans(bmeso, scheme="bmeso") == drawn
-        assert extract_spans(bmeso) == drawn
+        assert extract_spans(bmeso, scheme_of([bmeso])) == drawn
         if any(length > 1 for _, length, _ in runs):  # auto reads B/O alone as BMESO
-            assert extract_spans(bio) == drawn
+            assert extract_spans(bio, scheme_of([bio])) == drawn
 
 
 class TestSpanF1:
@@ -202,7 +216,8 @@ def test_align_strip_round_trip_and_span_preservation(seed, length, cls_sep):
     marked = encode_marked(seg, VOCAB, add_cls_sep=cls_sep)
     tags = align_labels_with_markers(ex, marked)
     assert strip_marker_labels(tags, marked) == list(labels)
-    assert extract_spans(strip_marker_labels(tags, marked)) == extract_spans(labels)
+    assert extract_spans(strip_marker_labels(tags, marked), "bmeso") == \
+        extract_spans(labels, "bmeso")
 
 
 class TestCounter:

@@ -1,11 +1,14 @@
 import dataclasses
 import functools
 import json
+import multiprocessing
+import os
 import pickle
 import random
 
 import pytest
 
+from markkit import confusion
 from markkit.confusion import ConfusionKind, ConfusionPolicy, sample_confusion
 from markkit.errors import ConfigError, ParseError
 from markkit.marker_encoder import encode_marked
@@ -386,6 +389,57 @@ class TestGenerateExamples:
                                   for _, doc in documents), cfg)
             assert one == [build_packed_example(p, toy_world.vocab, toy_resources, cfg, 99)
                            for p in packed]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_word_is_scanned_once_per_call(self, toy_world, toy_resources, tmp_path,
+                                                monkeypatch, workers):
+        """With the default schedule, a call scans each word's synonyms
+        once, in process or once per pool worker, where the example-by-
+        example build scans a word each time it is drawn. A second call
+        scans again, and the resources gain no attribute."""
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the spy reaches pool workers only through fork")
+        log = tmp_path / "scans.tsv"
+        scan = confusion.synonym_candidates
+
+        def spy(word, emb, k):
+            with open(log, "a", encoding="utf-8") as file:  # one line per write, from any process
+                file.write(f"{os.getpid()}\t{word}\n")
+            return scan(word, emb, k)
+
+        def scans():
+            rows = [line.split("\t") for line in log.read_text(encoding="utf-8").splitlines()]
+            log.unlink()
+            return rows
+
+        monkeypatch.setattr(confusion, "synonym_candidates", spy)
+        cfg = MaskingConfig()
+        lines = toy_corpus_lines(toy_world.words, 120, seed=13, pretokenized=True,
+                                 sentences_per_doc=(2, 6))
+        documents = list(read_documents(lines))
+        packed = pack_corpus(([parse_pretokenized(ln) for ln in doc] for _, doc in documents),
+                             cfg)
+        one_by_one = [build_packed_example(p, toy_world.vocab, toy_resources, cfg, 99)
+                      for p in packed]
+        drawn = [word for _, word in scans()]
+        assert len(drawn) > len(set(drawn)) > 10
+        attributes = [set(vars(r)) for r in (toy_resources.embeddings, toy_resources.pinyin)]
+        for _ in range(2):
+            examples = generate_examples(documents, parse_pretokenized, toy_world.vocab,
+                                         toy_resources, cfg, 99, workers=workers)
+            assert examples == one_by_one
+            rows = scans()
+            by_process: dict[str, list[str]] = {}
+            for pid, word in rows:
+                by_process.setdefault(pid, []).append(word)
+            assert {word for _, word in rows} == set(drawn)
+            assert len(by_process) <= workers
+            if workers == 1:
+                assert list(by_process) == [str(os.getpid())]
+            for words in by_process.values():
+                assert len(words) == len(set(words))
+        assert [set(vars(r)) for r in (toy_resources.embeddings, toy_resources.pinyin)] == \
+            attributes
 
     def test_build_callable_pickles(self, toy_world, toy_resources):
         """The per-document callable a worker receives survives pickling, as

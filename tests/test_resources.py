@@ -177,6 +177,16 @@ EMBEDDING_FILES = {
     "next line in word, counted": ("3 2\n好\x85佳 1 0\n美 0 1\n", False),
     "dim-1 values": ("2 2\n好 1\n佳 1 0\n", False),
     "dim+1 values": ("2 2\n好 1 0 3\n佳 1 0\n", False),
+    # the value count is checked by np.loadtxt and the block's column count
+    "dim+1 beside dim-1 values": ("3 2\n好 1 0 3\n佳 1\n美 0 1\n", False),
+    "dim-1 values on every line": ("2 2\n好 1\n佳 0\n", False),
+    "dim+1 values on every line": ("2 1\n好 1 0\n佳 0 1\n", False),
+    "no values beside a regular line": ("2 2\n好\n佳 1 0\n", False),
+    "only a space after the word": ("2 2\n好 \n佳 1 0\n", False),
+    "only whitespace after the word": ("2 2\n好 \t\n佳 1 0\n", False),
+    "double space beside regular lines": ("3 2\n好 1 0\n佳 1  0\n美 0 1\n", False),
+    "trailing space beside regular lines": ("3 2\n好 1 0\n佳 1 0 \n美 0 1\n", False),
+    "whitespace-only line": ("3 2\n好 1 0\n \t\u3000\n佳 0 1\n美 1 1\n", True),
     "underscore digits": ("2 2\n好 1_0 1\n佳 1 0\n", False),
     "full-width digits": ("2 2\n好 １ ２\n佳 1 0\n", False),
     "nan inf 1e400": ("5 2\n好 nan 1\n佳 inf 0\n美 1e400 1\n妙 -Infinity 1\n棒 3 4\n", True),
@@ -217,6 +227,20 @@ def test_embeddings_paths_agree(tmp_path, monkeypatch, name):
         assert outcome(load_embeddings, path) == outcome(reference_embeddings, path)
         reached.append(bool(calls))
     assert (any(reached), reached[0]) == (not regular, not regular)
+
+
+def test_non_utf8_byte_in_the_last_block_names_its_line(tmp_path):
+    """A bad byte in the last of several default blocks names its line and
+    byte, counted as a whole-file decode counts them: by newline, where a
+    line separator earlier in the file is a line break to the parser."""
+    text = vectors_text(tail=["乙 1 0"]).replace("\n一 ", "\n一\u2028 ", 1).encode()
+    path = write(tmp_path, "e.txt", text[:-4] + b"\xff" + text[-3:])  # the "1" of "乙 1 0"
+    assert len(text) > 4 * resources.EMBEDDING_BLOCK_BYTES
+    with pytest.raises(ParseError) as exc:
+        load_embeddings(path)
+    assert exc.value.line == text.count(b"\n")
+    assert f"at byte {len(text) - 4}" in str(exc.value)
+    assert outcome(load_embeddings, path) == outcome(reference_embeddings, path)
 
 
 _NUMBERS = st.one_of(st.floats().map(repr), st.sampled_from(
