@@ -189,10 +189,10 @@ def cmd_build_corpus(args) -> int:
     else:
         resources = Resources(embeddings=load_embeddings(embeddings),
                               pinyin=load_pinyin_table(pinyin))
-    examples = generate_examples(list(read_documents(_read_lines(args.infile))), seg_fn,
-                                 vocab, resources, cfg, args.seed, workers=workers,
-                                 pack=pack_corpus)
-    _write_lines(args.out, map(example_to_json, examples))
+    _write_lines(args.out, generate_examples(list(read_documents(_read_lines(args.infile))),
+                                             seg_fn, vocab, resources, cfg, args.seed,
+                                             workers=workers, pack=pack_corpus,
+                                             serialize=example_to_json))
     return 0
 
 
@@ -365,11 +365,43 @@ def _add_masking_flags(p: argparse.ArgumentParser) -> None:
 class _Parser(argparse.ArgumentParser):
     """argparse with a usage error as one JSON error line and exit 2;
     subparsers are made from this class too. ``--help`` and ``--version``
-    print as before."""
+    print as before.
+
+    A float flag takes a negative value written after a space, as with
+    ``=``: argparse reads ``-inf``, ``-nan`` or ``-1e400`` as an option, so
+    ``--mask-ratio -inf`` is passed on as ``--mask-ratio=-inf`` and meets
+    the flag's own rule."""
+
+    def __init__(self, *args, **kwargs):
+        self.float_flags: set[str] = set()  # argparse's __init__ adds --help
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *names, **kwargs):
+        if kwargs.get("type") is float:
+            self.float_flags.update(names)
+        return super().add_argument(*names, **kwargs)
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined: list[str] = []
+        for arg in sys.argv[1:] if args is None else args:
+            if joined and joined[-1] in self.float_flags and arg.startswith("-") \
+                    and _is_float(arg):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
 
     def error(self, message):
         _emit_error("usage", 2, message)
         self.exit(2)
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -159,13 +159,16 @@ def _seq_cost(n_chars: int, n_words: int) -> int:
 
 
 def _concat(segs: Sequence[Segmentation]) -> Segmentation:
-    text = "".join(s.text for s in segs)
-    spans: list[WordSpan] = []
-    offset = 0
-    for s in segs:
-        spans.extend(WordSpan(sp.start + offset, sp.end + offset, pos=sp.pos) for sp in s.spans)
+    """One sentence's own Segmentation, or the sentences joined: the first
+    one's spans are kept, and only the later ones' are shifted."""
+    if len(segs) == 1:
+        return segs[0]
+    spans = list(segs[0].spans)
+    offset = len(segs[0].text)
+    for s in segs[1:]:
+        spans.extend([WordSpan(sp.start + offset, sp.end + offset, sp.pos) for sp in s.spans])
         offset += len(s.text)
-    return Segmentation(text=text, spans=tuple(spans))
+    return Segmentation("".join(s.text for s in segs), tuple(spans))
 
 
 def _truncate_to_budget(seg: Segmentation, max_len: int) -> Segmentation:
@@ -599,13 +602,17 @@ def usable_cpus() -> int:
 def generate_examples(documents: Sequence[Document], segmenter: Segmenter,
                       vocab: Vocab, resources: Resources, cfg: MaskingConfig,
                       corpus_seed: int, *, workers: int = 1,
-                      pack: Callable[..., list[PackedSegment]] = pack_corpus
-                      ) -> list[PretrainingExample]:
+                      pack: Callable[..., list[PackedSegment]] = pack_corpus,
+                      serialize: Callable[[PretrainingExample], str] = example_to_json
+                      ) -> list[str]:
     """Build the examples of every document (see :func:`read_documents`)
     with :func:`build_document`, optionally across worker processes (see
-    :func:`_worker_tasks`). ``pack`` is the :func:`pack_corpus` to call;
-    ``cli`` passes the name it imported, which ``benchmark/spans.py``
-    traces.
+    :func:`_worker_tasks`), and return their lines: each example is
+    serialized where it was built, in process or in its pool worker.
+    ``pack`` (a :func:`pack_corpus`) and ``serialize`` (an
+    :func:`example_to_json`) exist so that ``cli`` can pass the names it
+    imported, ``cli.pack_corpus`` and ``cli.example_to_json``, which
+    ``benchmark/spans.py`` traces.
 
     Each example depends only on (corpus seed, doc id, seq index), and
     results are merged in document order, so the output is identical for
@@ -621,13 +628,14 @@ def generate_examples(documents: Sequence[Document], segmenter: Segmenter,
                               pack=pack, synonyms={})
     tasks = _worker_tasks(documents, workers)
     if workers <= 1 or len(tasks) < 2:
-        return [ex for task in tasks for ex in _build_task(build, task)]
+        return [line for task in tasks for line in _build_task(build, serialize, task)]
     from multiprocessing import Pool
 
     # the build callable (with the resources) reaches each worker once, at
-    # start-up, instead of being pickled into every task
-    with Pool(workers, initializer=_set_worker_build, initargs=(build,)) as pool:
-        return [ex for examples in pool.imap(_worker_build_task, tasks) for ex in examples]
+    # start-up, instead of being pickled into every task; a task returns
+    # its lines, so the parent neither unpickles nor serializes an example
+    with Pool(workers, initializer=_set_worker_build, initargs=(build, serialize)) as pool:
+        return [line for lines in pool.imap(_worker_build_task, tasks) for line in lines]
 
 
 def _worker_tasks(documents: Sequence[Document],
@@ -656,17 +664,17 @@ def _worker_tasks(documents: Sequence[Document],
     return tasks
 
 
-def _build_task(build, task) -> list[PretrainingExample]:
-    return [ex for args in task for ex in build(*args)]
+def _build_task(build, serialize, task) -> list[str]:
+    return [serialize(ex) for args in task for ex in build(*args)]
 
 
 _worker_build = None
 
 
-def _set_worker_build(build) -> None:
+def _set_worker_build(build, serialize) -> None:
     global _worker_build
-    _worker_build = build
+    _worker_build = build, serialize
 
 
-def _worker_build_task(task) -> list[PretrainingExample]:
-    return _build_task(_worker_build, task)
+def _worker_build_task(task) -> list[str]:
+    return _build_task(*_worker_build, task)

@@ -228,7 +228,11 @@ def load_embeddings(path: str | Path) -> WordEmbeddings:
     n_usable = int(usable.sum())
     by_length = sorted(first, key=len)  # stable: file order within a length
     _gather_in_place(rows, [first[w] for w in by_length])
-    rows.resize((len(by_length), rows.shape[1]))  # in place: the rows after them are freed
+    # in place: the rows after them are freed. No reference count is checked:
+    # this loader holds the only reference to ``rows`` and no view of it
+    # outlives _gather_in_place, but under a Python tracer (``sys.settrace``,
+    # ``pdb``, ``python -m trace``) the frame's locals dict holds another one
+    rows.resize((len(by_length), rows.shape[1]), refcheck=False)
     return WordEmbeddings(tuple(by_length), rows, rejected + len(words) - n_usable,
                           n_usable - len(first))
 

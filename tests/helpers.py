@@ -59,6 +59,17 @@ def random_segmentation(rng: random.Random, text: str) -> Segmentation:
     return Segmentation(text=text, spans=tuple(spans))
 
 
+def reference_concat(segs) -> Segmentation:
+    """The Segmentation of the sentences ``segs`` packed into one sequence,
+    every span rebuilt with its offset re-based."""
+    spans = []
+    offset = 0
+    for s in segs:
+        spans.extend(WordSpan(sp.start + offset, sp.end + offset, pos=sp.pos) for sp in s.spans)
+        offset += len(s.text)
+    return Segmentation(text="".join(s.text for s in segs), spans=tuple(spans))
+
+
 def brute_force_span_f1(pred, gold):
     """Oracle matcher: explicit pairwise comparison, no set operations."""
     pred_list, gold_list = list(pred), list(gold)

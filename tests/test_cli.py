@@ -134,6 +134,23 @@ class TestBuildCorpusCommand:
         assert len(packed) == len(out.read_text(encoding="utf-8").splitlines()) > 0
         assert outside and not any(outside)
 
+    def test_lines_are_serialized_through_cli_example_to_json(self, env, tmp_path,
+                                                             monkeypatch):
+        """`benchmark/spans.py` times serialization by wrapping
+        `markkit.cli.example_to_json`: an in-process build must write the
+        lines that name returns, one call per line."""
+        root, _ = env
+        written = []
+
+        def serialize(ex):
+            written.append(markkit.pretrain.example_to_json(ex))
+            return written[-1]
+
+        monkeypatch.setattr(markkit.cli, "example_to_json", serialize)
+        out = tmp_path / "ex.jsonl"
+        assert run_build(root, out) == 0
+        assert out.read_text(encoding="utf-8").splitlines() == written != []
+
     def test_workers_do_not_change_bytes_on_one_document(self, env, tmp_path):
         """A corpus without blank lines is one document, split across workers."""
         root, _ = env
@@ -627,7 +644,7 @@ class TestErrorHandling:
         ["frobnicate"],
         ["stats"],                                              # missing required --in
         ["pretrain", "--vocab", "v", "--in", "i", "--out", "o", "--rwd-classes", "4"],
-        ["pretrain", "--vocab", "v", "--in", "i", "--out", "o", "--lr", "-inf"],
+        ["pretrain", "--vocab", "v", "--in", "i", "--out", "o", "--lr", "--steps", "1"],
     ])
     def test_usage_error_one_json_line(self, capsys, argv):
         assert main(argv) == 2
@@ -786,6 +803,29 @@ class TestErrorHandling:
         if files == "missing":
             argv = [str(tmp_path / "missing") if os.path.isfile(a) else a for a in argv]
         self.assert_flag_error(capsys, argv, flag, value, tmp_path / "out")
+
+    @pytest.mark.parametrize("command,flag", [
+        *(("build-corpus", flag) for flag in ("--mask-ratio", "--p-no-marker", "--p-wwm",
+                                              "--p-replace-word", "--p-normal-marker-loss",
+                                              "--p-pinyin")),
+        ("pretrain", "--lr"), ("pretrain", "--dropout")])
+    def test_negative_float_after_a_space_exit_5(self, env, tmp_path, capsys, command, flag):
+        """A negative float written after a space exits 5 with the line that
+        the ``=`` form gives, although argparse alone reads ``-inf`` as an
+        option; a flag that follows a float flag is still a usage error."""
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        argv = [*self.flag_test_argv(env[0], tmp_path, command, infile=empty),
+                "--out", str(tmp_path / "out")]
+        for value in ("-inf", "-1e400", "-nan", "-0.5"):
+            capsys.readouterr()
+            assert main([*argv, f"{flag}={value}"]) == 5
+            joined = capsys.readouterr().err
+            assert json.loads(joined)["message"].startswith(f"{flag} ")
+            assert main([*argv, flag, value]) == 5
+            assert capsys.readouterr().err == joined
+        assert main([*argv, flag, "--seed", "1"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
     def test_attn_dump_names_checkpoint_positions_exit_5(self, env, tmp_path, capsys):
         """A checkpoint too short for CLS, SEP and content is blamed, not the

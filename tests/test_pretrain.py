@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+from helpers import reference_concat
 from markkit import confusion
 from markkit.confusion import ConfusionKind, ConfusionPolicy, sample_confusion
 from markkit.errors import ConfigError, ParseError
@@ -83,6 +84,28 @@ class TestPackDocuments:
         sentences = [seg_of(""), seg_of("天气"), seg_of("")]
         packed = list(pack_documents(sentences, MaskingConfig(max_len=16)))
         assert [p.seg.text for p in packed] == ["天气"]
+
+    def test_lone_sentence_is_its_own_segmentation(self):
+        """A sequence of one sentence is that sentence's Segmentation; a
+        sequence of several has the spans of the sentences re-based."""
+        rng = random.Random(7)
+        sentences = [seg_of(" ".join(rng.choice(["天气", "很/AD", "人民/NN", "好", "地球/NN"])
+                                     for _ in range(rng.randint(1, 6))))
+                     for _ in range(60)]
+        packed = list(pack_documents(sentences, MaskingConfig(max_len=20)))
+        rest = iter(sentences)
+        sizes = []
+        for p in packed:
+            group = [next(rest)]
+            if p.truncated:
+                continue
+            while len(p.seg.text) > sum(len(s.text) for s in group):
+                group.append(next(rest))
+            assert p.seg == reference_concat(group)
+            assert (p.seg is group[0]) == (len(group) == 1)
+            sizes.append(len(group))
+        assert next(rest, None) is None
+        assert 1 in sizes and max(sizes) > 2
 
 
 def test_derive_seed_is_stable_and_spread():
@@ -377,18 +400,15 @@ class TestGenerateExamples:
             lines = toy_corpus_lines(toy_world.words, 120, seed=13, pretokenized=True,
                                      sentences_per_doc=sentences_per_doc)
             documents = list(read_documents(lines))
-            one = generate_examples(documents, parse_pretokenized, toy_world.vocab,
-                                    toy_resources, cfg, 99, workers=1)
-            for workers in (2, 4):
-                many = generate_examples(documents, parse_pretokenized, toy_world.vocab,
-                                         toy_resources, cfg, 99, workers=workers)
-                assert many == one
-                assert [example_to_json(e) for e in many] == [example_to_json(e) for e in one]
             # building per document numbers sequences as packing the whole corpus does
             packed = pack_corpus(([parse_pretokenized(ln) for ln in doc]
                                   for _, doc in documents), cfg)
-            assert one == [build_packed_example(p, toy_world.vocab, toy_resources, cfg, 99)
-                           for p in packed]
+            one_by_one = [build_packed_example(p, toy_world.vocab, toy_resources, cfg, 99)
+                          for p in packed]
+            for workers in (1, 2, 4):
+                built = generate_examples(documents, parse_pretokenized, toy_world.vocab,
+                                          toy_resources, cfg, 99, workers=workers)
+                assert built == [example_to_json(e) for e in one_by_one]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_each_word_is_scanned_once_per_call(self, toy_world, toy_resources, tmp_path,
@@ -425,9 +445,9 @@ class TestGenerateExamples:
         assert len(drawn) > len(set(drawn)) > 10
         attributes = [set(vars(r)) for r in (toy_resources.embeddings, toy_resources.pinyin)]
         for _ in range(2):
-            examples = generate_examples(documents, parse_pretokenized, toy_world.vocab,
-                                         toy_resources, cfg, 99, workers=workers)
-            assert examples == one_by_one
+            built = generate_examples(documents, parse_pretokenized, toy_world.vocab,
+                                      toy_resources, cfg, 99, workers=workers)
+            assert built == [example_to_json(e) for e in one_by_one]
             rows = scans()
             by_process: dict[str, list[str]] = {}
             for pid, word in rows:

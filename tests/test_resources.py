@@ -1,4 +1,5 @@
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -386,6 +387,26 @@ def test_mostly_rejected_file_frees_its_rows(tmp_path):
             tracemalloc.stop()
         assert (len(emb.words), emb.rejected) == (1000, zero_rows + short_rows)
         assert held < 1.5 * emb.unit_rows().nbytes
+
+
+def test_load_under_a_python_tracer(tmp_path):
+    """Under a Python trace function (as ``pdb`` and ``python -m trace``
+    set), which holds the loader's locals in a dict, a file with a
+    duplicate and a rejected row loads as it does untraced."""
+    path = write(tmp_path, "e.txt", vectors_text(tail=["一 " + " ".join(["1"] * 50), "乙 1 2"]))
+    untraced = load_embeddings(path)
+
+    def trace(frame, event, arg):
+        return trace
+
+    sys.settrace(trace)
+    try:
+        traced = load_embeddings(path)
+    finally:
+        sys.settrace(None)
+    assert (traced.duplicates_skipped, traced.rejected) == (1, 1)
+    assert traced.words == untraced.words
+    assert traced.unit_rows().tobytes() == untraced.unit_rows().tobytes()
 
 
 def test_fifo_loads_as_the_regular_file(tmp_path):
