@@ -14,9 +14,8 @@ If the ``MARKKIT_RESOURCES`` environment variable is set, relative
 
 All randomness flows from ``--seed`` (default 12345; outside ``[0, 2**64)``
 it is a configuration error on every subcommand) through documented derivations,
-so every subcommand is reproducible; ``--deterministic`` is accepted for
-interface stability (deterministic behavior is the default and only mode;
-see ``markkit`` for the BLAS thread count).
+so every subcommand is reproducible (see ``markkit`` for the BLAS thread count).
+Flags are spelled in full: an abbreviation is a usage error.
 """
 
 from __future__ import annotations
@@ -47,9 +46,7 @@ from .segmenter import Segmenter, make_lexicon_segmenter, parse_pretokenized, re
 DEFAULT_SEED = 12345
 
 
-def _resource_path(path: str | None) -> Path | None:
-    if path is None:
-        return None
+def _resource_path(path: str) -> Path:
     prefix = os.environ.get("MARKKIT_RESOURCES")
     p = Path(path)
     if prefix and not p.is_absolute():
@@ -327,10 +324,6 @@ def _add_common(p: argparse.ArgumentParser,
                 out_help: str = "output path ('-' or omitted: stdout)") -> None:
     p.add_argument("--seed", type=int, default=DEFAULT_SEED,
                    help=f"master RNG seed, >= 0 and < 2**64 (default {DEFAULT_SEED})")
-    p.add_argument("--deterministic", action="store_true",
-                   help="accepted for interface stability; all pipelines are "
-                        "deterministic by construction, and BLAS runs on one thread "
-                        "unless OPENBLAS_NUM_THREADS or OMP_NUM_THREADS is set")
     p.add_argument("--out", default=None, help=out_help)
 
 
@@ -363,9 +356,9 @@ def _add_masking_flags(p: argparse.ArgumentParser) -> None:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with a usage error as one JSON error line and exit 2;
-    subparsers are made from this class too. ``--help`` and ``--version``
-    print as before.
+    """argparse with a usage error as one JSON error line and exit 2, and
+    with no abbreviated flags; subparsers are made from this class too.
+    ``--help`` and ``--version`` print as before.
 
     A float flag takes a negative value written after a space, as with
     ``=``: argparse reads ``-inf``, ``-nan`` or ``-1e400`` as an option, so
@@ -374,7 +367,7 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         self.float_flags: set[str] = set()  # argparse's __init__ adds --help
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def add_argument(self, *names, **kwargs):
         if kwargs.get("type") is float:

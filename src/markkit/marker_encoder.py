@@ -44,8 +44,6 @@ class Vocab:
     def __post_init__(self):
         mapping: dict[str, int] = {}
         for i, tok in enumerate(self.tokens):
-            if not tok:
-                raise ConfigError(f"empty token at id {i}")
             if tok in mapping:
                 raise ConfigError(f"duplicate token {tok!r} (ids {mapping[tok]} and {i})")
             mapping[tok] = i

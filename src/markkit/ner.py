@@ -39,16 +39,10 @@ class EntitySpan:
     end: int
     entity_type: str
 
-    def __post_init__(self):
-        if not 0 <= self.start < self.end:
-            raise InputError(f"invalid span [{self.start}, {self.end})")
-
 
 def _parse_tag(tag: str) -> tuple[str, str]:
     """Split a tag into (prefix, type). 'O' has no type; any other prefix
     takes an optional '-type' suffix."""
-    if not tag:
-        raise InputError("empty tag")
     prefix, dash, entity = tag.partition("-")
     if prefix not in _PREFIXES:
         raise InputError(f"unparseable tag {tag!r}")

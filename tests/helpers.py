@@ -1,12 +1,14 @@
 """Shared generators and oracles for the confusion, CLI and NER tests and the
 acceptance suite."""
 
+import os
 import random
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
+import markkit
 from markkit.errors import ParseError
 from markkit.model import _gelu_bwd, _layernorm_dx
 from markkit.ner import EntitySpan, SpanF1Counter
@@ -14,6 +16,15 @@ from markkit.resources import EMBEDDING_MAX_DIM, WordEmbeddings, load_embeddings
 from markkit.segmenter import Segmentation, WordSpan
 
 ENTITY_TYPES = ("LOC", "ORG", "PER")
+
+
+def markkit_env(**overrides: str) -> dict[str, str]:
+    """This process's environment, with ``overrides``, for a subprocess
+    that imports markkit: its source directory goes first on PYTHONPATH,
+    and what was there stays after it (so that a ``sitecustomize`` on it,
+    such as ``scripts/line_census.py`` writes, still loads)."""
+    path = [str(Path(markkit.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **overrides}
 
 
 def random_bmeso_tags(rng: random.Random, length: int) -> list[str]:

@@ -256,8 +256,7 @@ def test_criterion_9_build_corpus_determinism(tmp_path):
                      "--pinyin", str(tmp_path / "res/pinyin.tsv"),
                      "--vocab", str(tmp_path / "res/vocab.txt"),
                      "--in", str(tmp_path / "corpus.txt"), "--out", str(out),
-                     "--max-len", "64", "--seed", "4242", "--workers", workers,
-                     "--deterministic"])
+                     "--max-len", "64", "--seed", "4242", "--workers", workers])
         assert code == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1], "same seed, same bytes"

@@ -12,7 +12,7 @@ import pytest
 
 import markkit
 import markkit.cli
-from helpers import reference_synonyms, write_conll
+from helpers import markkit_env, reference_synonyms, write_conll
 from markkit.cli import (_masking_config, _read_lines, build_parser, clamp_workers, main,
                          print_stats)
 from markkit.confusion import ConfusionPolicy
@@ -285,11 +285,13 @@ class TestPretrainCommand:
         ckpt = tmp_path / "model.ckpt"
         code = main(["pretrain", "--vocab", str(root / "res/vocab.txt"),
                      "--in", str(examples), "--out", str(ckpt),
-                     "--steps", "8", "--log-every", "0", "--hidden-dim", "16",
+                     "--steps", "8", "--log-every", "4", "--hidden-dim", "16",
                      "--ffn-dim", "24", "--num-heads", "2", "--seed", "5"])
         assert code == 0 and ckpt.exists()
-        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert summary["steps"] == 8
+        *logged, last = capsys.readouterr().out.strip().splitlines()
+        assert [line.split(":")[0] for line in logged] == ["step 4", "step 8"]
+        assert all(" mlm_loss=" in line and " rwd_acc=" in line for line in logged)
+        assert json.loads(last)["steps"] == 8
 
         attn = tmp_path / "attn.json"
         code = main(["attn-dump", "--ckpt", str(ckpt),
@@ -311,9 +313,8 @@ class TestPretrainCommand:
         root, _ = env
         examples = tmp_path / "ex.jsonl"
         run_build(root, examples)
-        environ = {k: v for k, v in os.environ.items()
+        environ = {k: v for k, v in markkit_env().items()
                    if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
-        environ["PYTHONPATH"] = str(Path(markkit.__file__).parents[1])
         checkpoints = []
         for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"}):
             ckpt = tmp_path / f"model{len(checkpoints)}.ckpt"
@@ -347,11 +348,27 @@ class TestPretrainCommand:
                   "assert main(train) == 0 and 'scipy' in sys.modules\n")
         proc = subprocess.run(
             [sys.executable, "-c", script, json.dumps([build, [*train, "--out", str(ckpt)]])],
-            env={**os.environ, "PYTHONPATH": str(Path(markkit.__file__).parents[1])},
-            capture_output=True, text=True, timeout=120)
+            env=markkit_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert main([*train, "--out", str(tmp_path / "loaded.ckpt")]) == 0
         assert ckpt.read_bytes() == (tmp_path / "loaded.ckpt").read_bytes()
+
+    def test_empty_example_is_a_step_of_length_0(self, env, tmp_path, capsys):
+        """At --batch-size 1 an example with no input ids is a batch of
+        length 0: its step trains nothing, and the run goes on."""
+        root, _ = env
+        examples, ckpt = tmp_path / "ex.jsonl", tmp_path / "m.ckpt"
+        empty = PretrainingExample(input_ids=(), mlm_labels={}, rwd_labels={}, rwd_loss_mask={})
+        short = PretrainingExample(input_ids=(2, 6, 3), mlm_labels={1: 6}, rwd_labels={},
+                                   rwd_loss_mask={})
+        examples.write_text(example_to_json(empty) + "\n" + example_to_json(short) + "\n")
+        code = main(["pretrain", "--vocab", str(root / "res/vocab.txt"), "--in", str(examples),
+                     "--out", str(ckpt), "--steps", "2", "--batch-size", "1",
+                     "--max-positions", "8", "--log-every", "0", "--hidden-dim", "16",
+                     "--ffn-dim", "24", "--num-heads", "2"])
+        out, err = capsys.readouterr()
+        assert code == 0 and err == "" and ckpt.exists()
+        assert [json.loads(line)["steps"] for line in out.splitlines()] == [2]
 
 
 class TestBinaryRwdPipeline:
@@ -604,8 +621,7 @@ def test_one_cpu_of_affinity_runs_one_thread(env, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-c", script, "build-corpus", *res_args(root),
          "--in", str(root / "corpus.txt"), "--out", str(out), "--max-len", "48", "--seed", "7",
-         "--workers", "2"], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(Path(markkit.__file__).parents[1])})
+         "--workers", "2"], capture_output=True, text=True, timeout=120, env=markkit_env())
     assert proc.returncode == 0, proc.stderr
     assert run_build(root, tmp_path / "w1.jsonl") == 0
     assert out.read_bytes() == (tmp_path / "w1.jsonl").read_bytes()
@@ -645,6 +661,7 @@ class TestErrorHandling:
         ["stats"],                                              # missing required --in
         ["pretrain", "--vocab", "v", "--in", "i", "--out", "o", "--rwd-classes", "4"],
         ["pretrain", "--vocab", "v", "--in", "i", "--out", "o", "--lr", "--steps", "1"],
+        ["stats", "--in", "i", "--deterministic"],              # deleted: it did nothing
     ])
     def test_usage_error_one_json_line(self, capsys, argv):
         assert main(argv) == 2
@@ -653,6 +670,18 @@ class TestErrorHandling:
         assert out == "" and len(lines) == 1
         record = json.loads(lines[0])
         assert record["error"] == "usage" and record["exit_code"] == 2 and record["message"]
+
+    @pytest.mark.parametrize("flags", [["--mask-r", "-inf"], ["--mask-r=-inf"], ["--work", "2"]])
+    def test_abbreviated_flag_exit_2(self, capsys, flags):
+        """A flag is spelled in full: an abbreviation is unrecognized in each
+        spelling, before any file is read, so one value has one exit code."""
+        argv = ["build-corpus", "--embeddings", "e", "--pinyin", "p", "--vocab", "v",
+                "--in", "i", *flags]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [json.dumps({
+            "error": "usage", "exit_code": 2,
+            "message": "unrecognized arguments: " + " ".join(flags)})]
 
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_unchanged(self, capsys, flag):
@@ -827,6 +856,11 @@ class TestErrorHandling:
         assert main([*argv, flag, "--seed", "1"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
+    def test_no_cls_sep_max_len_0_exit_5(self, env, tmp_path, capsys):
+        """Without CLS and SEP a sequence still needs room for one token."""
+        argv = [*self.flag_test_argv(env[0], tmp_path, "encode"), "--no-cls-sep"]
+        self.assert_flag_error(capsys, argv, "--max-len", "0", tmp_path / "out")
+
     def test_attn_dump_names_checkpoint_positions_exit_5(self, env, tmp_path, capsys):
         """A checkpoint too short for CLS, SEP and content is blamed, not the
         --max-len that it overrides."""
@@ -881,6 +915,29 @@ class TestErrorHandling:
         assert json.loads(err[0])["message"].startswith("line 1: ")
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("kind,text,message", [
+        ("lexicon", "好\tNN\t1\t2\n", "line 1: expected at most 3 tab-separated fields, got 4"),
+        ("lexicon", "好\n\tNN\n", "line 2: empty word"),
+        ("pinyin", "好 hao\n", "line 1: expected 'word<TAB>syllables'"),
+        ("pinyin", "好\thao\n\thao\n", "line 2: empty word"),
+        ("pinyin", "好\t3\n", "line 1: empty syllable in '好\\t3'"),  # a tone digit alone
+        ("conll", "北\tB-LOC\n京\t\n", "line 2: empty char or tag in '京\\t'"),
+    ])
+    def test_malformed_file_line_exit_4(self, env, tmp_path, capsys, kind, text, message):
+        root, _ = env
+        bad, corpus = tmp_path / "bad.txt", str(root / "corpus.txt")
+        bad.write_text(text, encoding="utf-8")
+        argv = {
+            "lexicon": ["segment", "--lexicon", str(bad), "--in", corpus],
+            "pinyin": ["confusions", "--embeddings", str(root / "res/embeddings.txt"),
+                       "--pinyin", str(bad), "--in", corpus],
+            "conll": ["eval-ner", "--pred", str(bad), "--gold", str(bad)],
+        }[kind]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err.splitlines() == [json.dumps({
+            "error": "input", "exit_code": 4, "message": message})]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind", ["lexicon", "vocab", "in", "conll"])
     def test_non_utf8_file_exit_4(self, env, tmp_path, capsys, kind):
         root, _ = env
@@ -903,12 +960,11 @@ class TestErrorHandling:
     def test_non_utf8_stdin_exit_4(self, env):
         """`--in -` goes through the same decoder as files, whatever the locale."""
         root, _ = env
-        src = str(Path(markkit.__file__).parents[1])
         proc = subprocess.run(
             [sys.executable, "-m", "markkit.cli", "segment",
              "--lexicon", str(root / "res/lexicon.tsv"), "--in", "-"],
             input="好\n".encode("utf-8") + b"\xff\n", capture_output=True,
-            env={**os.environ, "LC_ALL": "C.UTF-8", "PYTHONPATH": src}, timeout=60)
+            env=markkit_env(LC_ALL="C.UTF-8"), timeout=60)
         assert proc.returncode == 4 and proc.stdout == b""
         lines = proc.stderr.decode("utf-8").strip().splitlines()
         assert len(lines) == 1
@@ -970,8 +1026,7 @@ class TestErrorHandling:
              str(root / "res/vocab.txt"), "--in", str(examples), "--out", str(tmp_path / "m"),
              "--steps", "3", "--lr", "1e308", "--log-every", "0", "--hidden-dim", "16",
              "--ffn-dim", "24", "--num-heads", "2"],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(Path(markkit.__file__).parents[1])})
+            capture_output=True, text=True, timeout=120, env=markkit_env())
         assert proc.returncode == 1 and proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1
@@ -1024,6 +1079,15 @@ class TestErrorHandling:
         code, err = self.pretrain_on_record(env[0], tmp_path, capsys, **{field: value})
         assert code == 4 and err["error"] == "input"
         assert err["message"] == f"line 1: {shown} is not an integer"
+
+    def test_no_examples_exit_4(self, env, tmp_path, capsys):
+        examples = tmp_path / "ex.jsonl"
+        examples.write_text("\n \n")
+        assert main(["pretrain", "--vocab", str(env[0] / "res/vocab.txt"), "--in", str(examples),
+                     "--out", str(tmp_path / "m.ckpt")]) == 4
+        assert capsys.readouterr().err.splitlines() == [json.dumps({
+            "error": "input", "exit_code": 4, "message": f"no examples in {examples}"})]
+        assert not (tmp_path / "m.ckpt").exists()
 
     def test_no_input_ids_blames_in_exit_4(self, env, tmp_path, capsys):
         """With every example empty, no --max-positions can be inferred; no

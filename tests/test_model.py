@@ -864,7 +864,8 @@ class TestCheckpoint:
     @pytest.mark.parametrize("case", [
         "short", "truncated_payload", "dtype_f4", "dtype_big_endian", "unknown_config_key",
         "config_wrong_type", "nbytes_disagrees", "offset_past_payload", "config_negative_seed",
-        "config_unallocatable", "name_not_a_string", "number_past_digit_limit"])
+        "config_unallocatable", "name_not_a_string", "number_past_digit_limit",
+        "config_not_an_object", "tensors_not_a_list"])
     def test_malformed_checkpoint_exit_4(self, tmp_path, toy_world, capsys, case):
         path = tmp_path / "model.ckpt"
         save_checkpoint(MarkBert(tiny_cfg(vocab_size=len(toy_world.vocab))), path)
@@ -883,6 +884,8 @@ class TestCheckpoint:
             "nbytes_disagrees": lambda: first.update(nbytes=first["nbytes"] - 8),
             "offset_past_payload": lambda: last.update(offset=last["offset"] + 8),
             "name_not_a_string": lambda: first.update(name=[first["name"]]),
+            "config_not_an_object": lambda: header.update(config=[header["config"]]),
+            "tensors_not_a_list": lambda: header.update(tensors={"0": first}),
             # json.loads refuses an integer of more than 4,300 digits
             "number_past_digit_limit": lambda: header["config"].update(seed="SEED"),
         }.get(case)

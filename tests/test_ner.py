@@ -46,6 +46,10 @@ class TestAlign:
         with pytest.raises(InputError):
             align_labels_with_markers(ex, marked_of("北京"))
 
+    def test_example_needs_one_label_per_char(self):
+        with pytest.raises(InputError, match=r"^2 chars but 1 labels$"):
+            NerExample(chars=("北", "京"), labels=("O",))
+
 
 class TestStrip:
     def test_inverse_of_align(self):
@@ -57,6 +61,10 @@ class TestStrip:
     def test_identity_without_markers(self):
         marked = marked_of("北京", insert_markers=False)
         assert strip_marker_labels(["B-LOC", "E-LOC"], marked) == ["B-LOC", "E-LOC"]
+
+    def test_one_tag_per_token(self):
+        with pytest.raises(InputError, match=r"^2 tags for 3 tokens$"):
+            strip_marker_labels(["O", "O"], marked_of("北京"))
 
     def test_all_outside_preserved(self):
         ex = NerExample(chars=("在", "在"), labels=("O", "O"))
@@ -102,6 +110,12 @@ class TestExtractSpans:
             extract_spans(["X-LOC"], "bmeso")
         with pytest.raises(InputError, match="O-LOC"):
             extract_spans(["O-LOC"], "bio")
+        with pytest.raises(InputError, match=r"^unparseable tag ''$"):
+            extract_spans(["O", ""], "bio")
+
+    def test_unknown_scheme(self):
+        with pytest.raises(InputError, match=r"^unknown scheme 'bmes'$"):
+            extract_spans(["O"], "bmes")
 
     def test_scheme_of_reads_every_sequence(self):
         """BIO when an ``I`` appears in any sequence and no ``M``, ``E`` or
@@ -236,7 +250,7 @@ class TestCounter:
     def test_unequal_tag_lengths_leave_counter_unchanged(self):
         counter = SpanF1Counter()
         span = {EntitySpan(0, 1, "LOC")}
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^token accuracy needs equal-length tag sequences$"):
             counter.add(span, span, pred_tags=["S-LOC"], gold_tags=["S-LOC", "O"])
         assert counter == SpanF1Counter()
 

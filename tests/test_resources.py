@@ -147,6 +147,7 @@ def length_slices(emb):
     slices = [emb.length_slice(n) for n in range(longest + 2)]
     for n, s in enumerate(slices):
         assert emb.words[s] == tuple(w for w in emb.words if len(w) == n)
+        assert list(emb.same_length_rows(n)) == list(range(len(emb.words)))[s]
     return slices
 
 
@@ -205,6 +206,8 @@ EMBEDDING_FILES = {
     "non-numeric after a short row": ("2 2\n好 1\n佳 x 1 2\n", False),
     "nul byte in a value": ("1 2\n好 1 0\x00\n", False),
     "non-UTF-8 byte in a later line": ("3 2\n好 1 0\n佳 0 1\n".encode() + b"\xff 1 1\n", True),
+    "bad header, non-UTF-8 byte in a later line": ("two 2\n好 1 0\n".encode() + b"\xff 1\n",
+                                                   True),
 }
 
 
@@ -399,11 +402,12 @@ def test_load_under_a_python_tracer(tmp_path):
     def trace(frame, event, arg):
         return trace
 
+    previous = sys.gettrace()  # a coverage tool's, or scripts/line_census.py's
     sys.settrace(trace)
     try:
         traced = load_embeddings(path)
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
     assert (traced.duplicates_skipped, traced.rejected) == (1, 1)
     assert traced.words == untraced.words
     assert traced.unit_rows().tobytes() == untraced.unit_rows().tobytes()

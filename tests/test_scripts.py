@@ -1,10 +1,9 @@
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import markkit
+from helpers import markkit_env
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -14,11 +13,10 @@ def test_pretrain_demo_runs(tmp_path):
     trains and checkpoints, and dumps attention, on a small toy run, all
     through the CLI: this reads the `stats` JSON and the `pretrain` summary
     line it prints, and the `attn-dump` file."""
-    src = str(Path(markkit.__file__).parents[1])
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "run_pretrain_demo.py"), "--out", str(tmp_path),
          "--sentences", "40", "--steps", "2"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        capture_output=True, text=True, env=markkit_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("masking schedule statistics\n")
     records = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
